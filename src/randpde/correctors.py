@@ -52,19 +52,36 @@ class CorrectorSolution:
             fh.write(buf.getvalue())
 
 
-def solve_corrector(field: CoefficientField, p, r: int, tol: float = 1e-9,
-                    method: str = "cg", maxiter: int | None = None) -> CorrectorSolution:
-    """Galerkin solution of the periodic corrector problem for direction p."""
+def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1e-9,
+                     method: str = "cg",
+                     maxiter: int | None = None) -> tuple[CorrectorSolution, ...]:
+    """Galerkin solutions of the periodic corrector problems for several
+    directions, from one stiffness assembly.
+
+    The "cg" method is preconditioned by the exact inverse of the stiffness
+    of the constant medium with the field's mean cell matrix, applied by FFT,
+    so its iteration count does not grow with the grid.
+    """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     grid = periodic_grid(field.n, r)
-    p = np.asarray(p, dtype=float)
     K = grid.assemble_stiffness(field.cells)
-    b = grid.corrector_rhs(field.cells, p)
-    w, iterations, residual = solve_singular_system(K, b, tol=tol, maxiter=maxiter,
-                                                    method=method)
-    return CorrectorSolution(n=field.n, r=r, p=p, values=w,
-                             iterations=iterations, residual=residual, method=method)
+    precondition = grid.constant_medium_solver(field.cells.mean(axis=(0, 1)))
+    out = []
+    for p in directions:
+        p = np.asarray(p, dtype=float)
+        b = grid.corrector_rhs(field.cells, p)
+        w, iterations, residual = solve_singular_system(
+            K, b, tol=tol, maxiter=maxiter, method=method, preconditioner=precondition)
+        out.append(CorrectorSolution(n=field.n, r=r, p=p, values=w, iterations=iterations,
+                                     residual=residual, method=method))
+    return tuple(out)
+
+
+def solve_corrector(field: CoefficientField, p, r: int, tol: float = 1e-9,
+                    method: str = "cg", maxiter: int | None = None) -> CorrectorSolution:
+    """Galerkin solution of the periodic corrector problem for direction p."""
+    return solve_correctors(field, (p,), r, tol=tol, method=method, maxiter=maxiter)[0]
 
 
 def homogenized_tensor(field: CoefficientField, correctors) -> np.ndarray:
@@ -105,9 +122,8 @@ def energy_tensor(field: CoefficientField, correctors) -> np.ndarray:
 def homogenize(field: CoefficientField, r: int, tol: float = 1e-9,
                method: str = "cg") -> tuple[np.ndarray, tuple[CorrectorSolution, CorrectorSolution]]:
     """Solve both canonical correctors and return (tensor, (w_1, w_2))."""
-    w1 = solve_corrector(field, E1, r, tol=tol, method=method)
-    w2 = solve_corrector(field, E2, r, tol=tol, method=method)
-    return homogenized_tensor(field, (w1, w2)), (w1, w2)
+    ws = solve_correctors(field, (E1, E2), r, tol=tol, method=method)
+    return homogenized_tensor(field, ws), ws
 
 
 def check_voigt_reuss(field: CoefficientField, tensor: np.ndarray,

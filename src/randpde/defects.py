@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correctors import E1, E2, homogenized_tensor, solve_corrector
+from .correctors import E1, E2, homogenized_tensor, solve_correctors
 from .errors import ParameterError
 from .fields import CoefficientField, PerturbedPeriodic
 from .grid import periodic_grid
@@ -94,12 +94,34 @@ def _box_flux_excess(law: PerturbedPeriodic, n: int, r: int, defect_cells,
     fld = _defect_field(law, n, defect_cells)
     grid = periodic_grid(n, r)
     out = np.zeros((2, 2))
-    solves = 0
-    for j, p in enumerate((E1, E2)):
-        w = solve_corrector(fld, p, r, tol=tol, method=method)
-        solves += 1
-        out[:, j] = n * n * grid.average_flux(fld.cells, w.values, p) - n * n * (law.a_per @ p)
-    return out, solves
+    ws = solve_correctors(fld, (E1, E2), r, tol=tol, method=method)
+    for j, w in enumerate(ws):
+        out[:, j] = n * n * (grid.average_flux(fld.cells, w.values, w.p) - law.a_per @ w.p)
+    return out, len(ws)
+
+
+def pair_catalog(law: PerturbedPeriodic, n: int, cutoff: float | None = None):
+    """[(offset, weight, solved offset)] of the two-defect catalog within
+    ``cutoff`` (default n/2). The solved offset is the one whose cell problem
+    is solved for this entry: the offset itself, or one representative per
+    lattice-symmetry class when the material is isotropic."""
+    if cutoff is None:
+        cutoff = n / 2
+    isotropic = _is_isotropic(law.a_per) and _is_isotropic(law.c_per)
+
+    def solved(off):
+        if not isotropic:
+            return off
+        return (max(abs(off[0]), abs(off[1])), min(abs(off[0]), abs(off[1])))
+    return [(off, w, solved(off)) for off, w in sign_canonical_offsets(n, cutoff)]
+
+
+def defect_solve_count(law: PerturbedPeriodic, n: int, order: int,
+                       cutoff: float | None = None) -> int:
+    """PDE solves that `defect_coefficients` makes: 2 for the unperturbed
+    material, 2 for one defect and, at order 2, 2 per solved pair offset."""
+    solved = {key for _, _, key in pair_catalog(law, n, cutoff)} if order == 2 else set()
+    return 4 + 2 * len(solved)
 
 
 def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
@@ -124,10 +146,9 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
     # Unperturbed material is constant, so its corrector vanishes and the
     # homogenized tensor is the material itself; solve anyway as a check.
     uniform = CoefficientField(n=n, cells=np.broadcast_to(law.a_per, (n, n, 2, 2)).copy())
-    w1 = solve_corrector(uniform, E1, r, tol=tol, method=method)
-    w2 = solve_corrector(uniform, E2, r, tol=tol, method=method)
-    a_per_star = homogenized_tensor(uniform, (w1, w2))
-    solves = 2
+    ws = solve_correctors(uniform, (E1, E2), r, tol=tol, method=method)
+    a_per_star = homogenized_tensor(uniform, ws)
+    solves = len(ws)
 
     a_1def, used = _box_flux_excess(law, n, r, [defect_cell], tol, method)
     solves += used
@@ -135,26 +156,15 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
     a_2def: dict = {}
     weights: dict = {}
     if order == 2:
-        if cutoff is None:
-            cutoff = n / 2
-        offsets = sign_canonical_offsets(n, cutoff)
-        isotropic = _is_isotropic(law.a_per) and _is_isotropic(law.c_per)
         class_values: dict = {}
-        for (off, w) in offsets:
+        for (off, w, key) in pair_catalog(law, n, cutoff):
             weights[off] = w
-            if isotropic:
-                key = (max(abs(off[0]), abs(off[1])), min(abs(off[0]), abs(off[1])))
-                if key not in class_values:
-                    e2_val, used = _box_flux_excess(law, n, r, [(0, 0), key], tol, method)
-                    solves += used
-                    class_values[key] = e2_val - 2.0 * a_1def
-                base = class_values[key]
-                rot = _find_d4(key, off)
-                a_2def[off] = rot @ base @ rot.T
-            else:
-                e2_val, used = _box_flux_excess(law, n, r, [(0, 0), off], tol, method)
+            if key not in class_values:
+                e2_val, used = _box_flux_excess(law, n, r, [(0, 0), key], tol, method)
                 solves += used
-                a_2def[off] = e2_val - 2.0 * a_1def
+                class_values[key] = e2_val - 2.0 * a_1def
+            rot = _find_d4(key, off)
+            a_2def[off] = rot @ class_values[key] @ rot.T
     return DefectCoefficients(law=law, n=n, r=r, order=order, a_per_star=a_per_star,
                               a_1def=a_1def, a_2def=a_2def, pair_weights=weights,
                               solves=solves)

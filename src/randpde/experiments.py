@@ -11,6 +11,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .defects import defect_coefficients, sign_canonical_offsets
+from .defects import defect_coefficients, defect_solve_count
 from .errors import ConfigError, RandpdeError
 from .estimators import (antithetic_estimate, compare_strategies,
                          control_variate_estimate, mc_estimate, sqs_estimate,
@@ -231,6 +232,8 @@ def parse_config(path) -> ExperimentConfig:
             m = 1.0 / hval
             if abs(m - round(m)) > 1e-9 or round(m) < 2:
                 raise ConfigError(f"msfem.h entry {hval} must equal 1/m for integer m >= 2")
+        if cfg.msfem["reference_n"] == 0:
+            cfg.msfem["reference_n"] = _msfem_grids(cfg)[1]
     return cfg
 
 
@@ -250,11 +253,16 @@ def _build_perf(cfg: ExperimentConfig):
 
 
 def _msfem_grids(cfg: ExperimentConfig):
-    """(m, fine_n) pairs plus the reference resolution (validated divisible)."""
+    """(m, fine_n) pairs plus the reference resolution (validated divisible).
+
+    The default reference is the coarsest grid that contains every level's
+    local grids (the least common multiple of the m * fine_n values): a finer
+    one would add the local grids' own resolution gap to the errors.
+    """
     pairs = [(int(round(1.0 / h)), fn) for h, fn in zip(cfg.msfem["h"], cfg.msfem["fine_n"])]
     ref_n = cfg.msfem["reference_n"]
     if ref_n == 0:
-        ref_n = 2 * max(m * fn for m, fn in pairs)
+        ref_n = math.lcm(*(m * fn for m, fn in pairs))
     for m, fn in pairs:
         if ref_n % (m * fn) != 0:
             raise ConfigError(
@@ -264,29 +272,33 @@ def _msfem_grids(cfg: ExperimentConfig):
 
 
 def validate(cfg: ExperimentConfig) -> dict:
-    """Static validation and cost estimate; never solves anything."""
+    """Static validation and cost estimate; never solves anything.
+
+    ``estimated_pde_solves`` is exact for the estimator kinds: the online
+    solves of every strategy plus, once per box size, the defect solves shared
+    by cv1 and cv2 and the 4 selection solves of sqs2. For the MsFEM kinds it
+    is an upper bound: 5 local solves (4 without bubbles) per element and
+    method, where q1 makes 1 and cr and linear about 4.
+    """
     problems: list[str] = []
     notes: list[str] = []
     solves = 0
     memory = 0
     try:
         if cfg.kind in ("homogenize", "vr-compare"):
-            _build_law(cfg)
+            law = _build_law(cfg)
             est = cfg.estimate
-            d = 2
+            strategies = est["strategies"]
             for n in est["n"]:
                 dof = (n * est["r"]) ** 2
                 memory = max(memory, 9 * dof * 16)
-                for s in est["strategies"]:
-                    if s == "antithetic":
-                        solves += 2 * d * est["m"]
-                    elif s in ("cv1", "cv2"):
-                        pairs = len(sign_canonical_offsets(n, n / 2)) if s == "cv2" else 0
-                        solves += d * est["m"] + 6 + d * pairs
-                    elif s == "sqs2":
-                        solves += d * est["m"] + 4
-                    else:
-                        solves += d * est["m"]
+                # two correctors per sample; an antithetic sample is a pair
+                solves += sum(4 if s == "antithetic" else 2 for s in strategies) * est["m"]
+                if isinstance(law, PerturbedPeriodic) and ("cv1" in strategies
+                                                          or "cv2" in strategies):
+                    solves += defect_solve_count(law, n, 2 if "cv2" in strategies else 1)
+                if "sqs2" in strategies:
+                    solves += 4  # two directions on the working and the enlarged box
         else:
             perf = _build_perf(cfg)
             pairs, ref_n = _msfem_grids(cfg)
@@ -341,8 +353,7 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
         if "sqs2" in est["strategies"]:
             a0, a1 = law.phase_matrices()
             c0 = a0 + law.bernoulli_p * (a1 - a0)
-            extras["aux"] = sqs_auxiliary(c0, a1 - a0, n=n, r=est["r"],
-                                          method=est["solver"])
+            extras["aux"] = sqs_auxiliary(c0, a1 - a0, n=n, r=est["r"])
         return extras
 
     def run_one(n, strategy, extras):
@@ -363,17 +374,22 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
         return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="ranked2",
                             pool=est["pool"], aux=extras["aux"], **kw)
 
+    def keep(report):
+        """Rewrite reports.csv after every strategy, so a later failure
+        leaves the finished strategies' rows in the archive."""
+        reports.append(report)
+        write_reports_csv(reports, out / "reports.csv")
+
     for n in est["n"]:
         extras = offline(n)
-        items = [(n, s) for s in est["strategies"]]
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = [pool.submit(run_one, n, s, extras) for (n, s) in items]
-                reports.extend(f.result() for f in futures)
+                futures = [pool.submit(run_one, n, s, extras) for s in est["strategies"]]
+                for f in futures:
+                    keep(f.result())
         else:
-            reports.extend(run_one(n, s, extras) for (n, s) in items)
-
-    write_reports_csv(reports, out / "reports.csv")
+            for s in est["strategies"]:
+                keep(run_one(n, s, extras))
     if len(est["strategies"]) > 1:
         rows = []
         for n in est["n"]:
@@ -504,7 +520,8 @@ def _plot_msfem(rows: list[dict], out: Path) -> None:
 def run(cfg: ExperimentConfig, out_override=None, seed_override=None,
         threads_override=None) -> RunArchive:
     """Execute the experiment and write the archive; on solver failure the
-    partial results are flushed and flagged in the manifest."""
+    partial results are flushed and flagged in the manifest (``reports.csv``
+    holds every strategy finished before the failure)."""
     if seed_override is not None:
         cfg.seed = seed_override
     if threads_override is not None:

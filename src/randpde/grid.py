@@ -4,6 +4,12 @@ The box is split into n*r x n*r square elements (r fine cells per unit cell),
 with periodic identification of opposite faces, so elements and DOFs both
 number (n*r)^2. Coefficients are constant per unit cell, hence constant per
 element, and all element integrals below are exact for that data.
+
+For a constant medium the stiffness matrix is circulant: the FFT
+diagonalizes it, so `PeriodicGrid.constant_medium_solver` inverts it exactly.
+That inverse, for the mean cell matrix of a field, preconditions the
+corrector CG with an iteration count independent of the grid (Moulinec &
+Suquet, CMAME 157, 1998; Ladecky et al., Appl. Math. Comput. 446, 2023).
 """
 
 from __future__ import annotations
@@ -38,6 +44,15 @@ MASS = np.array([[4, 2, 1, 2],
                  [2, 4, 2, 1],
                  [1, 2, 4, 2],
                  [2, 1, 2, 4]], dtype=float) / 36.0
+# Grid offsets of the SW, SE, NE, NW corners from an element's SW node.
+CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def element_stiffness(a11, a22, a12) -> np.ndarray:
+    """Q1 element stiffness a11*KXX + a22*KYY + a12*(KXY + KXY^T) for scalar
+    or per-element coefficients; shape (..., 4, 4)."""
+    return (np.multiply.outer(a11, KXX) + np.multiply.outer(a22, KYY)
+            + np.multiply.outer(a12, KXY + KXY.T))
 
 
 class PeriodicGrid:
@@ -64,6 +79,34 @@ class PeriodicGrid:
                                     exp * g + eyp,
                                     ex * g + eyp], axis=1)
         self.elem_cell = (ex // r, ey // r)
+        # rfft2 symbols of the constant-medium stiffness for a11, a22, a12 = 1
+        self._unit_symbols = tuple(self._symbol(element_stiffness(*unit))
+                                  for unit in np.eye(3))
+
+    def _symbol(self, ke: np.ndarray) -> np.ndarray:
+        """Eigenvalues of the circulant stiffness built from one element
+        matrix ke, in numpy.fft.rfft2 layout over the (g, g) node array."""
+        g = self.size
+        stencil = np.zeros((g, g))
+        for a in range(4):
+            for b in range(4):
+                dx, dy = CORNERS[b] - CORNERS[a]
+                stencil[dx % g, dy % g] += ke[a, b]
+        # the stencil is symmetric under d -> -d, so its transform is real
+        return np.fft.rfft2(stencil).real
+
+    def constant_medium_solver(self, a: np.ndarray):
+        """Exact solver b -> mean-zero x with K x = b - mean(b), where K is the
+        stiffness of the constant symmetric medium a, applied by FFT."""
+        sxx, syy, sxy = self._unit_symbols
+        symbol = a[0, 0] * sxx + a[1, 1] * syy + a[0, 1] * sxy
+        symbol[0, 0] = np.inf  # drops the zero mode, the kernel of constants
+        inverse = 1.0 / symbol
+        g = self.size
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            return np.fft.irfft2(np.fft.rfft2(b.reshape(g, g)) * inverse, s=(g, g)).ravel()
+        return solve
 
     def element_coefficients(self, cells: np.ndarray) -> np.ndarray:
         """Per-element 2x2 coefficient matrices from cell-wise field values."""
@@ -73,9 +116,7 @@ class PeriodicGrid:
     def assemble_stiffness(self, cells: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix for grad(v).A.grad(u) with element-constant A."""
         a = self.element_coefficients(cells)
-        ke = (np.einsum("e,ij->eij", a[:, 0, 0], KXX)
-              + np.einsum("e,ij->eij", a[:, 1, 1], KYY)
-              + np.einsum("e,ij->eij", a[:, 0, 1], KXY + KXY.T))
+        ke = element_stiffness(a[:, 0, 0], a[:, 1, 1], a[:, 0, 1])
         rows = np.repeat(self.elem_nodes, 4, axis=1).ravel()
         cols = np.tile(self.elem_nodes, (1, 4)).ravel()
         k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(self.ndof, self.ndof))
@@ -112,9 +153,7 @@ class PeriodicGrid:
         a = self.element_coefficients(cells)
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
-        ke = (np.einsum("e,ij->eij", a[:, 0, 0], KXX)
-              + np.einsum("e,ij->eij", a[:, 1, 1], KYY)
-              + np.einsum("e,ij->eij", a[:, 0, 1], KXY + KXY.T))
+        ke = element_stiffness(a[:, 0, 0], a[:, 1, 1], a[:, 0, 1])
         w1e = w1[self.elem_nodes]
         w2e = w2[self.elem_nodes]
         total = np.einsum("ei,eij,ej->", w1e, ke, w2e)
@@ -133,13 +172,15 @@ def periodic_grid(n: int, r: int) -> PeriodicGrid:
 
 
 def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
-                          maxiter: int | None = None, method: str = "cg"):
+                          maxiter: int | None = None, method: str = "cg",
+                          preconditioner=None):
     """Solve K x = b where K is SPD up to the 1D kernel of constants.
 
     Returns (x, iterations, relative_residual) with mean(x) = 0. The "cg"
-    method is diagonally preconditioned conjugate gradients with the residual
-    projected to mean zero at every iteration; "direct" pins one DOF and
-    factorizes the reduced system.
+    method is preconditioned conjugate gradients with the residual projected
+    to mean zero at every iteration; `preconditioner` maps a residual to the
+    search update (default: the inverse diagonal of K). "direct" pins one DOF
+    and factorizes the reduced system.
     """
     ndof = K.shape[0]
     b = b - b.mean()
@@ -159,10 +200,12 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
 
     if maxiter is None:
         maxiter = int(50 * np.sqrt(ndof)) + 10
-    inv_diag = 1.0 / K.diagonal()
+    if preconditioner is None:
+        inv_diag = 1.0 / K.diagonal()
+        preconditioner = lambda r: inv_diag * r
     x = np.zeros(ndof)
     r = b.copy()
-    z = inv_diag * r
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, maxiter + 1):
@@ -175,7 +218,7 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
         if rnorm <= tol * bnorm:
             x -= x.mean()
             return x, it, rnorm / bnorm
-        z = inv_diag * r
+        z = preconditioner(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -19,16 +19,16 @@ import numpy as np
 from .correctors import E1, E2
 from .errors import GridMismatchError, ParameterError
 from .fields import Configuration, _as_symmetric_matrix
-from .grid import GX, GY, periodic_grid, solve_singular_system
+from .grid import GX, GY, periodic_grid
 
 
-def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int, r: int,
-                         tol: float, method: str) -> tuple[np.ndarray, int]:
+def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
+                         r: int) -> tuple[np.ndarray, int]:
     """I[j] = int_{Q+j} C1 grad phi_p for p = e1, e2, as an (n, n, 2, 2) array
-    with columns indexed by the direction p; plus the solve count."""
+    with columns indexed by the direction p; plus the solve count. The
+    constant-medium problems are solved exactly by FFT."""
     grid = periodic_grid(n, r)
-    cells = np.broadcast_to(c0, (n, n, 2, 2)).copy()
-    K = grid.assemble_stiffness(cells)
+    solve = grid.constant_medium_solver(c0)
     half_h = 0.5 * grid.h
     cell_of_elem = grid.elem_cell  # (cx, cy) arrays
     in_origin = (cell_of_elem[0] == 0) & (cell_of_elem[1] == 0)
@@ -40,9 +40,9 @@ def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int, r: int,
         b = np.bincount(grid.elem_nodes[in_origin].ravel(),
                         weights=np.tile(fe, (int(in_origin.sum()), 1)).ravel(),
                         minlength=grid.ndof)
-        phi, _, _ = solve_singular_system(K, b, tol=tol, method=method)
+        phi = solve(b)
         solves += 1
-        grads = grid.element_gradient_integrals(phi.astype(float))
+        grads = grid.element_gradient_integrals(phi)
         flux = grads @ c1.T  # (n_elements, 2): C1 grad phi integrated per element
         np.add.at(out[:, :, 0, col], (cell_of_elem[0], cell_of_elem[1]), flux[:, 0])
         np.add.at(out[:, :, 1, col], (cell_of_elem[0], cell_of_elem[1]), flux[:, 1])
@@ -73,8 +73,7 @@ class SqsAuxiliary:
         return var_x * self.i_inf_box[0, 0]
 
 
-def sqs_auxiliary(c0, c1, n: int, r: int, n_big: int | None = None,
-                  tol: float = 1e-9, method: str = "cg") -> SqsAuxiliary:
+def sqs_auxiliary(c0, c1, n: int, r: int, n_big: int | None = None) -> SqsAuxiliary:
     """Build the offset-indexed integrals for the selection conditions."""
     c0 = _as_symmetric_matrix(c0, "c0")
     c1 = np.asarray(c1, dtype=float)
@@ -84,8 +83,8 @@ def sqs_auxiliary(c0, c1, n: int, r: int, n_big: int | None = None,
         raise ParameterError("c0 must be symmetric positive definite")
     if n_big is None:
         n_big = max(3 * n, 24)
-    i_n, s1 = _cell_flux_integrals(c0, c1, n, r, tol, method)
-    i_big, s2 = _cell_flux_integrals(c0, c1, n_big, r, tol, method)
+    i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
+    i_big, s2 = _cell_flux_integrals(c0, c1, n_big, r)
     return SqsAuxiliary(n=n, r=r, c0=c0, c1=c1, i_n=i_n, n_big=n_big,
                         i_inf_box=i_big, solves=s1 + s2)
 

@@ -101,6 +101,43 @@ def test_cg_and_direct_agree():
     assert np.max(np.abs(a_cg - a_dir)) <= 1e-8
 
 
+def test_fft_pcg_matches_direct_on_anisotropic_field():
+    rng = np.random.default_rng(7)
+    n = 5
+    lower = rng.uniform(-1.5, 1.5, size=(n, n, 2, 2)) * np.tril(np.ones((2, 2)))
+    cells = lower @ np.swapaxes(lower, -1, -2) + 0.5 * ID
+    f = CoefficientField(n=n, cells=cells)
+    for p in (E1, E2, np.array([0.6, -0.8])):
+        w_cg = solve_corrector(f, p, r=4, tol=1e-12)
+        w_dir = solve_corrector(f, p, r=4, method="direct")
+        assert np.max(np.abs(w_cg.values - w_dir.values)) <= 1e-8
+    a_cg = homogenize(f, r=4, tol=1e-12)[0]
+    a_dir = homogenize(f, r=4, method="direct")[0]
+    assert np.max(np.abs(a_cg - a_dir)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_fft_pcg_iterations_flat_in_box_size(n):
+    # Jacobi CG needs 295 iterations at n = 10 and grows like n*r
+    law = Checkerboard(3.0, 20.0)
+    f = realize_field(law, sample_configuration(law, n, seed=1, index=0))
+    _, (w1, w2) = homogenize(f, r=8)
+    assert max(w1.iterations, w2.iterations) <= 30
+
+
+def test_constant_medium_preconditioner_is_exact():
+    from randpde.grid import periodic_grid, solve_singular_system
+    a = np.array([[4.0, 1.5], [1.5, 2.0]])
+    grid = periodic_grid(4, 3)
+    K = grid.assemble_stiffness(np.broadcast_to(a, (4, 4, 2, 2)).copy())
+    b = np.random.default_rng(2).normal(size=grid.ndof)
+    x, iterations, residual = solve_singular_system(
+        K, b, tol=1e-10, preconditioner=grid.constant_medium_solver(a))
+    assert iterations == 1 and residual <= 1e-10
+    x_dir = solve_singular_system(K, b, method="direct")[0]
+    assert np.max(np.abs(x - x_dir)) <= 1e-10 * np.abs(x_dir).max()
+
+
 def test_solver_error_carries_diagnostics():
     law = Checkerboard(3.0, 20.0)
     f = realize_field(law, sample_configuration(law, 8, seed=2, index=0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from randpde.defects import (_box_flux_excess, defect_coefficients,
-                             sign_canonical_offsets)
+                             defect_solve_count, sign_canonical_offsets)
 from randpde.errors import ParameterError
 from randpde.fields import PerturbedPeriodic
 
@@ -83,3 +83,12 @@ def test_rejects_bad_inputs():
         defect_coefficients(LAW, n=1, r=2)
     with pytest.raises(ParameterError):
         defect_coefficients(LAW, n=4, r=2, order=3)
+
+
+@pytest.mark.parametrize("a_per", [3 * ID, np.array([[3.0, 0.5], [0.5, 2.0]])])
+@pytest.mark.parametrize("order", [1, 2])
+def test_solve_count_matches_solves_made(a_per, order):
+    # isotropic material: one solve per symmetry class; anisotropic: per offset
+    law = PerturbedPeriodic(a_per=a_per, c_per=17 * ID, eta=0.5)
+    d = defect_coefficients(law, n=4, r=2, order=order)
+    assert defect_solve_count(law, 4, order) == d.solves

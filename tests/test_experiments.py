@@ -1,10 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from randpde import experiments
 from randpde.cli import main as cli_main
-from randpde.errors import ConfigError
+from randpde.errors import ConfigError, SolverError
 from randpde.experiments import parse_config, replot, run, validate
 
 VR_CONFIG = """
@@ -79,6 +81,50 @@ def test_validate_reports_costs(tmp_path):
     assert diag["estimated_peak_bytes"] > 0
 
 
+CV_CONFIG = """
+[experiment]
+kind = vr-compare
+seed = 5
+out = {out}
+
+[law]
+kind = perturbed_periodic
+a_per = 3
+c_per = 17
+eta = 0.5
+
+[estimate]
+n = 4, 6
+r = 2
+m = 3
+strategies = mc, cv1, cv2, sqs2
+pool = 10
+"""
+
+
+def test_validate_estimate_matches_solves_made(tmp_path, monkeypatch):
+    offline = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            offline.append(result.solves)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(experiments, "defect_coefficients",
+                        counted(experiments.defect_coefficients))
+    monkeypatch.setattr(experiments, "sqs_auxiliary", counted(experiments.sqs_auxiliary))
+    cfg = parse_config(write_config(tmp_path, CV_CONFIG))
+    archive = run(cfg, out_override=tmp_path / "cv")
+    assert archive.status == "ok"
+    rows = csv.DictReader((tmp_path / "cv" / "reports.csv").read_text().splitlines())
+    online = {(r["strategy"], r["n"]): int(r["solves"]) for r in rows}
+    assert len(online) == 8 and len(offline) == 4  # once per n: defects and sqs2
+    made = sum(online.values()) + sum(offline)
+    assert archive.manifest["estimated_pde_solves"] == made
+
+
 def test_validate_flags_underresolved_msfem(tmp_path):
     text = MSFEM_CONFIG.replace("kind = none",
                                 "kind = periodic_discs\nepsilon = 0.03\nradius_factor = 0.35")
@@ -133,6 +179,36 @@ def test_manifest_lists_hashes_and_snapshot(tmp_path):
     assert "msfem.csv" in manifest["files"]
     assert all(len(h) == 64 for h in manifest["files"].values())
     assert manifest["config"]["msfem"]["f"] == "one"  # defaults materialized
+
+
+def test_default_reference_matches_local_grids(tmp_path):
+    # m * fine_n = 32 and 24: the matched reference is their lcm 96, and
+    # 2 * max = 64 would not even contain the H = 1/3 local grids
+    text = MSFEM_CONFIG.replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/3\nfine_n = 8")
+    text = text.replace("reference_n = 64\n", "")
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.msfem["reference_n"] == 96
+    assert validate(cfg)["problems"] == []
+
+    text = MSFEM_CONFIG.replace("reference_n = 64\n", "")
+    archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "ms")
+    assert archive.status == "ok"
+    snapshot = json.loads((tmp_path / "ms" / "config_snapshot.json").read_text())
+    assert snapshot["msfem"]["reference_n"] == 32
+
+
+def test_partial_results_flushed_on_solver_error(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise SolverError("injected failure", iterations=7, residual=1.0)
+
+    monkeypatch.setattr(experiments, "antithetic_estimate", failing)
+    cfg = parse_config(write_config(tmp_path, VR_CONFIG))
+    archive = run(cfg, out_override=tmp_path / "partial")
+    assert archive.status == "error"
+    assert "injected failure" in archive.manifest["error"]
+    rows = list(csv.DictReader((tmp_path / "partial" / "reports.csv").read_text().splitlines()))
+    assert [(r["strategy"], r["n"]) for r in rows] == [("mc", "3")] * 3
+    assert "reports.csv" in archive.manifest["files"]
 
 
 def test_replot_from_csv(tmp_path):
