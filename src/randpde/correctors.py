@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .fields import CoefficientField
-from .grid import periodic_grid, solve_singular_system
+from .grid import periodic_grid, pinned_factorization, solve_singular_system
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -60,19 +60,22 @@ def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1
 
     The "cg" method is preconditioned by the exact inverse of the stiffness
     of the constant medium with the field's mean cell matrix, applied by FFT,
-    so its iteration count does not grow with the grid.
+    so its iteration count does not grow with the grid. The "direct" method
+    factorizes the stiffness once for all directions.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     grid = periodic_grid(field.n, r)
     K = grid.assemble_stiffness(field.cells)
     precondition = grid.constant_medium_solver(field.cells.mean(axis=(0, 1)))
+    factorization = pinned_factorization(K) if method == "direct" else None
     out = []
     for p in directions:
         p = np.asarray(p, dtype=float)
         b = grid.corrector_rhs(field.cells, p)
         w, iterations, residual = solve_singular_system(
-            K, b, tol=tol, maxiter=maxiter, method=method, preconditioner=precondition)
+            K, b, tol=tol, maxiter=maxiter, method=method, preconditioner=precondition,
+            factorization=factorization)
         out.append(CorrectorSolution(n=field.n, r=r, p=p, values=w, iterations=iterations,
                                      residual=residual, method=method))
     return tuple(out)

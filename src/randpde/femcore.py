@@ -1,13 +1,16 @@
 """Square-grid Q1 building blocks shared by the reference solver and the
 multiscale basis constructions: connectivity, element matrices, trace rows,
-penalty assembly and masked energy products on an fn x fn cell grid."""
+penalty assembly and masked energy products on an fn x fn cell grid, plus
+the preconditioned CG and the Galerkin multigrid V-cycle of the reference
+solve."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .grid import KXX, KYY, MASS
@@ -110,17 +113,24 @@ def square_grid(fn: int) -> SquareGrid:
 
 
 def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-           maxiter: int | None = None) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG for a symmetric positive definite system."""
+           maxiter: int | None = None,
+           preconditioner=None) -> tuple[np.ndarray, int, float]:
+    """Preconditioned CG for a symmetric positive definite system.
+
+    `preconditioner` maps a residual to the search update and must be
+    symmetric positive definite (default: the inverse diagonal of K).
+    Returns (x, iterations, relative_residual)."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
     if maxiter is None:
         maxiter = max(10000, 40 * int(np.sqrt(K.shape[0])))
-    inv_diag = 1.0 / K.diagonal()
+    if preconditioner is None:
+        inv_diag = 1.0 / K.diagonal()
+        preconditioner = lambda r: inv_diag * r
     x = np.zeros_like(b)
     r = b.copy()
-    z = inv_diag * r
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, maxiter + 1):
@@ -131,9 +141,73 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
             return x, it, rnorm / bnorm
-        z = inv_diag * r
+        z = preconditioner(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(f"CG did not reach tol={tol:g} within {maxiter} iterations",
                       iterations=maxiter, residual=rnorm / bnorm)
+
+
+# Galerkin multigrid on the interior nodes of a square grid: coarsen while the
+# cell count is even and above MG_COARSEST; factorize the coarsest level when
+# it has at most MG_DIRECT_MAX cells per side.
+MG_COARSEST = 32
+MG_DIRECT_MAX = 64
+MG_OMEGA = 0.8  # damped-Jacobi weight of the one pre- and one post-sweep
+
+
+def _interpolation_1d(fn: int) -> sp.csr_matrix:
+    """Linear interpolation from the fn/2 - 1 interior nodes of a grid with
+    fn/2 cells to the fn - 1 interior nodes of one with fn cells (zero
+    Dirichlet ends); coarse node j + 1 sits on fine node 2(j + 1)."""
+    nc = fn // 2 - 1
+    j = np.arange(nc)
+    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+    data = np.concatenate([np.ones(nc), np.full(2 * nc, 0.5)])
+    return sp.csr_matrix((data, (rows, np.tile(j, 3))), shape=(fn - 1, nc))
+
+
+def _v_cycle(levels: tuple, coarse_lu, b: np.ndarray) -> np.ndarray:
+    """One V-cycle from a zero initial guess: damped-Jacobi pre-sweep,
+    Galerkin coarse correction, damped-Jacobi post-sweep; symmetric, so it
+    can precondition CG."""
+    if not levels:
+        return coarse_lu.solve(b)
+    A, w_inv_diag, P, R = levels[0]
+    x = w_inv_diag * b
+    x += P @ _v_cycle(levels[1:], coarse_lu, R @ (b - A @ x))
+    x += w_inv_diag * (b - A @ x)
+    return x
+
+
+def multigrid_preconditioner(A: sp.csr_matrix, fn: int):
+    """V-cycle preconditioner for an SPD operator A on the (fn - 1)^2 interior
+    nodes of a square grid with fn cells per side, ordered as
+    `SquareGrid` numbers them (x index slow).
+
+    Prolongation is P = kron(P1, P1) with P1 1D linear interpolation,
+    restriction R = P^T and coarse operators R A P, so a penalty jump in A
+    carries over to every level (Alcouffe, Brandt, Dendy & Painter, SIAM J.
+    Sci. Stat. Comput. 2, 1981). Returns None when the coarsest reachable
+    grid has more than MG_DIRECT_MAX cells per side (an odd fn above it
+    cannot coarsen at all); the caller then keeps Jacobi preconditioning.
+
+    The cycle is a module-level function bound with `partial`: a recursive
+    closure would form a reference cycle and keep the hierarchy alive until
+    the cyclic garbage collector runs.
+    """
+    coarsest = fn
+    while coarsest % 2 == 0 and coarsest > MG_COARSEST:
+        coarsest //= 2
+    if coarsest > MG_DIRECT_MAX:
+        return None
+    levels = []
+    while fn > coarsest:
+        p1 = _interpolation_1d(fn)
+        P = sp.kron(p1, p1, format="csr")
+        R = P.T.tocsr()
+        levels.append((A, MG_OMEGA / A.diagonal(), P, R))
+        A = (R @ A @ P).tocsr()
+        fn //= 2
+    return partial(_v_cycle, tuple(levels), spla.splu(A.tocsc()))

@@ -171,16 +171,24 @@ def periodic_grid(n: int, r: int) -> PeriodicGrid:
     return PeriodicGrid(n, r)
 
 
+def pinned_factorization(K: sp.csr_matrix):
+    """LU factorization of K with its first DOF pinned to zero, which removes
+    the kernel of constants; `solve_singular_system(method="direct")` reuses
+    it for every right-hand side of the same K."""
+    return spla.splu(K[1:, :][:, 1:].tocsc())
+
+
 def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
                           maxiter: int | None = None, method: str = "cg",
-                          preconditioner=None):
+                          preconditioner=None, factorization=None):
     """Solve K x = b where K is SPD up to the 1D kernel of constants.
 
     Returns (x, iterations, relative_residual) with mean(x) = 0. The "cg"
     method is preconditioned conjugate gradients with the residual projected
     to mean zero at every iteration; `preconditioner` maps a residual to the
     search update (default: the inverse diagonal of K). "direct" pins one DOF
-    and factorizes the reduced system.
+    and solves with `factorization`, the `pinned_factorization(K)` (computed
+    here when not given).
     """
     ndof = K.shape[0]
     b = b - b.mean()
@@ -189,8 +197,7 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
         return np.zeros(ndof), 0, 0.0
 
     if method == "direct":
-        reduced = K[1:, :][:, 1:].tocsc()
-        lu = spla.splu(reduced)
+        lu = pinned_factorization(K) if factorization is None else factorization
         x = np.concatenate(([0.0], lu.solve(b[1:])))
         x -= x.mean()
         res = float(np.linalg.norm(K @ x - b)) / bnorm

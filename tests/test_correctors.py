@@ -101,6 +101,24 @@ def test_cg_and_direct_agree():
     assert np.max(np.abs(a_cg - a_dir)) <= 1e-8
 
 
+def test_direct_method_factorizes_once_per_stiffness(monkeypatch):
+    import randpde.grid as grid_module
+    law = Checkerboard(3.0, 20.0)
+    f = realize_field(law, sample_configuration(law, 4, seed=1, index=0))
+    grid = grid_module.periodic_grid(4, 4)
+    K = grid.assemble_stiffness(f.cells)
+    # each call factorizes K afresh
+    fresh = [grid_module.solve_singular_system(K, grid.corrector_rhs(f.cells, p),
+                                               method="direct")[0] for p in (E1, E2)]
+    calls = []
+    splu = grid_module.spla.splu
+    monkeypatch.setattr(grid_module.spla, "splu", lambda A: calls.append(A) or splu(A))
+    _, ws = homogenize(f, r=4, method="direct")
+    assert len(calls) == 1
+    for w, x in zip(ws, fresh):
+        assert np.array_equal(w.values, x)
+
+
 def test_fft_pcg_matches_direct_on_anisotropic_field():
     rng = np.random.default_rng(7)
     n = 5

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from randpde.errors import GridMismatchError, ParameterError
+from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
 from randpde.femcore import SIDES, square_grid
 from randpde.msfem import (CoarseMesh, CoarseSolution, baseline_solve,
                            build_cr_space, compute_errors, edge_average_matrix,
@@ -188,6 +190,17 @@ def test_compute_errors_requires_integer_ratio():
     u = msfem_solve(space, f_one)
     with pytest.raises(GridMismatchError):
         compute_errors(u, ref)
+
+
+def test_compute_errors_warns_on_finer_reference():
+    u = msfem_solve(build_cr_space(CoarseMesh(4), NoPerforations(), fine_n=8), f_one)
+    finer = reference_solve(NoPerforations(), f_one, 64)
+    matched = reference_solve(NoPerforations(), f_one, 32)
+    with pytest.warns(ResolutionWarning, match="finer"):
+        compute_errors(u, finer)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compute_errors(u, matched)
 
 
 def test_coarse_q1_accuracy_unperforated():

@@ -1,7 +1,12 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
+from randpde import femcore, poisson
 from randpde.errors import ParameterError, ResolutionWarning
+from randpde.femcore import multigrid_preconditioner
 from randpde.perforations import NoPerforations, build_perforations
 from randpde.poisson import reference_solve
 
@@ -70,3 +75,68 @@ def test_boundary_values_are_zero():
     assert np.all(ref.values[-1, :] == 0)
     assert np.all(ref.values[:, 0] == 0)
     assert np.all(ref.values[:, -1] == 0)
+
+
+# Criterion 8's random rectangles; at these N they span fewer than 4 cells.
+RECTANGLES = dict(count=100, width_range=(0.02, 0.05), height_range=(0.02, 0.05))
+
+
+def solve_recorded(monkeypatch, perf, n, jacobi=False):
+    """reference_solve with its CG call recorded; jacobi=True drops the
+    multigrid preconditioner, leaving the inverse diagonal."""
+    calls = []
+
+    def cg(K, b, tol, preconditioner=None):
+        out = femcore.cg_spd(K, b, tol=tol, preconditioner=None if jacobi else preconditioner)
+        calls.append({"K": K, "b": b, "x": out[0], "iterations": out[1]})
+        return out
+    monkeypatch.setattr(poisson, "cg_spd", cg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        ref = reference_solve(perf, f_one, n)
+    (call,) = calls
+    return ref, call
+
+
+@pytest.mark.parametrize("perf, n", [
+    (build_perforations("random_rectangles", seed=2026, **RECTANGLES), 128),
+    (build_perforations("random_rectangles", seed=7, **RECTANGLES), 96),
+    (build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2), 160),
+    (NoPerforations(), 128),
+], ids=["rectangles-2026", "rectangles-7", "discs", "none"])
+def test_multigrid_reference_matches_jacobi_cg(monkeypatch, perf, n):
+    mg, _ = solve_recorded(monkeypatch, perf, n)
+    jac, _ = solve_recorded(monkeypatch, perf, n, jacobi=True)
+    assert np.abs(mg.values - jac.values).max() <= 1e-10 * np.abs(jac.values).max()
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_multigrid_iterations_bounded(monkeypatch, n):
+    # Jacobi CG needs 274 iterations at N = 128 and 1126 at N = 512
+    perf = build_perforations("random_rectangles", seed=2026, **RECTANGLES)
+    _, call = solve_recorded(monkeypatch, perf, n)
+    assert call["iterations"] <= 45
+
+
+@pytest.mark.parametrize("n, multigrid", [(75, False), (96, True), (100, True), (160, True)])
+def test_odd_and_partly_coarsened_sizes_converge(monkeypatch, n, multigrid):
+    # 75 cannot coarsen and keeps Jacobi; 96, 100 and 160 coarsen to 24, 25
+    # (odd) and 20 cells per side, not to 32, and factorize there
+    perf = build_perforations("random_rectangles", seed=2026, **RECTANGLES)
+    _, call = solve_recorded(monkeypatch, perf, n)
+    assert (multigrid_preconditioner(call["K"], n) is not None) == multigrid
+    K, b, x = call["K"], call["b"], call["x"]
+    assert np.linalg.norm(K @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_reference_solve_leaves_no_cyclic_garbage():
+    # a hierarchy kept alive by a reference cycle would outlive the solve
+    perf = build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2)
+    reference_solve(perf, f_one, 128)
+    gc.collect()
+    gc.disable()
+    try:
+        reference_solve(perf, f_one, 128)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
