@@ -38,9 +38,12 @@ class SquareGrid:
 
     def laplace(self) -> sp.csr_matrix:
         if self._k0 is None:
-            rows = np.repeat(self.elem_nodes, 4, axis=1).ravel()
-            cols = np.tile(self.elem_nodes, (1, 4)).ravel()
-            data = np.tile(KLAP.ravel(), len(self.elem_nodes))
+            # int32 COO indices halve the transient of a large (reference)
+            # grid's assembly; the CSR built from them is the same
+            en = self.elem_nodes.astype(np.int32)
+            rows = np.repeat(en, 4, axis=1).ravel()
+            cols = np.tile(en, (1, 4)).ravel()
+            data = np.tile(KLAP.ravel(), len(en))
             self._k0 = sp.coo_matrix((data, (rows, cols)),
                                      shape=(self.nn, self.nn)).tocsr()
         return self._k0
@@ -99,16 +102,33 @@ class SquareGrid:
         """Gram matrix of grad-grad products over kept cells (h-independent)."""
         ve = values[:, self.elem_nodes]
         ve = ve[:, keep.ravel(), :]
-        return np.einsum("aei,ij,bej->ab", ve, KLAP, ve, optimize=True)
+        return np.einsum("aei,ij,bej->ab", ve, KLAP, ve,
+                         optimize=_gram_path(*ve.shape[:2]))
 
     def l2_products(self, values: np.ndarray, keep: np.ndarray, h: float) -> np.ndarray:
         ve = values[:, self.elem_nodes]
         ve = ve[:, keep.ravel(), :]
-        return h * h * np.einsum("aei,ij,bej->ab", ve, MASS, ve, optimize=True)
+        return h * h * np.einsum("aei,ij,bej->ab", ve, MASS, ve,
+                                 optimize=_gram_path(*ve.shape[:2]))
+
+
+@lru_cache(maxsize=1024)
+def _gram_path(rows: int, cells: int) -> list:
+    """Contraction order of a masked Gram product over `rows` functions and
+    `cells` kept cells: the path numpy's greedy search (`optimize=True`)
+    picks, searched once per shape instead of on every call. No single path
+    will do: the search contracts the two value arrays first from about 32
+    cells on, and the element matrix first below that, and the two orders
+    differ at round-off."""
+    ve = np.empty((rows, cells, 4))
+    return np.einsum_path("aei,ij,bej->ab", ve, KLAP, ve, optimize="greedy")[0]
 
 
 @lru_cache(maxsize=8)
 def square_grid(fn: int) -> SquareGrid:
+    """Shared grid for the local and error-norm computations; a one-off
+    large grid (the reference solve's) is built uncached instead, so its
+    Laplacian is freed with it."""
     return SquareGrid(fn)
 
 

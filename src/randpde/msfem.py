@@ -14,7 +14,9 @@ is what makes the space robust to perforations crossing element boundaries.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,7 +111,8 @@ class MsFEMSpace:
     edge_dof: dict               # edge id -> dof
     bubble_dof: dict             # (i, j) -> dof
     node_dof: dict               # coarse node -> dof (linear variant only)
-    solves: int
+    solves: int                  # local right-hand sides solved
+    factorizations: int = 0      # local LU factorizations made
 
     @property
     def h_loc(self) -> float:
@@ -119,21 +122,20 @@ class MsFEMSpace:
         """View of the same space with bubble functions dropped."""
         if not self.with_bubbles:
             return self
-        basis = {}
-        for key, (dofs, values) in self.elem_basis.items():
-            keep = np.array([d < self.n_edge_dofs for d in dofs], dtype=bool)
-            basis[key] = (dofs[keep], values[keep])
-        return MsFEMSpace(mesh=self.mesh, perf=self.perf, fine_n=self.fine_n,
-                          kappa=self.kappa, with_bubbles=False, method=self.method,
-                          elem_alive=self.elem_alive, edge_alive=self.edge_alive,
-                          masks=self.masks, elem_basis=basis,
-                          n_dofs=self.n_edge_dofs, n_edge_dofs=self.n_edge_dofs,
-                          edge_dof=self.edge_dof, bubble_dof={},
-                          node_dof=self.node_dof, solves=self.solves)
+        # a bubble is always the last basis row of its element
+        basis = {elem: (dofs[:-1], values[:-1]) if elem in self.bubble_dof
+                 else (dofs, values)
+                 for elem, (dofs, values) in self.elem_basis.items()}
+        return replace(self, with_bubbles=False, elem_basis=basis,
+                       n_dofs=self.n_edge_dofs, bubble_dof={})
 
 
+@lru_cache(maxsize=4)
 def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
-    """Masks, element liveness and edge liveness for the given geometry."""
+    """Masks, element liveness and edge liveness for the given geometry.
+
+    Cached, so the cr, linear and q1 builds of one geometry compute it once;
+    the arrays are read-only because every one of those spaces shares them."""
     m = mesh.m
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
@@ -146,23 +148,124 @@ def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
             masks[i, j] = mask
             elem_alive[i, j] = not mask.all()
     edge_alive = np.zeros(mesh.n_internal_edges(), dtype=bool)
-    adjacency = mesh.edge_adjacency()
-    for eid, ((ea, _), (eb, _)) in adjacency.items():
+    for eid, ((ea, _), (eb, _)) in mesh.edge_adjacency().items():
         px, py = mesh.edge_trace_points(eid, fine_n)
         covered = bool(perf.indicator(px, py).all())
         # an edge whose support element is fully perforated lies in the
         # closure of the perforations; dropping it keeps mean jumps zero
         edge_alive[eid] = (not covered) and elem_alive[ea] and elem_alive[eb]
-    return masks, elem_alive, edge_alive, adjacency
+    for arr in (masks, elem_alive, edge_alive):
+        arr.flags.writeable = False
+    return masks, elem_alive, edge_alive
+
+
+class _LocalProblem(NamedTuple):
+    """One element's local problems, one per basis function (dof):
+    -lap(v) + kappa 1_B v = f inside the element, v = trace on the
+    `dirichlet` sides and int_side v = average on each `constrained` side
+    (one Lagrange multiplier per side); the other sides are natural. The
+    rows of `averages` or `traces` lift data with f = 0; a bubble (f = 1,
+    zero data) comes last."""
+
+    dofs: list
+    dirichlet: tuple
+    constrained: tuple
+    averages: np.ndarray | None = None   # (k, len(constrained))
+    traces: np.ndarray | None = None     # (k, nn), read on the Dirichlet nodes
+    bubble: bool = False
+
+
+def _local_basis(grid, masks: np.ndarray, kappa: float, h_loc: float,
+                 problems: dict) -> tuple[dict, int]:
+    """Solve every element's local problems with one LU per distinct system.
+
+    Elements whose problems share the mask and the Dirichlet and constrained
+    sides share the matrix, so they are grouped and each group is factorized
+    once; its LU is freed before the next group is factorized, which keeps
+    one LU alive at a time. Returns element -> (dof ids, nodal values (k, nn))
+    and the number of factorizations."""
+    groups = {}
+    for elem, prob in problems.items():
+        key = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
+        groups.setdefault(key, []).append(elem)
+    basis = {}
+    for members in groups.values():
+        basis.update(_solve_group(grid, masks[members[0]], kappa, h_loc,
+                                  {elem: problems[elem] for elem in members}))
+    return basis, len(groups)
+
+
+def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
+                 members: dict) -> dict:
+    """Factorize the local system shared by `members` and solve each of
+    their right-hand sides: the saddle block [[A_ff, C^T], [C, 0]] with
+    right-hand side (-A_fb g, c) for a lift of trace g and averages c, and
+    (b_f, 0) for the bubble load b, which depends only on the mask. Each
+    right-hand side is solved on its own, because SuperLU's multi-column
+    solve differs from its single-column one at round-off."""
+    first = next(iter(members.values()))
+    A = grid.laplace() + grid.penalty_mass(mask, kappa, h_loc)
+    fixed = grid.boundary_nodes(first.dirichlet)
+    free = np.setdiff1d(np.arange(grid.nn), fixed)
+    A_f = A[free]
+    if first.constrained:
+        C = sp.csr_matrix(np.vstack([grid.trace_row(s, h_loc)[free]
+                                     for s in first.constrained]))
+        system = sp.bmat([[A_f[:, free], C.T], [C, None]], format="csc")
+    else:
+        system = A_f[:, free].tocsc()
+    try:
+        lu = spla.splu(system)
+    except RuntimeError as exc:
+        i, j = next(iter(members))
+        raise LocalSolveError(f"singular local system on element ({i}, {j})",
+                              kind="element", index=(i, j)) from exc
+    load = grid.load_vector(np.ones(mask.size), ~mask, h_loc)[free]
+    out = {}
+    for (i, j), prob in members.items():
+        rhs = np.zeros((len(prob.dofs), system.shape[0]))
+        values = np.zeros((len(prob.dofs), grid.nn))
+        lifts = len(prob.dofs) - prob.bubble
+        if prob.averages is not None:
+            rhs[:lifts, free.size:] = prob.averages
+        if prob.traces is not None:
+            g = prob.traces[:, fixed]
+            rhs[:lifts, :free.size] = -(A_f[:, fixed] @ g.T).T
+            values[:lifts, fixed] = g
+        if prob.bubble:
+            rhs[-1, :free.size] = load
+        for k, row in enumerate(rhs):
+            sol = lu.solve(row)
+            if not np.all(np.isfinite(sol)):
+                raise LocalSolveError(f"local solve diverged on element ({i}, {j})",
+                                      kind="element", index=(i, j))
+            values[k, free] = sol[:free.size]
+        out[(i, j)] = (np.array(prob.dofs, dtype=int), values)
+    return out
+
+
+def _space(mesh, perf, fine_n, kappa, grid, geometry, basis, factorizations,
+           **numbering) -> MsFEMSpace:
+    """Space over the given geometry; dead elements keep no basis rows."""
+    masks, elem_alive, edge_alive = geometry
+    empty = (np.array([], dtype=int), np.zeros((0, grid.nn)))
+    m = mesh.m
+    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
+                      elem_alive=elem_alive, edge_alive=edge_alive, masks=masks,
+                      elem_basis={(i, j): basis.get((i, j), empty)
+                                  for i in range(m) for j in range(m)},
+                      solves=sum(len(dofs) for dofs, _ in basis.values()),
+                      factorizations=factorizations, **numbering)
 
 
 def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None = None,
                    with_bubbles: bool = True, strict: bool = False) -> MsFEMSpace:
     """Construct the Crouzeix-Raviart basis (edge functions and bubbles).
 
-    Each element factorizes one saddle system (penalized Laplacian plus one
-    average constraint per internal edge) and reuses it for all of its local
-    solves. Fully perforated elements and edges keep no basis functions.
+    Each element solves one saddle system (penalized Laplacian plus one
+    average constraint per internal edge) for all of its basis functions;
+    elements with the same system share its factorization. Fully perforated
+    elements and edges keep no basis functions.
     """
     m = mesh.m
     grid = square_grid(fine_n)
@@ -171,94 +274,43 @@ def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None = No
         kappa = default_kappa(h_loc)
     check_resolution(perf, h_loc, strict, "build_cr_space")
 
-    masks, elem_alive, edge_alive, _ = _element_geometry(mesh, perf, fine_n)
+    geometry = masks, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
 
     edge_dof = {eid: k for k, eid in enumerate(np.flatnonzero(edge_alive))}
     n_edge_dofs = len(edge_dof)
-    bubble_dof = {}
-    if with_bubbles:
-        k = n_edge_dofs
-        for i in range(m):
-            for j in range(m):
-                if elem_alive[i, j]:
-                    bubble_dof[(i, j)] = k
-                    k += 1
-        n_dofs = k
-    else:
-        n_dofs = n_edge_dofs
+    alive = [(i, j) for i in range(m) for j in range(m) if elem_alive[i, j]]
+    bubble_dof = ({elem: n_edge_dofs + k for k, elem in enumerate(alive)}
+                  if with_bubbles else {})
 
-    elem_basis = {}
-    solves = 0
-    all_nodes = np.arange(grid.nn)
-    for i in range(m):
-        for j in range(m):
-            if not elem_alive[i, j]:
-                elem_basis[(i, j)] = (np.array([], dtype=int),
-                                      np.zeros((0, grid.nn)))
-                continue
-            side_edges = {s: mesh.element_side_edge(i, j, s) for s in SIDES}
-            internal = [s for s in SIDES if side_edges[s] is not None]
-            dirichlet = [s for s in SIDES if side_edges[s] is None]
+    problems = {}
+    for i, j in alive:
+        side_edges = {s: mesh.element_side_edge(i, j, s) for s in SIDES}
+        internal = tuple(s for s in SIDES if side_edges[s] is not None)
+        live = [s for s in internal if edge_alive[side_edges[s]]]
+        bubble = [bubble_dof[(i, j)]] if with_bubbles else []
+        dirichlet = tuple(s for s in SIDES if side_edges[s] is None)
+        problems[(i, j)] = _LocalProblem(
+            [edge_dof[side_edges[s]] for s in live] + bubble, dirichlet, internal,
+            averages=np.eye(len(internal))[[internal.index(s) for s in live]],
+            bubble=with_bubbles)
+    basis, factorizations = _local_basis(grid, masks, kappa, h_loc, problems)
 
-            A = grid.laplace() + grid.penalty_mass(masks[i, j], kappa, h_loc)
-            fixed = grid.boundary_nodes(dirichlet)
-            free = np.setdiff1d(all_nodes, fixed)
-            rows = [grid.trace_row(s, h_loc)[free] for s in internal]
-            C = sp.csr_matrix(np.vstack(rows)) if rows else None
-            A_ff = A[free][:, free]
-            if C is not None:
-                saddle = sp.bmat([[A_ff, C.T], [C, None]], format="csc")
-            else:
-                saddle = A_ff.tocsc()
-            try:
-                lu = spla.splu(saddle)
-            except RuntimeError as exc:
-                raise LocalSolveError(
-                    f"singular local system on element ({i}, {j})",
-                    kind="element", index=(i, j)) from exc
-
-            nb_rhs = []
-            dofs = []
-            for s in internal:
-                eid = side_edges[s]
-                if not edge_alive[eid]:
-                    continue
-                g = np.zeros(len(internal))
-                g[internal.index(s)] = 1.0
-                nb_rhs.append(np.concatenate([np.zeros(free.size), g]))
-                dofs.append(edge_dof[eid])
-            if with_bubbles:
-                load = grid.load_vector(np.ones(fine_n * fine_n),
-                                        ~masks[i, j], h_loc)
-                nb_rhs.append(np.concatenate([load[free], np.zeros(len(internal))]))
-                dofs.append(bubble_dof[(i, j)])
-
-            values = np.zeros((len(nb_rhs), grid.nn))
-            for k, rhs in enumerate(nb_rhs):
-                sol = lu.solve(rhs)
-                if not np.all(np.isfinite(sol)):
-                    raise LocalSolveError(
-                        f"local solve diverged on element ({i}, {j})",
-                        kind="element", index=(i, j))
-                values[k, free] = sol[:free.size]
-            solves += len(nb_rhs)
-            elem_basis[(i, j)] = (np.array(dofs, dtype=int), values)
-
-    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
-                      with_bubbles=with_bubbles, method="cr",
-                      elem_alive=elem_alive, edge_alive=edge_alive, masks=masks,
-                      elem_basis=elem_basis, n_dofs=n_dofs,
-                      n_edge_dofs=n_edge_dofs, edge_dof=edge_dof,
-                      bubble_dof=bubble_dof, node_dof={}, solves=solves)
+    return _space(mesh, perf, fine_n, kappa, grid, geometry, basis, factorizations,
+                  with_bubbles=with_bubbles, method="cr",
+                  n_dofs=n_edge_dofs + len(bubble_dof), n_edge_dofs=n_edge_dofs,
+                  edge_dof=edge_dof, bubble_dof=bubble_dof, node_dof={})
 
 
-def _hat_values(grid, corner: tuple[int, int]) -> np.ndarray:
-    """Bilinear hat of a coarse corner evaluated on the local fine grid."""
-    fn = grid.fn
-    t = np.arange(fn + 1) / fn
-    fx = t if corner[0] else 1.0 - t
-    fy = t if corner[1] else 1.0 - t
-    return np.outer(fx, fy).ravel()
+def _corner_hats(grid, node_dof: dict, i: int, j: int):
+    """Dof ids and bilinear hats, on the local fine grid, of the corners of
+    element (i, j) that carry a coarse node dof."""
+    t = np.arange(grid.fn + 1) / grid.fn
+    dofs, hats = [], []
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        if (i + di, j + dj) in node_dof:
+            dofs.append(node_dof[(i + di, j + dj)])
+            hats.append(np.outer(t if di else 1.0 - t, t if dj else 1.0 - t).ravel())
+    return dofs, np.array(hats).reshape(-1, grid.nn)
 
 
 def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
@@ -273,7 +325,7 @@ def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
         kappa = default_kappa(h_loc)
     check_resolution(perf, h_loc, strict, "build_linear_space")
 
-    masks, elem_alive, edge_alive, _ = _element_geometry(mesh, perf, fine_n)
+    geometry = masks, elem_alive, _ = _element_geometry(mesh, perf, fine_n)
 
     node_dof = {}
     k = 0
@@ -284,66 +336,22 @@ def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
                 node_dof[(a, b)] = k
                 k += 1
     n_node_dofs = k
-    bubble_dof = {}
-    if with_bubbles:
-        for i in range(m):
-            for j in range(m):
-                if elem_alive[i, j]:
-                    bubble_dof[(i, j)] = k
-                    k += 1
-    n_dofs = k
+    alive = [(i, j) for i in range(m) for j in range(m) if elem_alive[i, j]]
+    bubble_dof = ({elem: n_node_dofs + k for k, elem in enumerate(alive)}
+                  if with_bubbles else {})
 
-    elem_basis = {}
-    solves = 0
-    all_nodes = np.arange(grid.nn)
-    fixed = grid.boundary_nodes(SIDES)
-    free = np.setdiff1d(all_nodes, fixed)
-    for i in range(m):
-        for j in range(m):
-            if not elem_alive[i, j]:
-                elem_basis[(i, j)] = (np.array([], dtype=int),
-                                      np.zeros((0, grid.nn)))
-                continue
-            A = grid.laplace() + grid.penalty_mass(masks[i, j], kappa, h_loc)
-            A_ff = A[free][:, free].tocsc()
-            A_fb = A[free][:, fixed]
-            try:
-                lu = spla.splu(A_ff)
-            except RuntimeError as exc:
-                raise LocalSolveError(
-                    f"singular local system on element ({i}, {j})",
-                    kind="element", index=(i, j)) from exc
-            dofs = []
-            vals = []
-            for (di, dj) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                node = (i + di, j + dj)
-                if node not in node_dof:
-                    continue
-                full_hat = _hat_values(grid, (di, dj))
-                g = full_hat[fixed]
-                v = np.zeros(grid.nn)
-                v[fixed] = g
-                v[free] = -lu.solve(A_fb @ g)
-                solves += 1
-                dofs.append(node_dof[node])
-                vals.append(v)
-            if with_bubbles:
-                load = grid.load_vector(np.ones(fine_n * fine_n),
-                                        ~masks[i, j], h_loc)
-                v = np.zeros(grid.nn)
-                v[free] = lu.solve(load[free])
-                solves += 1
-                dofs.append(bubble_dof[(i, j)])
-                vals.append(v)
-            values = np.vstack(vals) if vals else np.zeros((0, grid.nn))
-            elem_basis[(i, j)] = (np.array(dofs, dtype=int), values)
+    problems = {}
+    for i, j in alive:
+        dofs, traces = _corner_hats(grid, node_dof, i, j)
+        bubble = [bubble_dof[(i, j)]] if with_bubbles else []
+        problems[(i, j)] = _LocalProblem(dofs + bubble, SIDES, (), traces=traces,
+                                         bubble=with_bubbles)
+    basis, factorizations = _local_basis(grid, masks, kappa, h_loc, problems)
 
-    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
-                      with_bubbles=with_bubbles, method="linear",
-                      elem_alive=elem_alive, edge_alive=edge_alive, masks=masks,
-                      elem_basis=elem_basis, n_dofs=n_dofs,
-                      n_edge_dofs=n_node_dofs, edge_dof={},
-                      bubble_dof=bubble_dof, node_dof=node_dof, solves=solves)
+    return _space(mesh, perf, fine_n, kappa, grid, geometry, basis, factorizations,
+                  with_bubbles=with_bubbles, method="linear",
+                  n_dofs=n_node_dofs + len(bubble_dof), n_edge_dofs=n_node_dofs,
+                  edge_dof={}, bubble_dof=bubble_dof, node_dof=node_dof)
 
 
 @dataclass(frozen=True)
@@ -430,71 +438,55 @@ def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
     if method == "msfem_linear":
         space = build_linear_space(mesh, perf, fine_n, kappa=kappa,
                                    with_bubbles=with_bubbles, strict=strict)
-        return _coarse_galerkin(space, f, restrict_load=False, penalized_form=True)
-    if method != "coarse_q1":
+    elif method == "coarse_q1":
+        space = _q1_space(mesh, perf, fine_n, kappa, with_bubbles)
+    else:
         raise ParameterError(f"unknown baseline method {method!r}")
+    return _coarse_galerkin(space, f, restrict_load=False, penalized_form=True)
 
+
+def _q1_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None,
+              with_bubbles: bool) -> MsFEMSpace:
+    """Standard coarse Q1 hats on every element, optionally with bubbles."""
     grid = square_grid(fine_n)
-    h_loc = mesh.H / fine_n
     if kappa is None:
-        kappa = default_kappa(h_loc)
-    masks, elem_alive, edge_alive, _ = _element_geometry(mesh, perf, fine_n)
+        kappa = default_kappa(mesh.H / fine_n)
+    masks, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
     m = mesh.m
     node_dof = {(a, b): (a - 1) * (m - 1) + (b - 1)
                 for a in range(1, m) for b in range(1, m)}
     elem_basis = {}
     for i in range(m):
         for j in range(m):
-            dofs = []
-            vals = []
-            for (di, dj) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                node = (i + di, j + dj)
-                if node in node_dof:
-                    dofs.append(node_dof[node])
-                    vals.append(_hat_values(grid, (di, dj)))
-            elem_basis[(i, j)] = (np.array(dofs, dtype=int), np.vstack(vals))
+            dofs, hats = _corner_hats(grid, node_dof, i, j)
+            elem_basis[(i, j)] = (np.array(dofs, dtype=int), hats)
     space = MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
                        with_bubbles=False, method="coarse_q1",
                        elem_alive=elem_alive, edge_alive=edge_alive, masks=masks,
                        elem_basis=elem_basis, n_dofs=(m - 1) ** 2,
                        n_edge_dofs=(m - 1) ** 2, edge_dof={}, bubble_dof={},
                        node_dof=node_dof, solves=0)
-    if with_bubbles:
-        space = _add_q1_bubbles(space)
-    return _coarse_galerkin(space, f, restrict_load=False, penalized_form=True)
+    return _add_q1_bubbles(space) if with_bubbles else space
 
 
 def _add_q1_bubbles(space: MsFEMSpace) -> MsFEMSpace:
     """Dirichlet bubbles (-lap = 1, zero trace on the element boundary) used
     by the baseline methods when bubble enrichment is requested."""
     grid = square_grid(space.fine_n)
-    h_loc = space.h_loc
-    k = space.n_dofs
-    bubble_dof = {}
-    basis = {}
-    fixed = grid.boundary_nodes(SIDES)
-    free = np.setdiff1d(np.arange(grid.nn), fixed)
-    solves = space.solves
-    for (i, j), (dofs, values) in space.elem_basis.items():
-        if not space.elem_alive[i, j]:
-            basis[(i, j)] = (dofs, values)
-            continue
-        A = grid.laplace() + grid.penalty_mass(space.masks[i, j], space.kappa, h_loc)
-        load = grid.load_vector(np.ones(space.fine_n ** 2), ~space.masks[i, j], h_loc)
-        v = np.zeros(grid.nn)
-        v[free] = spla.spsolve(A[free][:, free].tocsc(), load[free])
-        solves += 1
-        bubble_dof[(i, j)] = k
-        basis[(i, j)] = (np.concatenate([dofs, [k]]),
-                         np.vstack([values, v[None, :]]))
-        k += 1
-    return MsFEMSpace(mesh=space.mesh, perf=space.perf, fine_n=space.fine_n,
-                      kappa=space.kappa, with_bubbles=True, method=space.method,
-                      elem_alive=space.elem_alive, edge_alive=space.edge_alive,
-                      masks=space.masks, elem_basis=basis, n_dofs=k,
-                      n_edge_dofs=space.n_edge_dofs, edge_dof=space.edge_dof,
-                      bubble_dof=bubble_dof, node_dof=space.node_dof,
-                      solves=solves)
+    alive = [elem for elem in space.elem_basis if space.elem_alive[elem]]
+    bubble_dof = {elem: space.n_dofs + k for k, elem in enumerate(alive)}
+    problems = {elem: _LocalProblem([bubble_dof[elem]], SIDES, (), bubble=True)
+                for elem in alive}
+    bubbles, factorizations = _local_basis(grid, space.masks, space.kappa,
+                                           space.h_loc, problems)
+    basis = dict(space.elem_basis)
+    for elem, (dof, value) in bubbles.items():
+        dofs, values = basis[elem]
+        basis[elem] = (np.concatenate([dofs, dof]), np.vstack([values, value]))
+    return replace(space, with_bubbles=True, elem_basis=basis,
+                   n_dofs=space.n_dofs + len(alive), bubble_dof=bubble_dof,
+                   solves=space.solves + len(alive),
+                   factorizations=space.factorizations + factorizations)
 
 
 def compute_errors(u: CoarseSolution, ref: FineSolution) -> tuple[float, float]:

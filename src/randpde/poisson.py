@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionWarning
-from .femcore import cg_spd, multigrid_preconditioner, square_grid
+from .femcore import SquareGrid, cg_spd, multigrid_preconditioner, square_grid
 
 DEFAULT_KAPPA_SCALE = 1e8
 
@@ -95,7 +95,7 @@ def reference_solve(perf, f, fine_n: int, kappa: float | None = None,
         kappa = default_kappa(h)
     check_resolution(perf, h, strict, "reference_solve")
 
-    grid = square_grid(fine_n)
+    grid = SquareGrid(fine_n)  # uncached: its full Laplacian dies with the solve
     cx, cy = grid.cell_centers((0.0, 0.0), h)
     mask = perf.indicator(cx, cy).reshape(fine_n, fine_n)
 

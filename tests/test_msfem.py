@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
 from randpde.femcore import SIDES, square_grid
-from randpde.msfem import (CoarseMesh, CoarseSolution, baseline_solve,
-                           build_cr_space, compute_errors, edge_average_matrix,
-                           max_mean_jump, msfem_solve)
+from randpde.msfem import (CoarseMesh, CoarseSolution, _q1_space, baseline_solve,
+                           build_cr_space, build_linear_space, compute_errors,
+                           edge_average_matrix, max_mean_jump, msfem_solve)
 from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
 from randpde.poisson import reference_solve
 
@@ -227,6 +229,88 @@ def test_without_bubbles_view():
     assert not bare.with_bubbles
     u = msfem_solve(bare, f_one)
     assert u.dof == bare.n_dofs
+
+
+def _reference_basis(space, elem, dofs):
+    """Plain per-element local solves: assemble, slice, factorize, then solve
+    each basis function's right-hand side on its own."""
+    grid, h, (i, j) = square_grid(space.fine_n), space.h_loc, elem
+    A = grid.laplace() + grid.penalty_mass(space.masks[elem], space.kappa, h)
+    internal = [s for s in SIDES if space.method == "cr"
+                and space.mesh.element_side_edge(i, j, s) is not None]
+    fixed = grid.boundary_nodes([s for s in SIDES if s not in internal])
+    free = np.setdiff1d(np.arange(grid.nn), fixed)
+    C = sp.csr_matrix(np.array([grid.trace_row(s, h)[free] for s in internal]))
+    S = sp.bmat([[A[free][:, free], C.T], [C, None]], format="csc") if internal \
+        else A[free][:, free].tocsc()
+    lu = spla.splu(S)
+    t = np.arange(space.fine_n + 1) / space.fine_n
+    out = np.zeros((len(dofs), grid.nn))
+    for row, dof in zip(out, dofs):
+        rhs = np.zeros(S.shape[0])
+        if space.bubble_dof.get(elem) == dof:
+            rhs[:free.size] = grid.load_vector(np.ones(space.fine_n ** 2),
+                                               ~space.masks[elem], h)[free]
+        elif space.method == "cr":
+            (a, sa), (b, sb) = space.mesh.edge_adjacency()[
+                next(e for e, d in space.edge_dof.items() if d == dof)]
+            rhs[free.size + internal.index(sa if a == elem else sb)] = 1.0
+        else:
+            a, b = next(n for n, d in space.node_dof.items() if d == dof)
+            row[:] = np.outer(t if a > i else 1.0 - t, t if b > j else 1.0 - t).ravel()
+            rhs[:free.size] = -(A[free][:, fixed] @ row[fixed])
+        row[free] = lu.solve(rhs)[:free.size]
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
+def test_local_engine_matches_per_element_solves(geometry):
+    perf = (build_perforations("shifted_periodic_discs", epsilon=0.2, radius_factor=0.2)
+            if geometry == "shifted_discs" else
+            build_perforations("random_rectangles", count=8, width_range=(0.05, 0.15),
+                               height_range=(0.05, 0.15), seed=11))
+    mesh = CoarseMesh(5)
+    cr = build_cr_space(mesh, perf, fine_n=16)
+    spaces = [cr, cr.without_bubbles(), build_cr_space(mesh, perf, 16, with_bubbles=False),
+              build_linear_space(mesh, perf, 16), _q1_space(mesh, perf, 16, None, True)]
+    for space in spaces:
+        # some local problems repeat, so the grouping is exercised
+        assert space.factorizations < len(space.bubble_dof or space.elem_basis)
+        for elem, (dofs, values) in space.elem_basis.items():
+            if space.method == "coarse_q1":  # only its bubbles are local solves
+                if elem not in space.bubble_dof:
+                    continue
+                dofs, values = dofs[-1:], values[-1:]
+            assert np.array_equal(values, _reference_basis(space, elem, dofs)), \
+                (space.method, elem)
+
+
+def test_local_engine_counts_factorizations_apart_from_solves():
+    discs = build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2)
+    rects = build_perforations("random_rectangles", count=100, width_range=(0.02, 0.05),
+                               height_range=(0.02, 0.05), seed=2026)
+    cr = build_cr_space(CoarseMesh(5), discs, 32)
+    linear = build_linear_space(CoarseMesh(5), discs, 32)
+    q1 = _q1_space(CoarseMesh(5), discs, 32, None, True)
+    assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
+    # every alive element solves one right-hand side per basis function
+    assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
+    cr = build_cr_space(CoarseMesh(16), rects, 32)
+    linear = build_linear_space(CoarseMesh(16), rects, 32)
+    assert (cr.factorizations, linear.factorizations) == (168, 162)
+    assert (cr.solves, linear.solves) == (1216, 1156)
+
+
+def test_geometry_shared_and_read_only():
+    perf = build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2)
+    cr = build_cr_space(CoarseMesh(4), perf, 16)
+    linear = build_linear_space(CoarseMesh(4), perf, 16)
+    q1 = _q1_space(CoarseMesh(4), perf, 16, None, True)
+    assert cr.masks is linear.masks is q1.masks
+    assert cr.elem_alive is linear.elem_alive is q1.elem_alive
+    for arr in (cr.masks, cr.elem_alive, cr.edge_alive):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = True
 
 
 def test_unknown_method_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from randpde import femcore, poisson
 from randpde.errors import ParameterError, ResolutionWarning
-from randpde.femcore import multigrid_preconditioner
+from randpde.femcore import multigrid_preconditioner, square_grid
 from randpde.perforations import NoPerforations, build_perforations
 from randpde.poisson import reference_solve
 
@@ -140,3 +140,25 @@ def test_reference_solve_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_reference_solve_frees_its_grid():
+    # the full N^2 Laplacian (112 MB at N = 1024) must not outlive the solve
+    reference_solve(NoPerforations(), f_one, 256)
+    assert square_grid(256)._k0 is None
+
+
+def test_cached_gram_path_matches_searched_path():
+    # the search switches contraction order near 32 kept cells, so small
+    # cell counts (few kept or few masked cells of an element) are included
+    grid = femcore.SquareGrid(32)
+    rng = np.random.default_rng(3)
+    for rows in range(1, 7):
+        for cells in (1, 3, 8, 16, 24, 31, 32, 64, 100, 256, 577, 1024):
+            values = rng.normal(size=(rows, grid.nn))
+            keep = np.arange(32 * 32) < cells
+            ve = values[:, grid.elem_nodes][:, keep, :]
+            for element, products in ((femcore.KLAP, grid.energy_products(values, keep)),
+                                      (femcore.MASS, grid.l2_products(values, keep, 1.0))):
+                searched = np.einsum("aei,ij,bej->ab", ve, element, ve, optimize=True)
+                assert np.array_equal(products, searched), (rows, cells)
