@@ -8,7 +8,6 @@ yields the (random, truncated) homogenized tensor.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +38,6 @@ class CorrectorSolution:
         values.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", values)
-
-    def dump_csv(self, path) -> None:
-        """Node-ordered debug dump; header row carries n, r and the direction."""
-        buf = io.StringIO()
-        buf.write("n,r,p0,p1\n")
-        buf.write(f"{self.n},{self.r},{self.p[0]:.17g},{self.p[1]:.17g}\n")
-        buf.write("node,value\n")
-        for i, v in enumerate(self.values):
-            buf.write(f"{i},{v:.17g}\n")
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
 
 
 def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1e-9,

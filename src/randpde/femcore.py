@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .grid import KXX, KYY, MASS
+from .grid import CORNERS, KXX, KYY, MASS
 
 KLAP = KXX + KYY
 SIDES = ("S", "E", "N", "W")
@@ -93,35 +93,44 @@ class SquareGrid:
 
     def load_vector(self, cell_values: np.ndarray, keep: np.ndarray, h: float) -> np.ndarray:
         """int f v with f constant per cell (midpoint values), restricted to
-        kept cells; exact for bilinear v given the per-cell constants."""
-        w = np.where(keep.ravel(), cell_values.ravel(), 0.0) * (h * h / 4.0)
-        return np.bincount(self.elem_nodes.ravel(),
-                           weights=np.repeat(w, 4), minlength=self.nn)
+        kept cells; exact for bilinear v given the per-cell constants.
+        cell_values (..., fn * fn) and keep (..., fn, fn) give (..., nn)."""
+        w = np.where(keep.reshape(cell_values.shape), cell_values, 0.0) * (h * h / 4.0)
+        w = w.reshape(-1, w.shape[-1])
+        nodes = self.elem_nodes.ravel() + self.nn * np.arange(len(w))[:, None]
+        out = np.bincount(nodes.ravel(), weights=np.repeat(w, 4, axis=1).ravel(),
+                          minlength=len(w) * self.nn)
+        return out.reshape(*cell_values.shape[:-1], self.nn)
 
     def energy_products(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Gram matrix of grad-grad products over kept cells (h-independent)."""
-        ve = values[:, self.elem_nodes]
-        ve = ve[:, keep.ravel(), :]
-        return np.einsum("aei,ij,bej->ab", ve, KLAP, ve,
-                         optimize=_gram_path(*ve.shape[:2]))
+        """Gram matrices of grad-grad products over kept cells (h-independent):
+        values (..., k, nn) and keep (..., fn, fn) give (..., k, k)."""
+        return self._gram(values, keep, KLAP)
 
     def l2_products(self, values: np.ndarray, keep: np.ndarray, h: float) -> np.ndarray:
-        ve = values[:, self.elem_nodes]
-        ve = ve[:, keep.ravel(), :]
-        return h * h * np.einsum("aei,ij,bej->ab", ve, MASS, ve,
-                                 optimize=_gram_path(*ve.shape[:2]))
+        """Gram matrices of L2 products over kept cells, batched as
+        `energy_products`."""
+        return h * h * self._gram(values, keep, MASS)
 
-
-@lru_cache(maxsize=1024)
-def _gram_path(rows: int, cells: int) -> list:
-    """Contraction order of a masked Gram product over `rows` functions and
-    `cells` kept cells: the path numpy's greedy search (`optimize=True`)
-    picks, searched once per shape instead of on every call. No single path
-    will do: the search contracts the two value arrays first from about 32
-    cells on, and the element matrix first below that, and the two orders
-    differ at round-off."""
-    ve = np.empty((rows, cells, 4))
-    return np.einsum_path("aei,ij,bej->ab", ve, KLAP, ve, optimize="greedy")[0]
+    def _gram(self, values: np.ndarray, keep: np.ndarray, element: np.ndarray) -> np.ndarray:
+        """sum over kept cells of u_c . element . v_c, where u_c and v_c hold
+        two rows' values at the four corners of cell c. The corners are four
+        strided views of the node grid, so nothing is gathered; corner a adds
+        one batched matmul of sum_b element[a, b] v_b (zeroed on dropped
+        cells) with u_a."""
+        fn = self.fn
+        nodes = values.reshape(*values.shape[:-1], fn + 1, fn + 1)
+        corners = [nodes[..., dx:dx + fn, dy:dy + fn] for dx, dy in CORNERS]
+        kept = keep[..., None, :, :]
+        gram = 0.0
+        for a in range(4):
+            w = element[a, 0] * corners[0]
+            for b in range(1, 4):
+                w += element[a, b] * corners[b]
+            w *= kept
+            w = w.reshape(*w.shape[:-2], -1)
+            gram = gram + w @ corners[a].reshape(w.shape).swapaxes(-1, -2)
+        return gram
 
 
 @lru_cache(maxsize=8)

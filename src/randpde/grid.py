@@ -14,7 +14,7 @@ Suquet, CMAME 157, 1998; Ladecky et al., Appl. Math. Comput. 446, 2023).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,14 +113,32 @@ class PeriodicGrid:
         cx, cy = self.elem_cell
         return cells[cx, cy]
 
+    @cached_property
+    def _stiffness_pattern(self):
+        """CSR pattern of the stiffness, (indices, indptr), and the CSR slot
+        of every element-matrix entry (element, a, b), built once per grid.
+        Each row has 16 entries before summing, so the COO-to-CSR conversion
+        sums duplicates in entry order, as `np.bincount` over the slots does."""
+        rows = np.repeat(self.elem_nodes, 4, axis=1).ravel()
+        cols = np.tile(self.elem_nodes, (1, 4)).ravel()
+        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                                shape=(self.ndof, self.ndof)).tocsr()
+        # the pattern's (row, col) keys ascend, so a binary search finds the
+        # slot of every entry; slots take the pattern's index dtype
+        pattern_rows = np.repeat(np.arange(self.ndof), np.diff(pattern.indptr))
+        slot = np.searchsorted(pattern_rows * self.ndof + pattern.indices,
+                               rows * self.ndof + cols).astype(pattern.indices.dtype)
+        for arr in (pattern.indices, pattern.indptr, slot):
+            arr.flags.writeable = False
+        return pattern.indices, pattern.indptr, slot
+
     def assemble_stiffness(self, cells: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix for grad(v).A.grad(u) with element-constant A."""
         a = self.element_coefficients(cells)
         ke = element_stiffness(a[:, 0, 0], a[:, 1, 1], a[:, 0, 1])
-        rows = np.repeat(self.elem_nodes, 4, axis=1).ravel()
-        cols = np.tile(self.elem_nodes, (1, 4)).ravel()
-        k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(self.ndof, self.ndof))
-        return k.tocsr()
+        indices, indptr, slot = self._stiffness_pattern
+        data = np.bincount(slot, weights=ke.ravel(), minlength=len(indices))
+        return sp.csr_matrix((data, indices, indptr), shape=(self.ndof, self.ndof))
 
     def corrector_rhs(self, cells: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Load vector of -int grad(v).A.p (consistent with the stiffness)."""

@@ -200,9 +200,10 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     """Factorize the local system shared by `members` and solve each of
     their right-hand sides: the saddle block [[A_ff, C^T], [C, 0]] with
     right-hand side (-A_fb g, c) for a lift of trace g and averages c, and
-    (b_f, 0) for the bubble load b, which depends only on the mask. Each
-    right-hand side is solved on its own, because SuperLU's multi-column
-    solve differs from its single-column one at round-off."""
+    (b_f, 0) for the bubble load b, which depends only on the mask. The LU
+    uses the minimum-degree ordering of A^T + A, which suits these
+    symmetric-pattern systems better than the default COLAMD, and each
+    member's right-hand sides are solved as one block."""
     first = next(iter(members.values()))
     A = grid.laplace() + grid.penalty_mass(mask, kappa, h_loc)
     fixed = grid.boundary_nodes(first.dirichlet)
@@ -215,7 +216,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     else:
         system = A_f[:, free].tocsc()
     try:
-        lu = spla.splu(system)
+        lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         i, j = next(iter(members))
         raise LocalSolveError(f"singular local system on element ({i}, {j})",
@@ -234,12 +235,11 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
             values[:lifts, fixed] = g
         if prob.bubble:
             rhs[-1, :free.size] = load
-        for k, row in enumerate(rhs):
-            sol = lu.solve(row)
-            if not np.all(np.isfinite(sol)):
-                raise LocalSolveError(f"local solve diverged on element ({i}, {j})",
-                                      kind="element", index=(i, j))
-            values[k, free] = sol[:free.size]
+        sol = lu.solve(rhs.T)
+        if not np.all(np.isfinite(sol)):
+            raise LocalSolveError(f"local solve diverged on element ({i}, {j})",
+                                  kind="element", index=(i, j))
+        values[:, free] = sol[:free.size].T
         out[(i, j)] = (np.array(prob.dofs, dtype=int), values)
     return out
 
@@ -370,34 +370,45 @@ class CoarseSolution:
     coarse_matrix: sp.csr_matrix
 
 
+def _stacks(space: MsFEMSpace) -> list:
+    """Alive elements stacked by basis count: (element indices (n, 2), dof
+    ids (n, k), basis values (n, k, nn)) per count."""
+    by_count = {}
+    for elem, (dofs, _) in space.elem_basis.items():
+        if len(dofs):
+            by_count.setdefault(len(dofs), []).append(elem)
+    return [(np.array(elems), np.array([space.elem_basis[e][0] for e in elems]),
+             np.array([space.elem_basis[e][1] for e in elems]))
+            for elems in by_count.values()]
+
+
 def _coarse_galerkin(space: MsFEMSpace, f, restrict_load: bool,
                      penalized_form: bool) -> CoarseSolution:
     mesh = space.mesh
-    grid = square_grid(space.fine_n)
+    fn = space.fine_n
+    grid = square_grid(fn)
     h_loc = space.h_loc
     if space.n_dofs == 0:
         raise AssemblyError("no basis functions survive the perforations")
     rows, cols, grams = [], [], []
     b = np.zeros(space.n_dofs)
-    for (i, j), (dofs, values) in space.elem_basis.items():
-        if len(dofs) == 0:
-            continue
-        mask = space.masks[i, j]
+    stacks = _stacks(space)
+    for elems, dofs, values in stacks:
+        mask = space.masks[elems[:, 0], elems[:, 1]]
         keep = ~mask
         if penalized_form:
             gram = grid.energy_products(values, np.ones_like(keep)) \
                 + space.kappa * grid.l2_products(values, mask, h_loc)
         else:
             gram = grid.energy_products(values, keep)
-        cx, cy = grid.cell_centers((i * mesh.H, j * mesh.H), h_loc)
-        fc = np.asarray(f(cx, cy), dtype=float)
-        if fc.ndim == 0:
-            fc = np.full(space.fine_n ** 2, float(fc))
+        cx, cy = grid.cell_centers((elems[:, :1] * mesh.H, elems[:, 1:] * mesh.H), h_loc)
+        fc = np.broadcast_to(np.asarray(f(cx, cy), dtype=float), cx.shape)
         load_keep = keep if restrict_load else np.ones_like(keep)
-        load = values @ grid.load_vector(fc, load_keep, h_loc)
-        np.add.at(b, dofs, load)
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
+        load = values @ grid.load_vector(fc, load_keep, h_loc)[..., None]
+        np.add.at(b, dofs.ravel(), load.ravel())
+        k = dofs.shape[1]
+        rows.append(np.repeat(dofs, k, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, k)).ravel())
         grams.append(gram.ravel())
     K = sp.coo_matrix((np.concatenate(grams), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(space.n_dofs, space.n_dofs)).tocsr()
@@ -408,12 +419,10 @@ def _coarse_galerkin(space: MsFEMSpace, f, restrict_load: bool,
     if not np.all(np.isfinite(coeffs)):
         raise AssemblyError("coarse system is singular (non-finite solution)")
 
-    fn = space.fine_n
     recon = np.zeros((mesh.m, mesh.m, fn + 1, fn + 1))
-    for (i, j), (dofs, values) in space.elem_basis.items():
-        if len(dofs) == 0:
-            continue
-        recon[i, j] = (coeffs[dofs] @ values).reshape(fn + 1, fn + 1)
+    for elems, dofs, values in stacks:
+        recon[elems[:, 0], elems[:, 1]] = \
+            (coeffs[dofs][:, None, :] @ values).reshape(-1, fn + 1, fn + 1)
     return CoarseSolution(m=mesh.m, fine_n=fn, method=space.method,
                           with_bubbles=space.with_bubbles, dof=space.n_dofs,
                           solves=space.solves, coeffs=coeffs, recon=recon,
@@ -515,18 +524,15 @@ def compute_errors(u: CoarseSolution, ref: FineSolution) -> tuple[float, float]:
             f"their resolution gap", ResolutionWarning, stacklevel=2)
     grid = square_grid(fn)
     h_loc = 1.0 / total
-    err_l2 = err_h1 = ref_l2 = ref_h1 = 0.0
-    for i in range(u.m):
-        for j in range(u.m):
-            sl_x = slice(i * fn * ratio, (i + 1) * fn * ratio + 1, ratio)
-            sl_y = slice(j * fn * ratio, (j + 1) * fn * ratio + 1, ratio)
-            ref_elem = ref.values[sl_x, sl_y].reshape(1, -1)
-            e = u.recon[i, j].reshape(1, -1) - ref_elem
-            keep = ~u.masks[i, j]
-            err_l2 += grid.l2_products(e, keep, h_loc)[0, 0]
-            err_h1 += grid.energy_products(e, keep)[0, 0]
-            ref_l2 += grid.l2_products(ref_elem, keep, h_loc)[0, 0]
-            ref_h1 += grid.energy_products(ref_elem, keep)[0, 0]
+    # element (i, j) sees nodes i*fn .. (i+1)*fn of the strided reference
+    idx = fn * np.arange(u.m)[:, None] + np.arange(fn + 1)
+    ref_elems = ref.values[::ratio, ::ratio][idx[:, None, :, None], idx[None, :, None, :]]
+    rows = np.stack([u.recon - ref_elems, ref_elems], axis=2).reshape(u.m ** 2, 2, -1)
+    keep = ~u.masks.reshape(u.m ** 2, fn, fn)
+    l2 = grid.l2_products(rows, keep, h_loc)
+    h1 = grid.energy_products(rows, keep)
+    err_l2, ref_l2 = l2[:, 0, 0].sum(), l2[:, 1, 1].sum()
+    err_h1, ref_h1 = h1[:, 0, 0].sum(), h1[:, 1, 1].sum()
     if ref_l2 == 0.0 or ref_h1 == 0.0:
         raise ParameterError("reference solution vanishes on the perforated domain")
     return float(np.sqrt(err_l2 / ref_l2)), float(np.sqrt(err_h1 / ref_h1))

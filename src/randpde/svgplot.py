@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 PALETTE = ("#c0392b", "#27ae60", "#2980b9", "#8e44ad", "#d35400", "#16a085")
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 150, 36, 48
@@ -121,22 +123,22 @@ def svg_line_plot(series, path, title="", xlabel="", ylabel="",
         fh.write("\n".join(parts) + "\n")
 
 
-def _color_scale(t: float) -> str:
-    """Simple blue-white-red diverging map on [0, 1]."""
-    t = min(max(t, 0.0), 1.0)
-    if t < 0.5:
-        s = t / 0.5
-        r, g, b = int(40 + 215 * s), int(80 + 175 * s), 255
-    else:
-        s = (t - 0.5) / 0.5
-        r, g, b = 255, int(255 - 175 * s), int(255 - 215 * s)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _color_scale(t: np.ndarray) -> np.ndarray:
+    """Simple blue-white-red diverging map on [0, 1], as "#rrggbb" strings."""
+    t = np.clip(t, 0.0, 1.0)
+    low = t < 0.5
+    s = np.where(low, t / 0.5, (t - 0.5) / 0.5)
+    # astype(int) truncates the non-negative channel values as int() does
+    r = np.where(low, 40 + 215 * s, 255).astype(int)
+    g = np.where(low, 80 + 175 * s, 255 - 175 * s).astype(int)
+    b = np.where(low, 255, 255 - 215 * s).astype(int)
+    # format each distinct colour once
+    codes, inverse = np.unique((r << 16) | (g << 8) | b, return_inverse=True)
+    return np.array(["#%06x" % code for code in codes.tolist()])[inverse].reshape(t.shape)
 
 
 def svg_heatmap(values, path, title="", max_cells: int = 128) -> None:
     """values: 2D array-like indexed [ix, iy] on the unit square."""
-    import numpy as np
-
     arr = np.asarray(values, dtype=float)
     step = max(1, int(np.ceil(max(arr.shape) / max_cells)))
     arr = arr[::step, ::step]
@@ -152,13 +154,12 @@ def svg_heatmap(values, path, title="", max_cells: int = 128) -> None:
     if title:
         parts.append(f'<text x="{(size + 40) // 2}" y="18" font-size="13" '
                      f'text-anchor="middle" font-family="sans-serif">{title}</text>')
-    for ix in range(nx):
-        for iy in range(ny):
-            t = (arr[ix, iy] - lo) / span
-            x = 20 + ix * cw
-            y = 30 + (ny - 1 - iy) * ch
-            parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cw + 0.5)}" '
-                         f'height="{_fmt(ch + 0.5)}" fill="{_color_scale(t)}"/>')
+    colors = _color_scale((arr - lo) / span).tolist()
+    xs = [_fmt(x) for x in (20 + np.arange(nx) * cw).tolist()]
+    ys = [_fmt(y) for y in (30 + (ny - 1 - np.arange(ny)) * ch).tolist()]
+    width, height = _fmt(cw + 0.5), _fmt(ch + 0.5)
+    parts.extend(f'<rect x="{x}" y="{y}" width="{width}" height="{height}" fill="{color}"/>'
+                 for x, row in zip(xs, colors) for y, color in zip(ys, row))
     parts.append(f'<text x="20" y="{size + 48}" font-size="11" font-family="sans-serif">'
                  f'min={lo:.4g} max={hi:.4g}</text>')
     parts.append("</svg>")

@@ -185,16 +185,28 @@ def test_grid_mismatch_rejected():
         homogenized_tensor(f4, (w,))
 
 
-def test_corrector_csv_dump(tmp_path):
-    f = constant_field(2, 5.0)
-    w = solve_corrector(f, E1, r=2)
-    path = tmp_path / "w.csv"
-    w.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,r,p0,p1"
-    assert lines[1].startswith("2,2,1")
-    assert lines[2] == "node,value"
-    assert len(lines) == 3 + w.values.size
+@pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (6, 8), (10, 8), (20, 4)])
+def test_cached_stiffness_pattern_matches_coo_assembly(n, r):
+    # the per-grid CSR pattern with bincount over the entry slots gives the
+    # same arrays as a fresh COO build and conversion of every sample
+    import scipy.sparse as sp
+    from randpde.grid import PeriodicGrid, element_stiffness
+    grid = PeriodicGrid(n, r)
+    rows = np.repeat(grid.elem_nodes, 4, axis=1).ravel()
+    cols = np.tile(grid.elem_nodes, (1, 4)).ravel()
+    rng = np.random.default_rng(n * r)
+    for k in range(10):
+        if k % 2:
+            cells = rng.choice([3.0, 20.0], size=(n, n))[..., None, None] * ID
+        else:
+            root = rng.uniform(-1.0, 1.0, size=(n, n, 2, 2))
+            cells = root @ root.swapaxes(-1, -2) + 0.1 * ID
+        a = grid.element_coefficients(cells)
+        ke = element_stiffness(a[:, 0, 0], a[:, 1, 1], a[:, 0, 1])
+        coo = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(grid.ndof, grid.ndof)).tocsr()
+        K = grid.assemble_stiffness(cells)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(K, name), getattr(coo, name)), (k, name)
 
 
 def test_checkerboard_mean_consistent_with_duality():

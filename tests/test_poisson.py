@@ -148,17 +148,25 @@ def test_reference_solve_frees_its_grid():
     assert square_grid(256)._k0 is None
 
 
-def test_cached_gram_path_matches_searched_path():
-    # the search switches contraction order near 32 kept cells, so small
-    # cell counts (few kept or few masked cells of an element) are included
+def test_batched_gram_products_match_einsum():
+    # one batched call over a stack of elements, and an unbatched call per
+    # element, against a per-element einsum, for every kept-cell count the
+    # einsum path search treats differently
     grid = femcore.SquareGrid(32)
     rng = np.random.default_rng(3)
+    counts = (1, 3, 8, 16, 24, 31, 32, 64, 100, 256, 577, 1024)
     for rows in range(1, 7):
-        for cells in (1, 3, 8, 16, 24, 31, 32, 64, 100, 256, 577, 1024):
-            values = rng.normal(size=(rows, grid.nn))
-            keep = np.arange(32 * 32) < cells
-            ve = values[:, grid.elem_nodes][:, keep, :]
-            for element, products in ((femcore.KLAP, grid.energy_products(values, keep)),
-                                      (femcore.MASS, grid.l2_products(values, keep, 1.0))):
-                searched = np.einsum("aei,ij,bej->ab", ve, element, ve, optimize=True)
-                assert np.array_equal(products, searched), (rows, cells)
+        values = rng.normal(size=(len(counts), rows, grid.nn))
+        keep = np.array([rng.permutation(32 * 32) < cells for cells in counts])
+        keep = keep.reshape(len(counts), 32, 32)
+        for element, gram in ((femcore.KLAP, grid.energy_products),
+                              (femcore.MASS, lambda v, kp: grid.l2_products(v, kp, 1.0))):
+            batched = gram(values, keep)
+            assert batched.shape == (len(counts), rows, rows)
+            for k, cells in enumerate(counts):
+                ve = values[k][:, grid.elem_nodes][:, keep[k].ravel(), :]
+                looped = np.einsum("aei,ij,bej->ab", ve, element, ve, optimize=True)
+                bound = 1e-13 * np.max(np.abs(looped))
+                assert np.max(np.abs(batched[k] - looped)) <= bound, (rows, cells)
+                assert np.max(np.abs(gram(values[k], keep[k]) - looped)) <= bound, \
+                    (rows, cells)
