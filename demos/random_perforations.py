@@ -6,7 +6,7 @@ uniform in [0.02, 0.05]. Per-element fine grids are chosen so the effective
 fine scale stays constant across the sweep. Writes two SVG error plots and
 a perforation heatmap next to this script.
 
-Runtime: a few minutes (one 1024^2 penalized reference).
+Runtime: under a minute (one 512^2 penalized reference).
 """
 
 from pathlib import Path
@@ -18,7 +18,7 @@ from randpde import (CoarseMesh, baseline_solve, build_cr_space, build_perforati
 from randpde.svgplot import svg_heatmap, svg_line_plot
 
 SWEEP = ((8, 64), (16, 32), (32, 16))   # (coarse elements per side, fine_n)
-REFERENCE_N = 1024
+REFERENCE_N = 512   # = m * fn at every sweep level
 SEED = 2026
 OUT = Path(__file__).resolve().parent
 

@@ -23,7 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the config file")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads")
     p_run.add_argument("--strict", action="store_true",
                        help="escalate resolution warnings to errors")
 
@@ -53,8 +52,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.strict:
             cfg.strict = True
-        archive = run(cfg, out_override=args.out, seed_override=args.seed,
-                      threads_override=args.threads)
+        archive = run(cfg, out_override=args.out, seed_override=args.seed)
         print(f"archive: {archive.out_dir}")
         if archive.status != "ok":
             print(archive.manifest.get("error", "solver error"), file=sys.stderr)

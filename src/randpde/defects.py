@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correctors import E1, E2, homogenized_tensor, solve_correctors
+from .correctors import E1, E2, solve_correctors
 from .errors import ParameterError
 from .fields import CoefficientField, PerturbedPeriodic
 from .grid import periodic_grid
@@ -118,17 +118,17 @@ def pair_catalog(law: PerturbedPeriodic, n: int, cutoff: float | None = None):
 
 def defect_solve_count(law: PerturbedPeriodic, n: int, order: int,
                        cutoff: float | None = None) -> int:
-    """PDE solves that `defect_coefficients` makes: 2 for the unperturbed
-    material, 2 for one defect and, at order 2, 2 per solved pair offset."""
+    """PDE solves that `defect_coefficients` makes: 2 for one defect and, at
+    order 2, 2 per solved pair offset."""
     solved = {key for _, _, key in pair_catalog(law, n, cutoff)} if order == 2 else set()
-    return 4 + 2 * len(solved)
+    return 2 + 2 * len(solved)
 
 
 def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
                         tol: float = 1e-9, method: str = "cg",
                         defect_cell: tuple[int, int] = (0, 0),
                         cutoff: float | None = None) -> DefectCoefficients:
-    """Solve the unperturbed, one-defect and (order 2) two-defect cell problems.
+    """Solve the one-defect and (order 2) two-defect cell problems.
 
     The one-defect coefficient is independent of the defect position by
     periodicity; ``defect_cell`` exists so that tests can verify this. The
@@ -143,15 +143,10 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
 
-    # Unperturbed material is constant, so its corrector vanishes and the
-    # homogenized tensor is the material itself; solve anyway as a check.
-    uniform = CoefficientField(n=n, cells=np.broadcast_to(law.a_per, (n, n, 2, 2)).copy())
-    ws = solve_correctors(uniform, (E1, E2), r, tol=tol, method=method)
-    a_per_star = homogenized_tensor(uniform, ws)
-    solves = len(ws)
-
-    a_1def, used = _box_flux_excess(law, n, r, [defect_cell], tol, method)
-    solves += used
+    # The unperturbed material is constant, so its correctors vanish and its
+    # homogenized tensor is the material itself.
+    a_per_star = law.a_per.copy()
+    a_1def, solves = _box_flux_excess(law, n, r, [defect_cell], tol, method)
 
     a_2def: dict = {}
     weights: dict = {}

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,7 +98,6 @@ class ExperimentConfig:
     seed: int
     out: str
     strict: bool
-    threads: int
     law: dict = field(default_factory=dict)
     estimate: dict = field(default_factory=dict)
     geometry: dict = field(default_factory=dict)
@@ -108,7 +106,7 @@ class ExperimentConfig:
     def snapshot(self) -> dict:
         return {
             "experiment": {"kind": self.kind, "seed": self.seed, "out": self.out,
-                           "strict": self.strict, "threads": self.threads},
+                           "strict": self.strict},
             "law": dict(self.law), "estimate": dict(self.estimate),
             "geometry": dict(self.geometry), "msfem": dict(self.msfem),
         }
@@ -143,8 +141,10 @@ def parse_config(path) -> ExperimentConfig:
         seed=_parse_int(exp.get("seed", "0"), "experiment.seed"),
         out=exp.get("out", "runs/out").strip(),
         strict=_parse_bool(exp.get("strict", "false"), "experiment.strict"),
-        threads=_parse_int(exp.get("threads", "1"), "experiment.threads"),
     )
+    # `threads = 1` stays valid so configs that set it still parse
+    if _parse_int(exp.get("threads", "1"), "experiment.threads") != 1:
+        raise ConfigError("experiment.threads must be 1: runs are single-threaded")
 
     if kind in ("homogenize", "vr-compare"):
         if "law" not in parser:
@@ -382,14 +382,8 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
 
     for n in est["n"]:
         extras = offline(n)
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = [pool.submit(run_one, n, s, extras) for s in est["strategies"]]
-                for f in futures:
-                    keep(f.result())
-        else:
-            for s in est["strategies"]:
-                keep(run_one(n, s, extras))
+        for s in est["strategies"]:
+            keep(run_one(n, s, extras))
     if len(est["strategies"]) > 1:
         rows = []
         for n in est["n"]:
@@ -459,33 +453,27 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> tuple[list[dict], list[str]]
     heat_done = False
     for geo_id, perf in geometries:
         ref = reference_solve(perf, f, ref_n, strict=cfg.strict)
-        items = [(m, fn, method) for (m, fn) in pairs for method in ms["methods"]]
+        first = None  # (method, solution) of the geometry's first case
+        for m, fn in pairs:
+            for method in ms["methods"]:
+                u = _solve_msfem_case(CoarseMesh(m), perf, f, method,
+                                      ms["with_bubbles"], fn, kappa)
+                l2, h1 = compute_errors(u, ref)
+                rows.append({"method": method, "H": 1.0 / m, "geometry": geo_id,
+                             "with_bubbles": ms["with_bubbles"], "l2_rel": l2,
+                             "h1_rel": h1, "dof": u.dof, "solves": u.solves})
+                if first is None:
+                    first = (method, u)
 
-        def solve_item(item):
-            m, fn, method = item
-            u = _solve_msfem_case(CoarseMesh(m), perf, f, method,
-                                  ms["with_bubbles"], fn, kappa)
-            l2, h1 = compute_errors(u, ref)
-            return {"method": method, "H": 1.0 / m, "geometry": geo_id,
-                    "with_bubbles": ms["with_bubbles"], "l2_rel": l2, "h1_rel": h1,
-                    "dof": u.dof, "solves": u.solves}, u
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(solve_item, items))
-        else:
-            results = [solve_item(it) for it in items]
-        rows.extend(row for row, _ in results)
-
-        if not heat_done and results:
-            _, u = results[0]
+        if not heat_done and first is not None:
+            method, u = first
             fn = u.fine_n
             stitched = np.zeros((u.m * fn + 1, u.m * fn + 1))
             for i in range(u.m):
                 for j in range(u.m):
                     stitched[i * fn:(i + 1) * fn + 1, j * fn:(j + 1) * fn + 1] = u.recon[i, j]
             svg_heatmap(stitched, out / "heatmap_solution.svg",
-                        title=f"coarse solution ({results[0][0]['method']})")
+                        title=f"coarse solution ({method})")
             probe = np.linspace(0, 1, 257)
             svg_heatmap(perf.indicator(probe[:, None], probe[None, :]).astype(float),
                         out / "heatmap_perforations.svg", title="perforation indicator")
@@ -517,15 +505,12 @@ def _plot_msfem(rows: list[dict], out: Path) -> None:
                       xlabel="H", ylabel="relative error", logx=True)
 
 
-def run(cfg: ExperimentConfig, out_override=None, seed_override=None,
-        threads_override=None) -> RunArchive:
+def run(cfg: ExperimentConfig, out_override=None, seed_override=None) -> RunArchive:
     """Execute the experiment and write the archive; on solver failure the
     partial results are flushed and flagged in the manifest (``reports.csv``
     holds every strategy finished before the failure)."""
     if seed_override is not None:
         cfg.seed = seed_override
-    if threads_override is not None:
-        cfg.threads = threads_override
     out = Path(out_override if out_override is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,8 +1,8 @@
 """Square-grid Q1 building blocks shared by the reference solver and the
 multiscale basis constructions: connectivity, element matrices, trace rows,
 penalty assembly and masked energy products on an fn x fn cell grid, plus
-the preconditioned CG and the Galerkin multigrid V-cycle of the reference
-solve."""
+the Galerkin multigrid V-cycle that preconditions the reference solve's CG
+(`grid.cg_spd`)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError
 from .grid import CORNERS, KXX, KYY, MASS
 
 KLAP = KXX + KYY
@@ -139,43 +138,6 @@ def square_grid(fn: int) -> SquareGrid:
     large grid (the reference solve's) is built uncached instead, so its
     Laplacian is freed with it."""
     return SquareGrid(fn)
-
-
-def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-           maxiter: int | None = None,
-           preconditioner=None) -> tuple[np.ndarray, int, float]:
-    """Preconditioned CG for a symmetric positive definite system.
-
-    `preconditioner` maps a residual to the search update and must be
-    symmetric positive definite (default: the inverse diagonal of K).
-    Returns (x, iterations, relative_residual)."""
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    if maxiter is None:
-        maxiter = max(10000, 40 * int(np.sqrt(K.shape[0])))
-    if preconditioner is None:
-        inv_diag = 1.0 / K.diagonal()
-        preconditioner = lambda r: inv_diag * r
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = preconditioner(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, maxiter + 1):
-        q = K @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
-        r -= alpha * q
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
-            return x, it, rnorm / bnorm
-        z = preconditioner(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(f"CG did not reach tol={tol:g} within {maxiter} iterations",
-                      iterations=maxiter, residual=rnorm / bnorm)
 
 
 # Galerkin multigrid on the interior nodes of a square grid: coarsen while the

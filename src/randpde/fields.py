@@ -4,7 +4,7 @@ A configuration is the lattice of per-cell Bernoulli outcomes on the n x n
 periodic box; a law turns each outcome into a 2x2 conductivity matrix.
 Sampling is counter-based (Philox keyed by seed and index) so that the same
 (seed, index, n, law) always yields the same configuration no matter in which
-order, or on how many threads, configurations are generated.
+order configurations are generated.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ diagonalizes it, so `PeriodicGrid.constant_medium_solver` inverts it exactly.
 That inverse, for the mean cell matrix of a field, preconditions the
 corrector CG with an iteration count independent of the grid (Moulinec &
 Suquet, CMAME 157, 1998; Ladecky et al., Appl. Math. Comput. 446, 2023).
+`cg_spd` is the package's one CG loop: the corrector solves run it with the
+constants projected out, the penalized reference solves of `poisson` without.
 """
 
 from __future__ import annotations
@@ -196,39 +198,28 @@ def pinned_factorization(K: sp.csr_matrix):
     return spla.splu(K[1:, :][:, 1:].tocsc())
 
 
-def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
-                          maxiter: int | None = None, method: str = "cg",
-                          preconditioner=None, factorization=None):
-    """Solve K x = b where K is SPD up to the 1D kernel of constants.
+def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
+           maxiter: int | None = None, preconditioner=None,
+           centre: bool = False) -> tuple[np.ndarray, int, float]:
+    """Preconditioned conjugate gradients for K x = b, the one CG loop of
+    both legs (periodic correctors and penalized references).
 
-    Returns (x, iterations, relative_residual) with mean(x) = 0. The "cg"
-    method is preconditioned conjugate gradients with the residual projected
-    to mean zero at every iteration; `preconditioner` maps a residual to the
-    search update (default: the inverse diagonal of K). "direct" pins one DOF
-    and solves with `factorization`, the `pinned_factorization(K)` (computed
-    here when not given).
+    K is symmetric positive definite, or with `centre` semidefinite with the
+    constants as its kernel and b of mean zero; the residual is then
+    projected to mean zero at every iteration. `preconditioner` maps a
+    residual to the search update and must be symmetric positive definite
+    (default: the inverse diagonal of K). The default `maxiter` is
+    10000 + 50 sqrt(n). Returns (x, iterations, relative_residual).
     """
-    ndof = K.shape[0]
-    b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(ndof), 0, 0.0
-
-    if method == "direct":
-        lu = pinned_factorization(K) if factorization is None else factorization
-        x = np.concatenate(([0.0], lu.solve(b[1:])))
-        x -= x.mean()
-        res = float(np.linalg.norm(K @ x - b)) / bnorm
-        return x, 1, res
-    if method != "cg":
-        raise ParameterError(f"unknown solver method {method!r}")
-
+        return np.zeros_like(b), 0, 0.0
     if maxiter is None:
-        maxiter = int(50 * np.sqrt(ndof)) + 10
+        maxiter = 10000 + int(50 * np.sqrt(K.shape[0]))
     if preconditioner is None:
         inv_diag = 1.0 / K.diagonal()
         preconditioner = lambda r: inv_diag * r
-    x = np.zeros(ndof)
+    x = np.zeros_like(b)
     r = b.copy()
     z = preconditioner(r)
     p = z.copy()
@@ -238,10 +229,10 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
         alpha = rz / float(p @ q)
         x += alpha * p
         r -= alpha * q
-        r -= r.mean()  # project out the kernel of constants
+        if centre:
+            r -= r.mean()  # project out the kernel of constants
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
-            x -= x.mean()
             return x, it, rnorm / bnorm
         z = preconditioner(r)
         rz_new = float(r @ z)
@@ -251,3 +242,29 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
         f"CG did not reach tol={tol:g} within {maxiter} iterations "
         f"(relative residual {rnorm / bnorm:.3e})",
         iterations=maxiter, residual=rnorm / bnorm)
+
+
+def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
+                          maxiter: int | None = None, method: str = "cg",
+                          preconditioner=None, factorization=None):
+    """Solve K x = b where K is SPD up to the 1D kernel of constants.
+
+    Returns (x, iterations, relative_residual) with mean(x) = 0. The "cg"
+    method is `cg_spd` on the centred b with the residual kept at mean zero.
+    "direct" pins one DOF and solves with `factorization`, the
+    `pinned_factorization(K)` (computed here when not given).
+    """
+    b = b - b.mean()
+    if method == "direct":
+        bnorm = float(np.linalg.norm(b))
+        if bnorm == 0.0:
+            return np.zeros_like(b), 0, 0.0
+        lu = pinned_factorization(K) if factorization is None else factorization
+        x = np.concatenate(([0.0], lu.solve(b[1:])))
+        x -= x.mean()
+        return x, 1, float(np.linalg.norm(K @ x - b)) / bnorm
+    if method != "cg":
+        raise ParameterError(f"unknown solver method {method!r}")
+    x, iterations, residual = cg_spd(K, b, tol, maxiter, preconditioner, centre=True)
+    x -= x.mean()
+    return x, iterations, residual

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionWarning
-from .femcore import SquareGrid, cg_spd, multigrid_preconditioner, square_grid
+from .femcore import SquareGrid, multigrid_preconditioner, square_grid
+from .grid import cg_spd
 
 DEFAULT_KAPPA_SCALE = 1e8
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -156,13 +158,22 @@ def test_constant_medium_preconditioner_is_exact():
     assert np.max(np.abs(x - x_dir)) <= 1e-10 * np.abs(x_dir).max()
 
 
-def test_solver_error_carries_diagnostics():
+def test_solver_error_carries_diagnostics(monkeypatch):
+    # both legs run the one CG loop: the periodic corrector solve and the
+    # penalized reference solve, capped here at 3 iterations
+    from randpde import poisson
+    from randpde.grid import cg_spd
+    from randpde.perforations import NoPerforations
     law = Checkerboard(3.0, 20.0)
     f = realize_field(law, sample_configuration(law, 8, seed=2, index=0))
-    with pytest.raises(SolverError) as err:
-        solve_corrector(f, E1, r=8, maxiter=3)
-    assert err.value.iterations == 3
-    assert err.value.residual > 0
+    monkeypatch.setattr(poisson, "cg_spd", partial(cg_spd, maxiter=3))
+    legs = (lambda: solve_corrector(f, E1, r=8, maxiter=3),
+            lambda: poisson.reference_solve(NoPerforations(), lambda x, y: np.ones_like(x), 64))
+    for leg in legs:
+        with pytest.raises(SolverError) as err:
+            leg()
+        assert err.value.iterations == 3
+        assert err.value.residual > 0
 
 
 def test_galerkin_residual_below_tolerance():

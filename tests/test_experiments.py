@@ -236,18 +236,21 @@ def test_cli_exit_code_on_config_error(tmp_path):
     assert cli_main(["validate", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
-def test_cli_threads_flag_deterministic(tmp_path):
-    path = write_config(tmp_path, VR_CONFIG)
-    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t1"),
-                     "--threads", "2"]) == 0
-    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "t2"),
-                     "--threads", "1"]) == 0
-    a = json.loads((tmp_path / "t1" / "manifest.json").read_text())["files"]
-    b = json.loads((tmp_path / "t2" / "manifest.json").read_text())["files"]
-    # the snapshot records the differing thread counts; results must agree
-    a.pop("config_snapshot.json")
-    b.pop("config_snapshot.json")
-    assert a == b
+def test_threads_key_accepts_only_one(tmp_path, capsys):
+    # runs are single-threaded; `threads = 1` stays valid in old configs
+    one = write_config(tmp_path, VR_CONFIG.replace("out = {out}\n", "out = {out}\nthreads = 1\n"))
+    assert "threads" not in parse_config(one).snapshot()["experiment"]
+    two = write_config(tmp_path, VR_CONFIG.replace("out = {out}\n", "out = {out}\nthreads = 2\n"),
+                       name="two.ini")
+    with pytest.raises(ConfigError, match="single-threaded"):
+        parse_config(two)
+    assert cli_main(["run", "--config", str(two), "--out", str(tmp_path / "t2")]) == 2
+    assert cli_main(["validate", "--config", str(two)]) == 2
+    assert not (tmp_path / "t2").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(one), "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_run_homogenize_kind(tmp_path):
