@@ -24,8 +24,9 @@ from .errors import ConfigError, RandpdeError
 from .estimators import (antithetic_estimate, compare_strategies,
                          control_variate_estimate, mc_estimate, sqs_estimate,
                          write_reports_csv)
-from .fields import Checkerboard, PerturbedPeriodic
-from .msfem import CoarseMesh, baseline_solve, build_cr_space, compute_errors, msfem_solve
+from .fields import Checkerboard, PerturbedPeriodic, balanced_ones
+from .msfem import (CoarseMesh, baseline_solve, build_cr_space, compute_errors,
+                    count_local_solves, msfem_solve)
 from .perforations import build_perforations
 from .poisson import reference_solve
 from .sqs import sqs_auxiliary
@@ -34,6 +35,7 @@ from .svgplot import svg_heatmap, svg_line_plot
 KINDS = ("homogenize", "vr-compare", "msfem", "msfem-robustness")
 STRATEGIES = ("mc", "antithetic", "cv1", "cv2", "sqs1", "sqs2")
 MSFEM_METHODS = ("cr", "linear", "q1")
+_SPACE_METHODS = {"cr": "cr", "linear": "linear", "q1": "coarse_q1"}
 
 RHS_FUNCTIONS = {
     "one": lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
@@ -244,12 +246,20 @@ def _build_law(cfg: ExperimentConfig):
                              c_per=np.array(cfg.law["c_per"]), eta=cfg.law["eta"])
 
 
-def _build_perf(cfg: ExperimentConfig):
+def _geometries(cfg: ExperimentConfig) -> list:
+    """(geometry id, perforations) of every geometry an MsFEM run solves on:
+    both disc lattices for msfem-robustness, the configured one otherwise."""
     g = cfg.geometry
-    return build_perforations(g["kind"], epsilon=g["epsilon"],
+    if cfg.kind == "msfem-robustness":
+        return [(geo_id, build_perforations(kind, epsilon=g["epsilon"],
+                                            radius_factor=g["radius_factor"]))
+                for geo_id, kind in (("test1_unshifted", "periodic_discs"),
+                                     ("test2_shifted", "shifted_periodic_discs"))]
+    perf = build_perforations(g["kind"], epsilon=g["epsilon"],
                               radius_factor=g["radius_factor"], count=g["count"],
                               width_range=tuple(g["width_range"]),
                               height_range=tuple(g["height_range"]), seed=g["gseed"])
+    return [(perf.describe(), perf)]
 
 
 def _msfem_grids(cfg: ExperimentConfig):
@@ -274,11 +284,13 @@ def _msfem_grids(cfg: ExperimentConfig):
 def validate(cfg: ExperimentConfig) -> dict:
     """Static validation and cost estimate; never solves anything.
 
-    ``estimated_pde_solves`` is exact for the estimator kinds: the online
-    solves of every strategy plus, once per box size, the defect solves shared
-    by cv1 and cv2 and the 4 selection solves of sqs2. For the MsFEM kinds it
-    is an upper bound: 5 local solves (4 without bubbles) per element and
-    method, where q1 makes 1 and cr and linear about 4.
+    ``estimated_pde_solves`` is exact. For the estimator kinds it counts the
+    online solves of every strategy plus, once per box size, the defect solves
+    shared by cv1 and cv2 and the 4 selection solves of sqs2. For the MsFEM
+    kinds it counts one reference solve per geometry plus the local solves of
+    every (geometry, level, method), taken from the same local problems the
+    space builder solves; the geometry is classified here and cached for the
+    run. An SQS strategy on a box where p*n^2 is not an integer is a problem.
     """
     problems: list[str] = []
     notes: list[str] = []
@@ -299,21 +311,26 @@ def validate(cfg: ExperimentConfig) -> dict:
                     solves += defect_solve_count(law, n, 2 if "cv2" in strategies else 1)
                 if "sqs2" in strategies:
                     solves += 4  # two directions on the working and the enlarged box
+                if "sqs1" in strategies or "sqs2" in strategies:
+                    balanced_ones(n, law.bernoulli_p)  # raises when SQS cannot sample
         else:
-            perf = _build_perf(cfg)
+            geometries = _geometries(cfg)
             pairs, ref_n = _msfem_grids(cfg)
             memory = 9 * (ref_n + 1) ** 2 * 16
-            geo_count = 2 if cfg.kind == "msfem-robustness" else 1
-            solves += geo_count  # reference solves
-            feature = perf.smallest_feature()
-            for m, fn in pairs:
-                h_loc = 1.0 / (m * fn)
-                if np.isfinite(feature) and feature / h_loc < 4.0:
-                    msg = (f"fine_n={fn} at H=1/{m} under-resolves {perf.describe()}: "
-                           f"{feature / h_loc:.2f} < 4 cells across the smallest perforation")
-                    (problems if cfg.strict else notes).append(msg)
-                per_elem = 5 if cfg.msfem["with_bubbles"] else 4
-                solves += geo_count * len(cfg.msfem["methods"]) * m * m * per_elem
+            for _, perf in geometries:
+                solves += 1  # the reference solve
+                feature = perf.smallest_feature()
+                for m, fn in pairs:
+                    h_loc = 1.0 / (m * fn)
+                    if np.isfinite(feature) and feature / h_loc < 4.0:
+                        msg = (f"fine_n={fn} at H=1/{m} under-resolves {perf.describe()}: "
+                               f"{feature / h_loc:.2f} < 4 cells across the smallest "
+                               f"perforation")
+                        (problems if cfg.strict else notes).append(msg)
+                    solves += sum(count_local_solves(CoarseMesh(m), perf, fn,
+                                                     _SPACE_METHODS[method],
+                                                     cfg.msfem["with_bubbles"])
+                                  for method in cfg.msfem["methods"])
     except RandpdeError as exc:
         problems.append(str(exc))
     return {"problems": problems, "notes": notes,
@@ -399,20 +416,25 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
             for row in rows:
                 writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
                                  for k, v in row.items()})
-    _plot_estimates(reports, est, out)
+    _plot_mean_ci(out)
     return reports, warnings_log
 
 
-def _plot_estimates(reports, est, out: Path) -> None:
+def _read_csv(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _plot_mean_ci(out: Path) -> None:
+    """mean_ci.svg from reports.csv: entry 11 and its 95% band against n, one
+    series per strategy in the order of the CSV."""
+    rows = [r for r in _read_csv(out / "reports.csv") if r["entry"] == "11"]
     series = []
-    for strategy in est["strategies"]:
-        group = sorted((r for r in reports if r.strategy == strategy), key=lambda r: r.n)
-        if not group:
-            continue
-        series.append({"label": strategy,
-                       "x": [r.n for r in group],
-                       "y": [r.entry("11") for r in group],
-                       "ci": [r.entry("11", "ci95") for r in group]})
+    for s in dict.fromkeys(r["strategy"] for r in rows):
+        grp = sorted((r for r in rows if r["strategy"] == s), key=lambda r: int(r["n"]))
+        series.append({"label": s, "x": [int(r["n"]) for r in grp],
+                       "y": [float(r["mean"]) for r in grp],
+                       "ci": [float(r["ci95"]) for r in grp]})
     svg_line_plot(series, out / "mean_ci.svg", title="Estimated tensor entry 11 vs box size",
                   xlabel="box size n", ylabel="estimate with 95% band")
 
@@ -435,23 +457,10 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> tuple[list[dict], list[str]]
     f = RHS_FUNCTIONS[ms["f"]]
     kappa = ms["kappa"] if ms["kappa"] > 0 else None
     pairs, ref_n = _msfem_grids(cfg)
-
-    if cfg.kind == "msfem-robustness":
-        g = cfg.geometry
-        geometries = [("test1_unshifted", build_perforations(
-                          "periodic_discs", epsilon=g["epsilon"],
-                          radius_factor=g["radius_factor"])),
-                      ("test2_shifted", build_perforations(
-                          "shifted_periodic_discs", epsilon=g["epsilon"],
-                          radius_factor=g["radius_factor"]))]
-    else:
-        perf = _build_perf(cfg)
-        geometries = [(perf.describe(), perf)]
-
     rows: list[dict] = []
     notes: list[str] = []
     heat_done = False
-    for geo_id, perf in geometries:
+    for geo_id, perf in _geometries(cfg):
         ref = reference_solve(perf, f, ref_n, strict=cfg.strict)
         first = None  # (method, solution) of the geometry's first case
         for m, fn in pairs:
@@ -546,25 +555,12 @@ def replot(archive_dir) -> list[str]:
     """Regenerate the SVG plots of an archive from its CSVs."""
     out = Path(archive_dir)
     made = []
-    reports_csv = out / "reports.csv"
     msfem_csv = out / "msfem.csv"
-    if reports_csv.exists():
-        rows = list(csv.DictReader(open(reports_csv)))
-        strategies = sorted({r["strategy"] for r in rows},
-                            key=[r["strategy"] for r in rows].index)
-        series = []
-        for s in strategies:
-            grp = sorted((r for r in rows if r["strategy"] == s and r["entry"] == "11"),
-                         key=lambda r: int(r["n"]))
-            series.append({"label": s, "x": [int(r["n"]) for r in grp],
-                           "y": [float(r["mean"]) for r in grp],
-                           "ci": [float(r["ci95"]) for r in grp]})
-        svg_line_plot(series, out / "mean_ci.svg",
-                      title="Estimated tensor entry 11 vs box size",
-                      xlabel="box size n", ylabel="estimate with 95% band")
+    if (out / "reports.csv").exists():
+        _plot_mean_ci(out)
         made.append("mean_ci.svg")
     if msfem_csv.exists():
-        rows = list(csv.DictReader(open(msfem_csv)))
+        rows = _read_csv(msfem_csv)
         for row in rows:
             row["H"] = float(row["H"])
             row["l2_rel"] = float(row["l2_rel"])

@@ -132,11 +132,6 @@ class CoefficientField:
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
-    def eigenvalue_range(self) -> tuple[float, float]:
-        """(min, max) eigenvalue over all cells."""
-        eigs = np.linalg.eigvalsh(self.cells.reshape(-1, 2, 2))
-        return float(eigs.min()), float(eigs.max())
-
     def voigt_reuss_bounds(self) -> tuple[float, float]:
         """Harmonic-mean lower and arithmetic-mean upper eigenvalue bounds."""
         flat = self.cells.reshape(-1, 2, 2)
@@ -201,6 +196,21 @@ def realize_field(law: FieldLaw, c: Configuration) -> CoefficientField:
     return CoefficientField(n=c.n, cells=cells)
 
 
+def balanced_ones(n: int, p: float) -> int:
+    """The number of ones, p*n^2, of an exactly balanced n x n configuration;
+    InfeasibilityError when p*n^2 is not an integer."""
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"p must lie in [0, 1], got {p}")
+    m_ones = p * (n * n)
+    if abs(m_ones - round(m_ones)) > 1e-9:
+        raise InfeasibilityError(
+            f"p*n^2 = {m_ones} (n={n}) is not an integer; exact first-moment balance is "
+            f"infeasible (with p=1/2 this requires n^2 even)")
+    return int(round(m_ones))
+
+
 def sqs1_exact_sample(n: int, seed: int, index: int, p: float = 0.5) -> Configuration:
     """A configuration drawn uniformly among those with exactly round(p*n^2) ones.
 
@@ -208,18 +218,8 @@ def sqs1_exact_sample(n: int, seed: int, index: int, p: float = 0.5) -> Configur
     (integer arithmetic). Implemented as a random permutation of the balanced
     multiset rather than by rejection.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
-    total = n * n
-    m_ones = p * total
-    if abs(m_ones - round(m_ones)) > 1e-9:
-        raise InfeasibilityError(
-            f"p*n^2 = {m_ones} is not an integer; exact first-moment balance is infeasible "
-            f"(with p=1/2 this requires n^2 even)")
-    m_ones = int(round(m_ones))
-    flat = np.zeros(total, dtype=np.uint8)
+    m_ones = balanced_ones(n, p)
+    flat = np.zeros(n * n, dtype=np.uint8)
     flat[:m_ones] = 1
     _philox(seed, index).shuffle(flat)
     return Configuration(n=n, draws=flat.reshape(n, n), seed=seed, index=index,

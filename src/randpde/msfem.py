@@ -101,7 +101,7 @@ class MsFEMSpace:
     fine_n: int
     kappa: float
     with_bubbles: bool
-    method: str                  # "cr" or "linear"
+    method: str                  # "cr", "linear" or "coarse_q1"
     elem_alive: np.ndarray       # (m, m) bool
     edge_alive: np.ndarray       # (n_internal_edges,) bool
     masks: np.ndarray            # (m, m, fn, fn) bool
@@ -110,7 +110,7 @@ class MsFEMSpace:
     n_edge_dofs: int
     edge_dof: dict               # edge id -> dof
     bubble_dof: dict             # (i, j) -> dof
-    node_dof: dict               # coarse node -> dof (linear variant only)
+    node_dof: dict               # coarse node -> dof (linear and coarse_q1)
     solves: int                  # local right-hand sides solved
     factorizations: int = 0      # local LU factorizations made
 
@@ -134,8 +134,8 @@ class MsFEMSpace:
 def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
     """Masks, element liveness and edge liveness for the given geometry.
 
-    Cached, so the cr, linear and q1 builds of one geometry compute it once;
-    the arrays are read-only because every one of those spaces shares them."""
+    Cached, so the solve count and the cr, linear and q1 builds of one geometry
+    compute it once; the arrays are read-only because those spaces share them."""
     m = mesh.m
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
@@ -244,73 +244,113 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     return out
 
 
-def _space(mesh, perf, fine_n, kappa, grid, geometry, basis, factorizations,
-           **numbering) -> MsFEMSpace:
-    """Space over the given geometry; dead elements keep no basis rows."""
-    masks, elem_alive, edge_alive = geometry
-    empty = (np.array([], dtype=int), np.zeros((0, grid.nn)))
-    m = mesh.m
-    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
-                      elem_alive=elem_alive, edge_alive=edge_alive, masks=masks,
-                      elem_basis={(i, j): basis.get((i, j), empty)
-                                  for i in range(m) for j in range(m)},
-                      solves=sum(len(dofs) for dofs, _ in basis.values()),
-                      factorizations=factorizations, **numbering)
+def _corner_hats(grid, node_dof: dict, elems) -> dict:
+    """Element -> dof ids and bilinear hats, on the local fine grid, of those
+    of its corners that carry a coarse node dof."""
+    t = np.arange(grid.fn + 1) / grid.fn
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    unit = np.array([np.outer(t if di else 1.0 - t, t if dj else 1.0 - t).ravel()
+                     for di, dj in corners])
+    out = {}
+    for i, j in elems:
+        keep = [k for k, (di, dj) in enumerate(corners) if (i + di, j + dj) in node_dof]
+        out[(i, j)] = [node_dof[(i + corners[k][0], j + corners[k][1])] for k in keep], unit[keep]
+    return out
 
 
-def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None = None,
-                   with_bubbles: bool = True, strict: bool = False) -> MsFEMSpace:
-    """Construct the Crouzeix-Raviart basis (edge functions and bubbles).
-
-    Each element solves one saddle system (penalized Laplacian plus one
-    average constraint per internal edge) for all of its basis functions;
-    elements with the same system share its factorization. Fully perforated
-    elements and edges keep no basis functions.
-    """
-    m = mesh.m
-    grid = square_grid(fine_n)
-    h_loc = mesh.H / fine_n
-    if kappa is None:
-        kappa = default_kappa(h_loc)
-    check_resolution(perf, h_loc, strict, "build_cr_space")
-
-    geometry = masks, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
-
+def _cr_problems(mesh, grid, alive, elem_alive, edge_alive):
+    """Crouzeix-Raviart: one dof per alive internal edge. An element lifts unit
+    averages on its live edges and constrains the averages of all internal sides."""
     edge_dof = {eid: k for k, eid in enumerate(np.flatnonzero(edge_alive))}
-    n_edge_dofs = len(edge_dof)
-    alive = [(i, j) for i in range(m) for j in range(m) if elem_alive[i, j]]
-    bubble_dof = ({elem: n_edge_dofs + k for k, elem in enumerate(alive)}
-                  if with_bubbles else {})
-
     problems = {}
     for i, j in alive:
         side_edges = {s: mesh.element_side_edge(i, j, s) for s in SIDES}
         internal = tuple(s for s in SIDES if side_edges[s] is not None)
         live = [s for s in internal if edge_alive[side_edges[s]]]
-        bubble = [bubble_dof[(i, j)]] if with_bubbles else []
-        dirichlet = tuple(s for s in SIDES if side_edges[s] is None)
         problems[(i, j)] = _LocalProblem(
-            [edge_dof[side_edges[s]] for s in live] + bubble, dirichlet, internal,
-            averages=np.eye(len(internal))[[internal.index(s) for s in live]],
-            bubble=with_bubbles)
+            [edge_dof[side_edges[s]] for s in live],
+            tuple(s for s in SIDES if side_edges[s] is None), internal,
+            averages=np.eye(len(internal))[[internal.index(s) for s in live]])
+    return edge_dof, problems, {}
+
+
+def _linear_problems(mesh, grid, alive, elem_alive, edge_alive):
+    """Affine boundary conditions: one dof per interior coarse node next to an
+    alive element; each alive element lifts the hats of its corners."""
+    nodes = [(a, b) for a in range(1, mesh.m) for b in range(1, mesh.m)
+             if elem_alive[a - 1:a + 1, b - 1:b + 1].any()]
+    node_dof = {node: k for k, node in enumerate(nodes)}
+    problems = {elem: _LocalProblem(dofs, SIDES, (), traces=traces)
+                for elem, (dofs, traces) in _corner_hats(grid, node_dof, alive).items()}
+    return node_dof, problems, {}
+
+
+def _q1_problems(mesh, grid, alive, elem_alive, edge_alive):
+    """Coarse Q1: one dof per interior node. Its hats are prescribed on every
+    element, dead ones too, as the penalized form integrates them there."""
+    m = mesh.m
+    node_dof = {(a, b): (a - 1) * (m - 1) + (b - 1) for a in range(1, m) for b in range(1, m)}
+    prescribed = _corner_hats(grid, node_dof, [(i, j) for i in range(m) for j in range(m)])
+    return node_dof, {elem: _LocalProblem([], SIDES, ()) for elem in alive}, prescribed
+
+
+def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbles: bool):
+    """Geometry, coarse numbering, local problems (bubbles appended; none for
+    an element with nothing to solve), bubble numbering and prescribed rows."""
+    geometry = _, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
+    alive = [(i, j) for i in range(mesh.m) for j in range(mesh.m) if elem_alive[i, j]]
+    problem_list = {"cr": _cr_problems, "linear": _linear_problems, "coarse_q1": _q1_problems}
+    numbering, problems, prescribed = problem_list[method](
+        mesh, square_grid(fine_n), alive, elem_alive, edge_alive)
+    bubble_dof = {}
+    if with_bubbles:
+        bubble_dof = {elem: len(numbering) + k for k, elem in enumerate(problems)}
+        problems = {elem: prob._replace(dofs=prob.dofs + [bubble_dof[elem]], bubble=True)
+                    for elem, prob in problems.items()}
+    problems = {elem: prob for elem, prob in problems.items() if prob.dofs}
+    return geometry, numbering, problems, bubble_dof, prescribed
+
+
+def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int, kappa: float | None,
+                 with_bubbles: bool, strict: bool) -> MsFEMSpace:
+    """The space "cr", "linear" or "coarse_q1": local problems solved with one
+    LU per distinct system, after each element's prescribed rows."""
+    grid = square_grid(fine_n)
+    h_loc = mesh.H / fine_n
+    kappa = default_kappa(h_loc) if kappa is None else kappa
+    check_resolution(perf, h_loc, strict, f"MsFEM {method} space")
+    (masks, elem_alive, edge_alive), numbering, problems, bubble_dof, prescribed = \
+        _local_problems(method, mesh, perf, fine_n, with_bubbles)
     basis, factorizations = _local_basis(grid, masks, kappa, h_loc, problems)
+    empty = (np.array([], dtype=int), np.zeros((0, grid.nn)))
+    elem_basis = {(i, j): basis.get((i, j), empty) for i in range(mesh.m) for j in range(mesh.m)}
+    for elem, (dofs, values) in prescribed.items():
+        solved_dofs, solved = elem_basis[elem]
+        elem_basis[elem] = (np.concatenate([np.array(dofs, dtype=int), solved_dofs]),
+                            np.vstack([values, solved]))
+    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
+                      with_bubbles=with_bubbles, method=method, elem_alive=elem_alive,
+                      edge_alive=edge_alive, masks=masks, elem_basis=elem_basis,
+                      n_dofs=len(numbering) + len(bubble_dof), n_edge_dofs=len(numbering),
+                      edge_dof=numbering if method == "cr" else {}, bubble_dof=bubble_dof,
+                      node_dof={} if method == "cr" else numbering,
+                      solves=sum(len(dofs) for dofs, _ in basis.values()),
+                      factorizations=factorizations)
 
-    return _space(mesh, perf, fine_n, kappa, grid, geometry, basis, factorizations,
-                  with_bubbles=with_bubbles, method="cr",
-                  n_dofs=n_edge_dofs + len(bubble_dof), n_edge_dofs=n_edge_dofs,
-                  edge_dof=edge_dof, bubble_dof=bubble_dof, node_dof={})
+
+def count_local_solves(mesh: CoarseMesh, perf, fine_n: int, method: str,
+                       with_bubbles: bool) -> int:
+    """Local right-hand sides that `_build_space` solves, counted without
+    solving; the geometry is classified here and cached for the build."""
+    problems = _local_problems(method, mesh, perf, fine_n, with_bubbles)[2]
+    return sum(len(prob.dofs) for prob in problems.values())
 
 
-def _corner_hats(grid, node_dof: dict, i: int, j: int):
-    """Dof ids and bilinear hats, on the local fine grid, of the corners of
-    element (i, j) that carry a coarse node dof."""
-    t = np.arange(grid.fn + 1) / grid.fn
-    dofs, hats = [], []
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        if (i + di, j + dj) in node_dof:
-            dofs.append(node_dof[(i + di, j + dj)])
-            hats.append(np.outer(t if di else 1.0 - t, t if dj else 1.0 - t).ravel())
-    return dofs, np.array(hats).reshape(-1, grid.nn)
+def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None = None,
+                   with_bubbles: bool = True, strict: bool = False) -> MsFEMSpace:
+    """Crouzeix-Raviart basis: edge functions and bubbles. Fully perforated
+    elements and edges keep no basis functions."""
+    return _build_space("cr", mesh, perf, fine_n, kappa, with_bubbles, strict)
 
 
 def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
@@ -318,40 +358,7 @@ def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
                        strict: bool = False) -> MsFEMSpace:
     """Classical MsFEM basis: harmonic lifts of affine (hat) traces on each
     element boundary, penalized inside perforations, plus Dirichlet bubbles."""
-    m = mesh.m
-    grid = square_grid(fine_n)
-    h_loc = mesh.H / fine_n
-    if kappa is None:
-        kappa = default_kappa(h_loc)
-    check_resolution(perf, h_loc, strict, "build_linear_space")
-
-    geometry = masks, elem_alive, _ = _element_geometry(mesh, perf, fine_n)
-
-    node_dof = {}
-    k = 0
-    for a in range(1, m):
-        for b in range(1, m):
-            corners = [(a - 1, b - 1), (a, b - 1), (a - 1, b), (a, b)]
-            if any(elem_alive[c] for c in corners):
-                node_dof[(a, b)] = k
-                k += 1
-    n_node_dofs = k
-    alive = [(i, j) for i in range(m) for j in range(m) if elem_alive[i, j]]
-    bubble_dof = ({elem: n_node_dofs + k for k, elem in enumerate(alive)}
-                  if with_bubbles else {})
-
-    problems = {}
-    for i, j in alive:
-        dofs, traces = _corner_hats(grid, node_dof, i, j)
-        bubble = [bubble_dof[(i, j)]] if with_bubbles else []
-        problems[(i, j)] = _LocalProblem(dofs + bubble, SIDES, (), traces=traces,
-                                         bubble=with_bubbles)
-    basis, factorizations = _local_basis(grid, masks, kappa, h_loc, problems)
-
-    return _space(mesh, perf, fine_n, kappa, grid, geometry, basis, factorizations,
-                  with_bubbles=with_bubbles, method="linear",
-                  n_dofs=n_node_dofs + len(bubble_dof), n_edge_dofs=n_node_dofs,
-                  edge_dof={}, bubble_dof=bubble_dof, node_dof=node_dof)
+    return _build_space("linear", mesh, perf, fine_n, kappa, with_bubbles, strict)
 
 
 @dataclass(frozen=True)
@@ -382,8 +389,10 @@ def _stacks(space: MsFEMSpace) -> list:
             for elems in by_count.values()]
 
 
-def _coarse_galerkin(space: MsFEMSpace, f, restrict_load: bool,
-                     penalized_form: bool) -> CoarseSolution:
+def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
+    """Coarse Galerkin solve. The CR space's form and load live on the
+    unperforated part of each element; the H1-conforming baselines use the
+    penalized form and the load on the whole square."""
     mesh = space.mesh
     fn = space.fine_n
     grid = square_grid(fn)
@@ -396,15 +405,15 @@ def _coarse_galerkin(space: MsFEMSpace, f, restrict_load: bool,
     for elems, dofs, values in stacks:
         mask = space.masks[elems[:, 0], elems[:, 1]]
         keep = ~mask
-        if penalized_form:
-            gram = grid.energy_products(values, np.ones_like(keep)) \
-                + space.kappa * grid.l2_products(values, mask, h_loc)
-        else:
+        if space.method == "cr":
             gram = grid.energy_products(values, keep)
+        else:
+            keep = np.ones_like(keep)
+            gram = grid.energy_products(values, keep) \
+                + space.kappa * grid.l2_products(values, mask, h_loc)
         cx, cy = grid.cell_centers((elems[:, :1] * mesh.H, elems[:, 1:] * mesh.H), h_loc)
         fc = np.broadcast_to(np.asarray(f(cx, cy), dtype=float), cx.shape)
-        load_keep = keep if restrict_load else np.ones_like(keep)
-        load = values @ grid.load_vector(fc, load_keep, h_loc)[..., None]
+        load = values @ grid.load_vector(fc, keep, h_loc)[..., None]
         np.add.at(b, dofs.ravel(), load.ravel())
         k = dofs.shape[1]
         rows.append(np.repeat(dofs, k, axis=1).ravel())
@@ -430,72 +439,22 @@ def _coarse_galerkin(space: MsFEMSpace, f, restrict_load: bool,
 
 
 def msfem_solve(space: MsFEMSpace, f) -> CoarseSolution:
-    """Galerkin solve over the multiscale space: the coarse form sums
-    grad-grad products over the unperforated part of each element, and the
-    load is restricted there as well."""
-    return _coarse_galerkin(space, f, restrict_load=True, penalized_form=False)
+    """Galerkin solve over the multiscale space."""
+    return _coarse_galerkin(space, f)
 
 
 def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
                    with_bubbles: bool = True, fine_n: int = 32,
                    kappa: float | None = None, strict: bool = False) -> CoarseSolution:
-    """Reference methods: standard coarse Q1 and MsFEM with linear boundary
-    conditions. Both spaces are H1-conforming on the full square, so their
-    coarse problem is the plain Galerkin projection of the penalized problem
-    (the penalty term is what makes affine traces crossing perforations
-    expensive, which is the sensitivity these baselines are known for)."""
-    if method == "msfem_linear":
-        space = build_linear_space(mesh, perf, fine_n, kappa=kappa,
-                                   with_bubbles=with_bubbles, strict=strict)
-    elif method == "coarse_q1":
-        space = _q1_space(mesh, perf, fine_n, kappa, with_bubbles)
-    else:
+    """Reference methods "msfem_linear" (affine boundary conditions) and
+    "coarse_q1". Their coarse problem is the Galerkin projection of the
+    penalized problem (the penalty makes affine traces crossing perforations
+    expensive: the sensitivity these baselines are known for)."""
+    space = {"msfem_linear": "linear", "coarse_q1": "coarse_q1"}.get(method)
+    if space is None:
         raise ParameterError(f"unknown baseline method {method!r}")
-    return _coarse_galerkin(space, f, restrict_load=False, penalized_form=True)
-
-
-def _q1_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None,
-              with_bubbles: bool) -> MsFEMSpace:
-    """Standard coarse Q1 hats on every element, optionally with bubbles."""
-    grid = square_grid(fine_n)
-    if kappa is None:
-        kappa = default_kappa(mesh.H / fine_n)
-    masks, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
-    m = mesh.m
-    node_dof = {(a, b): (a - 1) * (m - 1) + (b - 1)
-                for a in range(1, m) for b in range(1, m)}
-    elem_basis = {}
-    for i in range(m):
-        for j in range(m):
-            dofs, hats = _corner_hats(grid, node_dof, i, j)
-            elem_basis[(i, j)] = (np.array(dofs, dtype=int), hats)
-    space = MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
-                       with_bubbles=False, method="coarse_q1",
-                       elem_alive=elem_alive, edge_alive=edge_alive, masks=masks,
-                       elem_basis=elem_basis, n_dofs=(m - 1) ** 2,
-                       n_edge_dofs=(m - 1) ** 2, edge_dof={}, bubble_dof={},
-                       node_dof=node_dof, solves=0)
-    return _add_q1_bubbles(space) if with_bubbles else space
-
-
-def _add_q1_bubbles(space: MsFEMSpace) -> MsFEMSpace:
-    """Dirichlet bubbles (-lap = 1, zero trace on the element boundary) used
-    by the baseline methods when bubble enrichment is requested."""
-    grid = square_grid(space.fine_n)
-    alive = [elem for elem in space.elem_basis if space.elem_alive[elem]]
-    bubble_dof = {elem: space.n_dofs + k for k, elem in enumerate(alive)}
-    problems = {elem: _LocalProblem([bubble_dof[elem]], SIDES, (), bubble=True)
-                for elem in alive}
-    bubbles, factorizations = _local_basis(grid, space.masks, space.kappa,
-                                           space.h_loc, problems)
-    basis = dict(space.elem_basis)
-    for elem, (dof, value) in bubbles.items():
-        dofs, values = basis[elem]
-        basis[elem] = (np.concatenate([dofs, dof]), np.vstack([values, value]))
-    return replace(space, with_bubbles=True, elem_basis=basis,
-                   n_dofs=space.n_dofs + len(alive), bubble_dof=bubble_dof,
-                   solves=space.solves + len(alive),
-                   factorizations=space.factorizations + factorizations)
+    return _coarse_galerkin(_build_space(space, mesh, perf, fine_n, kappa, with_bubbles,
+                                         strict), f)
 
 
 def compute_errors(u: CoarseSolution, ref: FineSolution) -> tuple[float, float]:
@@ -541,9 +500,8 @@ def compute_errors(u: CoarseSolution, ref: FineSolution) -> tuple[float, float]:
 def max_mean_jump(space: MsFEMSpace, u: CoarseSolution) -> float:
     """Largest |int_E [[u]]| over alive internal edges (nonconformity check)."""
     grid = square_grid(space.fine_n)
-    adjacency = space.mesh.edge_adjacency()
     worst = 0.0
-    for eid, ((ea, sa), (eb, sb)) in adjacency.items():
+    for eid, ((ea, sa), (eb, sb)) in space.mesh.edge_adjacency().items():
         if not space.edge_alive[eid]:
             continue
         row_a = grid.trace_row(sa, space.h_loc)
@@ -559,13 +517,12 @@ def edge_average_matrix(space: MsFEMSpace) -> np.ndarray:
     are dofs. For the CR space this must be the identity on edge dofs and
     zero on bubble columns."""
     grid = square_grid(space.fine_n)
-    adjacency = space.mesh.edge_adjacency()
     out = np.zeros((space.n_edge_dofs, space.n_dofs))
-    for eid, ((ea, sa), (eb, sb)) in adjacency.items():
+    for eid, ((ea, sa), (eb, sb)) in space.mesh.edge_adjacency().items():
         if not space.edge_alive[eid]:
             continue
         row = space.edge_dof[eid]
-        for (elem, side) in (((ea), sa), ((eb), sb)):
+        for elem, side in ((ea, sa), (eb, sb)):
             dofs, values = space.elem_basis[elem]
             trace = grid.trace_row(side, space.h_loc)
             for a, dof in enumerate(dofs):

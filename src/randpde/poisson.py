@@ -53,10 +53,6 @@ class FineSolution:
             arr = getattr(self, name)
             arr.flags.writeable = False
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.fine_n
-
     def value_at_center(self) -> float:
         mid = self.fine_n // 2
         return float(self.values[mid, mid])
@@ -68,11 +64,6 @@ class FineSolution:
         if not interior.any():
             return 0.0
         return float(np.abs(self.values[1:-1, 1:-1][interior]).max())
-
-    def l2_norm(self) -> float:
-        grid = square_grid(self.fine_n)
-        v = self.values.reshape(1, -1)
-        return float(np.sqrt(grid.l2_products(v, ~self.mask, self.h)[0, 0]))
 
     def h1_seminorm(self) -> float:
         grid = square_grid(self.fine_n)

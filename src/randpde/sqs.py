@@ -64,10 +64,6 @@ class SqsAuxiliary:
     i_inf_box: np.ndarray  # (n_big, n_big, 2, 2)
     solves: int = 0
 
-    def i_inf(self, k: tuple[int, int]) -> np.ndarray:
-        """Whole-space integral I_k (periodic-box proxy), offset mod n_big."""
-        return self.i_inf_box[k[0] % self.n_big, k[1] % self.n_big]
-
     def rhs_second_moment(self, var_x: float) -> np.ndarray:
         """Right-hand side of the second condition for i.i.d. centered draws."""
         return var_x * self.i_inf_box[0, 0]

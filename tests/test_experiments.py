@@ -1,12 +1,13 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from randpde import experiments
 from randpde.cli import main as cli_main
-from randpde.errors import ConfigError, SolverError
+from randpde.errors import ConfigError, ResolutionWarning, SolverError
 from randpde.experiments import parse_config, replot, run, validate
 
 VR_CONFIG = """
@@ -125,6 +126,23 @@ def test_validate_estimate_matches_solves_made(tmp_path, monkeypatch):
     assert archive.manifest["estimated_pde_solves"] == made
 
 
+@pytest.mark.parametrize("strategy", ["sqs1", "sqs2"])
+def test_validate_rejects_unsampleable_sqs_box(tmp_path, monkeypatch, strategy):
+    # p = 1/2 on n = 3 needs 4.5 ones: no balanced configuration exists
+    def never(*args, **kwargs):
+        raise AssertionError("run solved before rejecting the config")
+
+    monkeypatch.setattr(experiments, "mc_estimate", never)
+    text = VR_CONFIG.replace("strategies = mc, antithetic", f"strategies = mc, {strategy}")
+    cfg = parse_config(write_config(tmp_path, text))
+    assert any("n=3" in p and "not an integer" in p for p in validate(cfg)["problems"])
+    with pytest.raises(ConfigError, match="not an integer"):
+        run(cfg, out_override=tmp_path / "sqs")
+    assert not (tmp_path / "sqs" / "reports.csv").exists()
+    feasible = parse_config(write_config(tmp_path, text.replace("n = 3, 4", "n = 4")))
+    assert validate(feasible)["problems"] == []
+
+
 def test_validate_flags_underresolved_msfem(tmp_path):
     text = MSFEM_CONFIG.replace("kind = none",
                                 "kind = periodic_discs\nepsilon = 0.03\nradius_factor = 0.35")
@@ -218,6 +236,12 @@ def test_replot_from_csv(tmp_path):
     made = replot(tmp_path / "ms")
     assert "errors_l2.svg" in made
     assert (tmp_path / "ms" / "errors_l2.svg").exists()
+    # the run and replot draw mean_ci.svg from reports.csv with the same code
+    run(parse_config(write_config(tmp_path, VR_CONFIG)), out_override=tmp_path / "vr")
+    drawn = (tmp_path / "vr" / "mean_ci.svg").read_bytes()
+    (tmp_path / "vr" / "mean_ci.svg").unlink()
+    assert replot(tmp_path / "vr") == ["mean_ci.svg"]
+    assert (tmp_path / "vr" / "mean_ci.svg").read_bytes() == drawn
 
 
 def test_cli_run_and_validate(tmp_path, capsys):
@@ -298,3 +322,38 @@ def test_incompatible_reference_rejected(tmp_path):
     cfg = parse_config(write_config(tmp_path, text))
     diag = validate(cfg)
     assert any("divisible" in p for p in diag["problems"])
+
+
+ESTIMATE_CONFIGS = {
+    # big random rectangles cover 2 of 16 and 3 of 25 elements and 9 and 13
+    # internal edges at H = 1/4 and 1/5
+    "msfem": MSFEM_CONFIG.replace("kind = none", "kind = random_rectangles\ncount = 20\n"
+                                  "width_range = 0.1, 0.3\nheight_range = 0.1, 0.3\ngseed = 7")
+                         .replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/5\nfine_n = 8")
+                         .replace("reference_n = 64", "reference_n = 160"),
+    "msfem-robustness": ROBUST_CONFIG,
+}
+
+
+@pytest.mark.parametrize("bubbles", ["true", "false"])
+@pytest.mark.parametrize("kind", sorted(ESTIMATE_CONFIGS))
+def test_validate_estimate_matches_msfem_solves_made(tmp_path, monkeypatch, kind, bubbles):
+    reference_solve = experiments.reference_solve
+    references = []
+
+    def counted(*args, **kwargs):
+        references.append(args)
+        return reference_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "reference_solve", counted)
+    text = ESTIMATE_CONFIGS[kind].replace("methods = cr, linear\n", "methods = cr\n")
+    text = text.replace("methods = cr\n", f"methods = cr, linear, q1\nwith_bubbles = {bubbles}\n")
+    cfg = parse_config(write_config(tmp_path, text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        archive = run(cfg, out_override=tmp_path / "ms")
+    assert archive.status == "ok"
+    rows = list(csv.DictReader((tmp_path / "ms" / "msfem.csv").read_text().splitlines()))
+    assert {r["method"] for r in rows} == {"cr", "linear", "q1"}
+    made = sum(int(r["solves"]) for r in rows) + len(references)
+    assert archive.manifest["estimated_pde_solves"] == made

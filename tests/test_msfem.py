@@ -7,9 +7,10 @@ import scipy.sparse.linalg as spla
 
 from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
 from randpde.femcore import SIDES, square_grid
-from randpde.msfem import (CoarseMesh, CoarseSolution, _q1_space, baseline_solve,
+from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, baseline_solve,
                            build_cr_space, build_linear_space, compute_errors,
-                           edge_average_matrix, max_mean_jump, msfem_solve)
+                           count_local_solves, edge_average_matrix, max_mean_jump,
+                           msfem_solve)
 from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
 from randpde.poisson import reference_solve
 
@@ -279,7 +280,8 @@ def _engine_spaces(geometry, m, fine_n=16):
     mesh = CoarseMesh(m)
     cr = build_cr_space(mesh, perf, fine_n)
     return [cr, cr.without_bubbles(), build_cr_space(mesh, perf, fine_n, with_bubbles=False),
-            build_linear_space(mesh, perf, fine_n), _q1_space(mesh, perf, fine_n, None, True)]
+            build_linear_space(mesh, perf, fine_n),
+            _build_space("coarse_q1", mesh, perf, fine_n, None, True, False)]
 
 
 def _local_rows(space):
@@ -322,7 +324,7 @@ def test_local_engine_counts_factorizations_apart_from_solves():
                                height_range=(0.02, 0.05), seed=2026)
     cr = build_cr_space(CoarseMesh(5), discs, 32)
     linear = build_linear_space(CoarseMesh(5), discs, 32)
-    q1 = _q1_space(CoarseMesh(5), discs, 32, None, True)
+    q1 = _build_space("coarse_q1", CoarseMesh(5), discs, 32, None, True, False)
     assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
     # every alive element solves one right-hand side per basis function
     assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
@@ -336,7 +338,7 @@ def test_geometry_shared_and_read_only():
     perf = build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2)
     cr = build_cr_space(CoarseMesh(4), perf, 16)
     linear = build_linear_space(CoarseMesh(4), perf, 16)
-    q1 = _q1_space(CoarseMesh(4), perf, 16, None, True)
+    q1 = _build_space("coarse_q1", CoarseMesh(4), perf, 16, None, True, False)
     assert cr.masks is linear.masks is q1.masks
     assert cr.elem_alive is linear.elem_alive is q1.elem_alive
     for arr in (cr.masks, cr.elem_alive, cr.edge_alive):
@@ -347,3 +349,22 @@ def test_geometry_shared_and_read_only():
 def test_unknown_method_rejected():
     with pytest.raises(ParameterError):
         baseline_solve(CoarseMesh(4), NoPerforations(), f_one, method="oversampling")
+
+
+@pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
+def test_count_local_solves_matches_builds(geometry):
+    cr, _, cr_plain, linear, q1 = _engine_spaces(geometry, 5)
+    for space in (cr, cr_plain, linear, q1):
+        assert count_local_solves(space.mesh, space.perf, space.fine_n, space.method,
+                                  space.with_bubbles) == space.solves, space.method
+    # coarse Q1 without bubbles prescribes every row and solves nothing
+    bare = _build_space("coarse_q1", q1.mesh, q1.perf, q1.fine_n, None, False, False)
+    assert (bare.solves, bare.factorizations) == (0, 0)
+    assert count_local_solves(q1.mesh, q1.perf, q1.fine_n, "coarse_q1", False) == 0
+
+
+@pytest.mark.parametrize("method", ["msfem_linear", "coarse_q1"])
+def test_strict_baselines_reject_underresolved_perforations(method):
+    perf = build_perforations("periodic_discs", epsilon=0.03, radius_factor=0.35)
+    with pytest.raises(ParameterError, match="4 cells"):
+        baseline_solve(CoarseMesh(4), perf, f_one, method, fine_n=8, strict=True)
