@@ -35,7 +35,6 @@ from .svgplot import svg_heatmap, svg_line_plot
 KINDS = ("homogenize", "vr-compare", "msfem", "msfem-robustness")
 STRATEGIES = ("mc", "antithetic", "cv1", "cv2", "sqs1", "sqs2")
 MSFEM_METHODS = ("cr", "linear", "q1")
-_SPACE_METHODS = {"cr": "cr", "linear": "linear", "q1": "coarse_q1"}
 
 RHS_FUNCTIONS = {
     "one": lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
@@ -327,8 +326,7 @@ def validate(cfg: ExperimentConfig) -> dict:
                                f"{feature / h_loc:.2f} < 4 cells across the smallest "
                                f"perforation")
                         (problems if cfg.strict else notes).append(msg)
-                    solves += sum(count_local_solves(CoarseMesh(m), perf, fn,
-                                                     _SPACE_METHODS[method],
+                    solves += sum(count_local_solves(CoarseMesh(m), perf, fn, method,
                                                      cfg.msfem["with_bubbles"])
                                   for method in cfg.msfem["methods"])
     except RandpdeError as exc:

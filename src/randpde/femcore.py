@@ -6,13 +6,13 @@ the Galerkin multigrid V-cycle that preconditions the reference solve's CG
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import CORNERS, KXX, KYY, MASS
+from .grid import CORNERS, KXX, KYY, MASS, assemble
 
 KLAP = KXX + KYY
 SIDES = ("S", "E", "N", "W")
@@ -33,30 +33,16 @@ class SquareGrid:
                                     (ex + 1) * stride + ey + 1,
                                     ex * stride + ey + 1], axis=1)
         self.cell_xy = (ex, ey)
-        self._k0 = None
 
-    def laplace(self) -> sp.csr_matrix:
-        if self._k0 is None:
-            # int32 COO indices halve the transient of a large (reference)
-            # grid's assembly; the CSR built from them is the same
-            en = self.elem_nodes.astype(np.int32)
-            rows = np.repeat(en, 4, axis=1).ravel()
-            cols = np.tile(en, (1, 4)).ravel()
-            data = np.tile(KLAP.ravel(), len(en))
-            self._k0 = sp.coo_matrix((data, (rows, cols)),
-                                     shape=(self.nn, self.nn)).tocsr()
-        return self._k0
+    @cached_property
+    def _laplace(self) -> sp.csr_matrix:
+        return assemble([(self.elem_nodes, KLAP)], self.nn)
 
-    def penalty_mass(self, mask: np.ndarray, kappa: float, h: float) -> sp.csr_matrix:
-        """kappa * int_{masked cells} u v, exact Q1 mass on masked cells."""
-        masked = np.flatnonzero(mask.ravel())
-        if masked.size == 0:
-            return sp.csr_matrix((self.nn, self.nn))
-        en = self.elem_nodes[masked]
-        rows = np.repeat(en, 4, axis=1).ravel()
-        cols = np.tile(en, (1, 4)).ravel()
-        data = np.tile((kappa * h * h * MASS).ravel(), masked.size)
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.nn, self.nn)).tocsr()
+    def penalized(self, mask: np.ndarray, kappa: float, h: float) -> sp.csr_matrix:
+        """Laplace stiffness (cached per grid) plus kappa * int_{masked cells} u v,
+        the exact Q1 mass on the masked cells."""
+        masked = self.elem_nodes[mask.ravel()]
+        return self._laplace + assemble([(masked, kappa * h * h * MASS)], self.nn)
 
     def side_nodes(self, side: str) -> np.ndarray:
         fn = self.fn
@@ -81,10 +67,12 @@ class SquareGrid:
         row[nodes[-1]] = 0.5 * h
         return row
 
-    def boundary_nodes(self, sides) -> np.ndarray:
-        if not sides:
-            return np.array([], dtype=int)
-        return np.unique(np.concatenate([self.side_nodes(s) for s in sides]))
+    def free_nodes(self, sides) -> np.ndarray:
+        """Boolean mask of the nodes off the given sides."""
+        free = np.ones(self.nn, dtype=bool)
+        for side in sides:
+            free[self.side_nodes(side)] = False
+        return free
 
     def cell_centers(self, origin: tuple[float, float], h: float):
         ex, ey = self.cell_xy

@@ -50,6 +50,28 @@ MASS = np.array([[4, 2, 1, 2],
 CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
+def assemble(stacks, n: int) -> sp.csr_matrix:
+    """Sum element blocks into an n x n CSR matrix. Each stack is (dofs
+    (E, k), blocks (E, k, k) or one (k, k) block for every element); entry
+    (e, a, b) lands on row dofs[e, a] and column dofs[e, b]. Entries go, in
+    stack order, into one preallocated int32-indexed COO list (no copies
+    to concatenate), and scipy sums the duplicates in that order."""
+    stacks = [(np.asarray(dofs), blocks) for dofs, blocks in stacks]
+    size = sum(dofs.shape[0] * dofs.shape[1] ** 2 for dofs, _ in stacks)
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    data = np.empty(size)
+    start = 0
+    for dofs, blocks in stacks:
+        e, k = dofs.shape
+        entries = slice(start, start + e * k * k)
+        rows[entries].reshape(e, k, k)[...] = dofs[:, :, None]
+        cols[entries].reshape(e, k, k)[...] = dofs[:, None, :]
+        data[entries].reshape(e, k, k)[...] = blocks
+        start = entries.stop
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def element_stiffness(a11, a22, a12) -> np.ndarray:
     """Q1 element stiffness a11*KXX + a22*KYY + a12*(KXY + KXY^T) for scalar
     or per-element coefficients; shape (..., 4, 4)."""
@@ -119,17 +141,16 @@ class PeriodicGrid:
     def _stiffness_pattern(self):
         """CSR pattern of the stiffness, (indices, indptr), and the CSR slot
         of every element-matrix entry (element, a, b), built once per grid.
-        Each row has 16 entries before summing, so the COO-to-CSR conversion
-        sums duplicates in entry order, as `np.bincount` over the slots does."""
-        rows = np.repeat(self.elem_nodes, 4, axis=1).ravel()
-        cols = np.tile(self.elem_nodes, (1, 4)).ravel()
-        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                                shape=(self.ndof, self.ndof)).tocsr()
+        `assemble` sums duplicates in entry order, as `np.bincount` over the
+        slots does."""
+        en = self.elem_nodes
+        pattern = assemble([(en, np.ones((4, 4)))], self.ndof)
         # the pattern's (row, col) keys ascend, so a binary search finds the
-        # slot of every entry; slots take the pattern's index dtype
+        # slot of every entry (e, a, b); slots take the pattern's index dtype
         pattern_rows = np.repeat(np.arange(self.ndof), np.diff(pattern.indptr))
+        keys = en[:, :, None] * self.ndof + en[:, None, :]
         slot = np.searchsorted(pattern_rows * self.ndof + pattern.indices,
-                               rows * self.ndof + cols).astype(pattern.indices.dtype)
+                               keys.ravel()).astype(pattern.indices.dtype)
         for arr in (pattern.indices, pattern.indptr, slot):
             arr.flags.writeable = False
         return pattern.indices, pattern.indptr, slot
@@ -144,10 +165,11 @@ class PeriodicGrid:
 
     def corrector_rhs(self, cells: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Load vector of -int grad(v).A.p (consistent with the stiffness)."""
-        a = self.element_coefficients(cells)
-        ap = a @ np.asarray(p, dtype=float)
-        half_h = 0.5 * self.h
-        fe = -(np.outer(ap[:, 0], GX) + np.outer(ap[:, 1], GY)) * half_h
+        ap = self.element_coefficients(cells) @ np.asarray(p, dtype=float)
+        fe = np.outer(ap[:, 0], GX)
+        for c in range(4):  # by column: no second (E, 4) temporary on large boxes
+            fe[:, c] += ap[:, 1] * GY[c]
+        fe *= -0.5 * self.h
         return np.bincount(self.elem_nodes.ravel(), weights=fe.ravel(),
                            minlength=self.ndof)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ import scipy.sparse.linalg as spla
 from .errors import (AssemblyError, GridMismatchError, LocalSolveError,
                      ParameterError, ResolutionWarning)
 from .femcore import SIDES, square_grid
+from .grid import assemble
 from .poisson import FineSolution, check_resolution, default_kappa
 
 
@@ -101,7 +102,7 @@ class MsFEMSpace:
     fine_n: int
     kappa: float
     with_bubbles: bool
-    method: str                  # "cr", "linear" or "coarse_q1"
+    method: str                  # "cr", "linear" or "q1"
     elem_alive: np.ndarray       # (m, m) bool
     edge_alive: np.ndarray       # (n_internal_edges,) bool
     masks: np.ndarray            # (m, m, fn, fn) bool
@@ -110,7 +111,7 @@ class MsFEMSpace:
     n_edge_dofs: int
     edge_dof: dict               # edge id -> dof
     bubble_dof: dict             # (i, j) -> dof
-    node_dof: dict               # coarse node -> dof (linear and coarse_q1)
+    node_dof: dict               # coarse node -> dof (linear and q1)
     solves: int                  # local right-hand sides solved
     factorizations: int = 0      # local LU factorizations made
 
@@ -130,12 +131,13 @@ class MsFEMSpace:
                        n_dofs=self.n_edge_dofs, bubble_dof={})
 
 
-@lru_cache(maxsize=4)
+@cache
 def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
     """Masks, element liveness and edge liveness for the given geometry.
 
-    Cached, so the solve count and the cr, linear and q1 builds of one geometry
-    compute it once; the arrays are read-only because those spaces share them."""
+    Cached without a bound, so a run's solve count and its cr, linear and q1
+    builds classify each (geometry, level) once however many the run has; the
+    arrays are read-only because those spaces share them."""
     m = mesh.m
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
@@ -205,10 +207,10 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     symmetric-pattern systems better than the default COLAMD, and each
     member's right-hand sides are solved as one block."""
     first = next(iter(members.values()))
-    A = grid.laplace() + grid.penalty_mass(mask, kappa, h_loc)
-    fixed = grid.boundary_nodes(first.dirichlet)
-    free = np.setdiff1d(np.arange(grid.nn), fixed)
-    A_f = A[free]
+    free = grid.free_nodes(first.dirichlet)
+    fixed = ~free
+    nf = np.count_nonzero(free)
+    A_f = grid.penalized(mask, kappa, h_loc)[free]
     if first.constrained:
         C = sp.csr_matrix(np.vstack([grid.trace_row(s, h_loc)[free]
                                      for s in first.constrained]))
@@ -228,18 +230,18 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
         values = np.zeros((len(prob.dofs), grid.nn))
         lifts = len(prob.dofs) - prob.bubble
         if prob.averages is not None:
-            rhs[:lifts, free.size:] = prob.averages
+            rhs[:lifts, nf:] = prob.averages
         if prob.traces is not None:
             g = prob.traces[:, fixed]
-            rhs[:lifts, :free.size] = -(A_f[:, fixed] @ g.T).T
+            rhs[:lifts, :nf] = -(A_f[:, fixed] @ g.T).T
             values[:lifts, fixed] = g
         if prob.bubble:
-            rhs[-1, :free.size] = load
+            rhs[-1, :nf] = load
         sol = lu.solve(rhs.T)
         if not np.all(np.isfinite(sol)):
             raise LocalSolveError(f"local solve diverged on element ({i}, {j})",
                                   kind="element", index=(i, j))
-        values[:, free] = sol[:free.size].T
+        values[:, free] = sol[:nf].T
         out[(i, j)] = (np.array(prob.dofs, dtype=int), values)
     return out
 
@@ -299,7 +301,7 @@ def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbl
     an element with nothing to solve), bubble numbering and prescribed rows."""
     geometry = _, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
     alive = [(i, j) for i in range(mesh.m) for j in range(mesh.m) if elem_alive[i, j]]
-    problem_list = {"cr": _cr_problems, "linear": _linear_problems, "coarse_q1": _q1_problems}
+    problem_list = {"cr": _cr_problems, "linear": _linear_problems, "q1": _q1_problems}
     numbering, problems, prescribed = problem_list[method](
         mesh, square_grid(fine_n), alive, elem_alive, edge_alive)
     bubble_dof = {}
@@ -313,7 +315,7 @@ def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbl
 
 def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int, kappa: float | None,
                  with_bubbles: bool, strict: bool) -> MsFEMSpace:
-    """The space "cr", "linear" or "coarse_q1": local problems solved with one
+    """The space "cr", "linear" or "q1" (coarse Q1): local problems solved with one
     LU per distinct system, after each element's prescribed rows."""
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
@@ -399,7 +401,7 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
     h_loc = space.h_loc
     if space.n_dofs == 0:
         raise AssemblyError("no basis functions survive the perforations")
-    rows, cols, grams = [], [], []
+    blocks = []
     b = np.zeros(space.n_dofs)
     stacks = _stacks(space)
     for elems, dofs, values in stacks:
@@ -415,12 +417,8 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
         fc = np.broadcast_to(np.asarray(f(cx, cy), dtype=float), cx.shape)
         load = values @ grid.load_vector(fc, keep, h_loc)[..., None]
         np.add.at(b, dofs.ravel(), load.ravel())
-        k = dofs.shape[1]
-        rows.append(np.repeat(dofs, k, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, k)).ravel())
-        grams.append(gram.ravel())
-    K = sp.coo_matrix((np.concatenate(grams), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(space.n_dofs, space.n_dofs)).tocsr()
+        blocks.append((dofs, gram))
+    K = assemble(blocks, space.n_dofs)
     try:
         coeffs = spla.spsolve(K.tocsc(), b)
     except RuntimeError as exc:
@@ -450,7 +448,7 @@ def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
     "coarse_q1". Their coarse problem is the Galerkin projection of the
     penalized problem (the penalty makes affine traces crossing perforations
     expensive: the sensitivity these baselines are known for)."""
-    space = {"msfem_linear": "linear", "coarse_q1": "coarse_q1"}.get(method)
+    space = {"msfem_linear": "linear", "coarse_q1": "q1"}.get(method)
     if space is None:
         raise ParameterError(f"unknown baseline method {method!r}")
     return _coarse_galerkin(_build_space(space, mesh, perf, fine_n, kappa, with_bubbles,

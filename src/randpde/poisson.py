@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionWarning
-from .femcore import SquareGrid, multigrid_preconditioner, square_grid
+from .femcore import SIDES, SquareGrid, multigrid_preconditioner, square_grid
 from .grid import cg_spd
 
 DEFAULT_KAPPA_SCALE = 1e8
@@ -91,14 +91,13 @@ def reference_solve(perf, f, fine_n: int, kappa: float | None = None,
     cx, cy = grid.cell_centers((0.0, 0.0), h)
     mask = perf.indicator(cx, cy).reshape(fine_n, fine_n)
 
-    K = grid.laplace() + grid.penalty_mass(mask, kappa, h)
+    K = grid.penalized(mask, kappa, h)
     fc = np.asarray(f(cx, cy), dtype=float)
     if fc.ndim == 0:
         fc = np.full(fine_n * fine_n, float(fc))
     b = grid.load_vector(fc, np.ones_like(mask, dtype=bool), h)
 
-    fixed = grid.boundary_nodes(("S", "E", "N", "W"))
-    free = np.setdiff1d(np.arange(grid.nn), fixed, assume_unique=False)
+    free = grid.free_nodes(SIDES)
     Kff = K[free][:, free].tocsr()
     del K  # free the full matrix before the multigrid hierarchy is built
     x_free, _, _ = cg_spd(Kff, b[free], tol=tol,

@@ -19,7 +19,7 @@ import numpy as np
 from .correctors import E1, E2
 from .errors import GridMismatchError, ParameterError
 from .fields import Configuration, _as_symmetric_matrix
-from .grid import GX, GY, periodic_grid
+from .grid import periodic_grid
 
 
 def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
@@ -29,24 +29,17 @@ def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
     constant-medium problems are solved exactly by FFT."""
     grid = periodic_grid(n, r)
     solve = grid.constant_medium_solver(c0)
-    half_h = 0.5 * grid.h
     cell_of_elem = grid.elem_cell  # (cx, cy) arrays
-    in_origin = (cell_of_elem[0] == 0) & (cell_of_elem[1] == 0)
+    origin_c1 = np.zeros((n, n, 2, 2))
+    origin_c1[0, 0] = c1  # 1_Q C1: C1 on the origin cell, zero elsewhere
     out = np.zeros((n, n, 2, 2))
-    solves = 0
     for col, p in enumerate((E1, E2)):
-        c1p = c1 @ p
-        fe = -(c1p[0] * GX + c1p[1] * GY) * half_h
-        b = np.bincount(grid.elem_nodes[in_origin].ravel(),
-                        weights=np.tile(fe, (int(in_origin.sum()), 1)).ravel(),
-                        minlength=grid.ndof)
-        phi = solve(b)
-        solves += 1
+        phi = solve(grid.corrector_rhs(origin_c1, p))
         grads = grid.element_gradient_integrals(phi)
         flux = grads @ c1.T  # (n_elements, 2): C1 grad phi integrated per element
         np.add.at(out[:, :, 0, col], (cell_of_elem[0], cell_of_elem[1]), flux[:, 0])
         np.add.at(out[:, :, 1, col], (cell_of_elem[0], cell_of_elem[1]), flux[:, 1])
-    return out, solves
+    return out, 2  # one FFT solve per direction
 
 
 @dataclass(frozen=True)

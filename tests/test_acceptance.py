@@ -4,8 +4,9 @@
 Fixed seeds make every criterion deterministic; statistical tolerances are the
 stated ones. In criterion 6 every internal edge of the H = 2*epsilon coarse mesh
 lies on a mirror line of the disc lattice, so the reference has zero normal flux
-there and lies in the edge-average space with bubbles; its reference is solved
-on the local grids' own resolution so that the errors measure the method alone.
+there and lies in the edge-average space with bubbles. The references of
+criteria 6, 7 and 8 are solved on the local grids' own resolution
+(m * fine_n), so that the errors measure the method alone.
 """
 
 import numpy as np
@@ -264,7 +265,7 @@ def test_criterion_6_msfem_tables(table_runs):
 @pytest.fixture(scope="module")
 def bubble_sweep():
     perf = build_perforations("periodic_discs", epsilon=0.03, radius_factor=0.35)
-    ref = reference_solve(perf, f_sinq, 1024)
+    ref = reference_solve(perf, f_sinq, 512)  # m * fine_n at every level
     rows = {}
     spaces = {}
     for m, fn in ((8, 64), (16, 32), (32, 16)):
@@ -311,7 +312,7 @@ def random_sweep():
     perf = build_perforations("random_rectangles", count=100,
                               width_range=(0.02, 0.05), height_range=(0.02, 0.05),
                               seed=2026)
-    ref = reference_solve(perf, f_one, 1024)
+    ref = reference_solve(perf, f_one, 512)  # m * fine_n at every level
     rows = {}
     for m, fn in ((8, 64), (16, 32), (32, 16)):
         mesh = CoarseMesh(m)
@@ -376,7 +377,7 @@ def test_criterion_9_invariants(table_runs, tmp_path):
             v = rng.normal(size=grid_f.nn)
             dirichlet = [s for s in SIDES
                          if space.mesh.element_side_edge(elem[0], elem[1], s) is None]
-            fixed = set(grid_f.boundary_nodes(dirichlet).tolist())
+            fixed = {node for s in dirichlet for node in grid_f.side_nodes(s).tolist()}
             fixed.update(np.unique(grid_f.elem_nodes[mask.ravel()]).tolist())
             v[sorted(fixed)] = 0.0
             rows = [grid_f.trace_row(s, space.h_loc) for s in SIDES if s not in dirichlet]

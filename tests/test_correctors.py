@@ -220,6 +220,26 @@ def test_cached_stiffness_pattern_matches_coo_assembly(n, r):
             assert np.array_equal(getattr(K, name), getattr(coo, name)), (k, name)
 
 
+def test_assemble_matches_dense_sum():
+    # stacks of k = 1..5 with repeated dofs, int64 and int32 dof arrays, and
+    # a (k, k) block shared by every element, against a dense scatter-add
+    from randpde.grid import assemble
+    rng = np.random.default_rng(4)
+    n = 13
+    stacks, dense = [], np.zeros((n, n))
+    for k in range(1, 6):
+        dofs = rng.integers(0, n, size=(7, k)).astype(np.int64 if k % 2 else np.int32)
+        dofs[0] = dofs[0, 0]  # one element with every dof repeated
+        blocks = rng.normal(size=(7, k, k)) if k != 3 else rng.normal(size=(k, k))
+        for d, b in zip(dofs, np.broadcast_to(blocks, (7, k, k))):
+            np.add.at(dense, (d[:, None], d[None, :]), b)
+        stacks.append((dofs, blocks))
+    K = assemble(stacks, n)
+    assert K.shape == (n, n) and K.indices.dtype == np.int32
+    assert np.allclose(K.toarray(), dense, rtol=0, atol=1e-12)
+    assert assemble([(np.zeros((0, 4), dtype=int), np.ones((4, 4)))], n).nnz == 0
+
+
 def test_checkerboard_mean_consistent_with_duality():
     # Duality closed form sqrt(alpha*beta) = sqrt(60). The r = 8 grid carries
     # a small positive resolution bias from the cell-corner singularities, so

@@ -317,6 +317,19 @@ def test_run_msfem_robustness_kind(tmp_path):
     assert len(rows) == 1 + 2 * 2  # 2 geometries x 2 methods
 
 
+def test_run_classifies_each_geometry_level_once(tmp_path):
+    # 2 disc lattices x 3 levels: validate classifies all 6 (geometry, level)
+    # pairs and the run's cr and linear builds reuse them
+    from randpde.msfem import _element_geometry
+    text = ROBUST_CONFIG.replace("h = 1/2\nfine_n = 16", "h = 1/2, 1/4, 1/8\nfine_n = 16, 8, 8")
+    cfg = parse_config(write_config(tmp_path, text))
+    _element_geometry.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        assert run(cfg, out_override=tmp_path / "rob").status == "ok"
+    assert _element_geometry.cache_info().misses == 6
+
+
 def test_incompatible_reference_rejected(tmp_path):
     text = MSFEM_CONFIG.replace("reference_n = 64", "reference_n = 100")
     cfg = parse_config(write_config(tmp_path, text))

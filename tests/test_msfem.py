@@ -6,7 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
-from randpde.femcore import SIDES, square_grid
+from randpde.femcore import SIDES, SquareGrid, square_grid
+from randpde.grid import KXX, KYY, MASS
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, baseline_solve,
                            build_cr_space, build_linear_space, compute_errors,
                            count_local_solves, edge_average_matrix, max_mean_jump,
@@ -135,7 +136,7 @@ def _whspace_probe(space, elem, rng):
     v = rng.normal(size=grid.nn)
     dirichlet = [s for s in SIDES
                  if space.mesh.element_side_edge(elem[0], elem[1], s) is None]
-    fixed = set(grid.boundary_nodes(dirichlet).tolist())
+    fixed = {node for s in dirichlet for node in grid.side_nodes(s).tolist()}
     fixed.update(np.unique(grid.elem_nodes[mask.ravel()]).tolist())
     v[sorted(fixed)] = 0.0
     rows = [grid.trace_row(s, space.h_loc) for s in SIDES if s not in dirichlet]
@@ -232,15 +233,40 @@ def test_without_bubbles_view():
     assert u.dof == bare.n_dofs
 
 
+def _penalized_coo(grid, mask, kappa, h):
+    """Laplace stiffness plus kappa times the mass on masked cells, each term
+    one COO build, independently of `SquareGrid.penalized`."""
+    def coo(en, block):
+        rows, cols = np.repeat(en, 4, axis=1).ravel(), np.tile(en, (1, 4)).ravel()
+        data = np.tile(block.ravel(), len(en))
+        return sp.coo_matrix((data, (rows, cols)), shape=(grid.nn, grid.nn)).tocsr()
+    return coo(grid.elem_nodes, KXX + KYY) + coo(grid.elem_nodes[mask.ravel()],
+                                                kappa * h * h * MASS)
+
+
+@pytest.mark.parametrize("fn", [8, 16, 160])
+def test_penalized_matches_coo_build(fn):
+    grid = SquareGrid(fn)
+    rng = np.random.default_rng(fn)
+    for density in (0.0, 0.3, 1.0):
+        mask = rng.random((fn, fn)) < density
+        kappa, h = 1e8 * fn ** 2, 1.0 / fn
+        A = grid.penalized(mask, kappa, h)
+        ref = _penalized_coo(grid, mask, kappa, h)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(ref, name)), (density, name)
+
+
 def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):
     """Plain per-element local solves: assemble, slice, factorize with the
     given column ordering, then solve the basis functions' right-hand sides
     as one block (or, with block=False, each on its own)."""
     grid, h, (i, j) = square_grid(space.fine_n), space.h_loc, elem
-    A = grid.laplace() + grid.penalty_mass(space.masks[elem], space.kappa, h)
+    A = _penalized_coo(grid, space.masks[elem], space.kappa, h)
     internal = [s for s in SIDES if space.method == "cr"
                 and space.mesh.element_side_edge(i, j, s) is not None]
-    fixed = grid.boundary_nodes([s for s in SIDES if s not in internal])
+    fixed = np.unique([node for s in SIDES if s not in internal
+                       for node in grid.side_nodes(s)]).astype(int)
     free = np.setdiff1d(np.arange(grid.nn), fixed)
     C = sp.csr_matrix(np.array([grid.trace_row(s, h)[free] for s in internal]))
     S = sp.bmat([[A[free][:, free], C.T], [C, None]], format="csc") if internal \
@@ -281,13 +307,13 @@ def _engine_spaces(geometry, m, fine_n=16):
     cr = build_cr_space(mesh, perf, fine_n)
     return [cr, cr.without_bubbles(), build_cr_space(mesh, perf, fine_n, with_bubbles=False),
             build_linear_space(mesh, perf, fine_n),
-            _build_space("coarse_q1", mesh, perf, fine_n, None, True, False)]
+            _build_space("q1", mesh, perf, fine_n, None, True, False)]
 
 
 def _local_rows(space):
     """(element, dof ids, basis values) of every local solve of a space."""
     for elem, (dofs, values) in space.elem_basis.items():
-        if space.method == "coarse_q1":  # only its bubbles are local solves
+        if space.method == "q1":  # only its bubbles are local solves
             if elem not in space.bubble_dof:
                 continue
             dofs, values = dofs[-1:], values[-1:]
@@ -324,7 +350,7 @@ def test_local_engine_counts_factorizations_apart_from_solves():
                                height_range=(0.02, 0.05), seed=2026)
     cr = build_cr_space(CoarseMesh(5), discs, 32)
     linear = build_linear_space(CoarseMesh(5), discs, 32)
-    q1 = _build_space("coarse_q1", CoarseMesh(5), discs, 32, None, True, False)
+    q1 = _build_space("q1", CoarseMesh(5), discs, 32, None, True, False)
     assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
     # every alive element solves one right-hand side per basis function
     assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
@@ -338,7 +364,7 @@ def test_geometry_shared_and_read_only():
     perf = build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2)
     cr = build_cr_space(CoarseMesh(4), perf, 16)
     linear = build_linear_space(CoarseMesh(4), perf, 16)
-    q1 = _build_space("coarse_q1", CoarseMesh(4), perf, 16, None, True, False)
+    q1 = _build_space("q1", CoarseMesh(4), perf, 16, None, True, False)
     assert cr.masks is linear.masks is q1.masks
     assert cr.elem_alive is linear.elem_alive is q1.elem_alive
     for arr in (cr.masks, cr.elem_alive, cr.edge_alive):
@@ -358,9 +384,9 @@ def test_count_local_solves_matches_builds(geometry):
         assert count_local_solves(space.mesh, space.perf, space.fine_n, space.method,
                                   space.with_bubbles) == space.solves, space.method
     # coarse Q1 without bubbles prescribes every row and solves nothing
-    bare = _build_space("coarse_q1", q1.mesh, q1.perf, q1.fine_n, None, False, False)
+    bare = _build_space("q1", q1.mesh, q1.perf, q1.fine_n, None, False, False)
     assert (bare.solves, bare.factorizations) == (0, 0)
-    assert count_local_solves(q1.mesh, q1.perf, q1.fine_n, "coarse_q1", False) == 0
+    assert count_local_solves(q1.mesh, q1.perf, q1.fine_n, "q1", False) == 0
 
 
 @pytest.mark.parametrize("method", ["msfem_linear", "coarse_q1"])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from randpde import experiments
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 # Wrapped by the benchmark but no longer imported by `randpde.sqs`; removing
@@ -16,11 +18,15 @@ TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 STALE = {"randpde.sqs.solve_singular_system"}
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_benchmark_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(mod, attr) for mod, attr, *_ in module.TARGETS]
+    return module
+
+
+def _targets():
+    return [(mod, attr) for mod, attr, *_ in _tracing().TARGETS]
 
 
 @pytest.mark.parametrize("module_name, attr", [
@@ -30,3 +36,35 @@ def test_tracing_targets_resolve(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_runner_passes_baseline_method_as_fourth_argument(tmp_path, monkeypatch):
+    # the benchmark splits the `msfem.baseline` span into its linear and q1
+    # layers by `baseline_solve`'s positional argument 3
+    baseline_solve = experiments.baseline_solve
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return baseline_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "baseline_solve", recorded)
+    config = tmp_path / "exp.ini"
+    config.write_text(f"""
+[experiment]
+kind = msfem
+out = {tmp_path / "archive"}
+
+[geometry]
+kind = none
+
+[msfem]
+h = 1/4
+fine_n = 8
+methods = linear, q1
+""")
+    assert experiments.run(experiments.parse_config(config)).status == "ok"
+    assert [args[3] for args in calls] == ["msfem_linear", "coarse_q1"]
+    span_name = _tracing().span_name
+    assert [span_name({"name": "msfem.baseline", "method": args[3]}) for args in calls] \
+        == ["msfem.linear", "msfem.q1"]
