@@ -288,21 +288,18 @@ def validate(cfg: ExperimentConfig) -> dict:
     shared by cv1 and cv2 and the 4 selection solves of sqs2. For the MsFEM
     kinds it counts one reference solve per geometry plus the local solves of
     every (geometry, level, method), taken from the same local problems the
-    space builder solves; the geometry is classified here and cached for the
-    run. An SQS strategy on a box where p*n^2 is not an integer is a problem.
+    space builder solves, on the geometry classified the same way. An SQS
+    strategy on a box where p*n^2 is not an integer is a problem.
     """
     problems: list[str] = []
     notes: list[str] = []
     solves = 0
-    memory = 0
     try:
         if cfg.kind in ("homogenize", "vr-compare"):
             law = _build_law(cfg)
             est = cfg.estimate
             strategies = est["strategies"]
             for n in est["n"]:
-                dof = (n * est["r"]) ** 2
-                memory = max(memory, 9 * dof * 16)
                 # two correctors per sample; an antithetic sample is a pair
                 solves += sum(4 if s == "antithetic" else 2 for s in strategies) * est["m"]
                 if isinstance(law, PerturbedPeriodic) and ("cv1" in strategies
@@ -314,8 +311,7 @@ def validate(cfg: ExperimentConfig) -> dict:
                     balanced_ones(n, law.bernoulli_p)  # raises when SQS cannot sample
         else:
             geometries = _geometries(cfg)
-            pairs, ref_n = _msfem_grids(cfg)
-            memory = 9 * (ref_n + 1) ** 2 * 16
+            pairs, _ = _msfem_grids(cfg)
             for _, perf in geometries:
                 solves += 1  # the reference solve
                 feature = perf.smallest_feature()
@@ -331,8 +327,7 @@ def validate(cfg: ExperimentConfig) -> dict:
                                   for method in cfg.msfem["methods"])
     except RandpdeError as exc:
         problems.append(str(exc))
-    return {"problems": problems, "notes": notes,
-            "estimated_pde_solves": solves, "estimated_peak_bytes": int(memory)}
+    return {"problems": problems, "notes": notes, "estimated_pde_solves": solves}
 
 
 @dataclass

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,9 +41,6 @@ class CoarseMesh:
     @property
     def H(self) -> float:
         return 1.0 / self.m
-
-    def n_internal_edges(self) -> int:
-        return 2 * self.m * (self.m - 1)
 
     def edge_id(self, orientation: str, i: int, j: int) -> int:
         """Vertical edge (i, j): between elements (i, j) and (i+1, j);
@@ -80,18 +76,6 @@ class CoarseMesh:
                 adj[self.edge_id("h", i, j)] = (((i, j), "N"), ((i, j + 1), "S"))
         return adj
 
-    def edge_trace_points(self, edge_id: int, fn: int):
-        """Physical coordinates of the fn+1 fine trace nodes on an edge."""
-        m = self.m
-        H = self.H
-        t = np.linspace(0.0, H, fn + 1)
-        if edge_id < (m - 1) * m:
-            i, j = divmod(edge_id, m)
-            return np.full(fn + 1, (i + 1) * H), j * H + t
-        k = edge_id - (m - 1) * m
-        i, j = divmod(k, m - 1)
-        return i * H + t, np.full(fn + 1, (j + 1) * H)
-
 
 @dataclass
 class MsFEMSpace:
@@ -104,7 +88,7 @@ class MsFEMSpace:
     with_bubbles: bool
     method: str                  # "cr", "linear" or "q1"
     elem_alive: np.ndarray       # (m, m) bool
-    edge_alive: np.ndarray       # (n_internal_edges,) bool
+    edge_alive: np.ndarray       # (2 m (m - 1),) bool, in edge-id order
     masks: np.ndarray            # (m, m, fn, fn) bool
     elem_basis: dict             # (i, j) -> (dof ids array, values (nb, nn))
     n_dofs: int
@@ -131,34 +115,25 @@ class MsFEMSpace:
                        n_dofs=self.n_edge_dofs, bubble_dof={})
 
 
-@cache
 def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
     """Masks, element liveness and edge liveness for the given geometry.
 
-    Cached without a bound, so a run's solve count and its cr, linear and q1
-    builds classify each (geometry, level) once however many the run has; the
-    arrays are read-only because those spaces share them."""
-    m = mesh.m
-    grid = square_grid(fine_n)
-    h_loc = mesh.H / fine_n
-    masks = np.zeros((m, m, fine_n, fine_n), dtype=bool)
-    elem_alive = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            cx, cy = grid.cell_centers((i * mesh.H, j * mesh.H), h_loc)
-            mask = perf.indicator(cx, cy).reshape(fine_n, fine_n)
-            masks[i, j] = mask
-            elem_alive[i, j] = not mask.all()
-    edge_alive = np.zeros(mesh.n_internal_edges(), dtype=bool)
-    for eid, ((ea, _), (eb, _)) in mesh.edge_adjacency().items():
-        px, py = mesh.edge_trace_points(eid, fine_n)
-        covered = bool(perf.indicator(px, py).all())
-        # an edge whose support element is fully perforated lies in the
-        # closure of the perforations; dropping it keeps mean jumps zero
-        edge_alive[eid] = (not covered) and elem_alive[ea] and elem_alive[eb]
-    for arr in (masks, elem_alive, edge_alive):
-        arr.flags.writeable = False
-    return masks, elem_alive, edge_alive
+    Three broadcast indicator calls: the element cell centres, and the fine_n+1
+    trace nodes of the vertical and of the horizontal internal edges."""
+    m, H = mesh.m, mesh.H
+    starts = np.arange(m) * H
+    lines = np.arange(1, m) * H
+    centres = starts[:, None] + (np.arange(fine_n) + 0.5) * (H / fine_n)
+    masks = perf.indicator(centres[:, None, :, None], centres[None, :, None, :])
+    elem_alive = ~masks.all(axis=(2, 3))
+    trace = starts[:, None] + np.linspace(0.0, H, fine_n + 1)
+    covered_v = perf.indicator(lines[:, None, None], trace[None]).all(axis=-1)
+    covered_h = perf.indicator(trace[:, None], lines[None, :, None]).all(axis=-1)
+    # an edge whose support element is fully perforated lies in the
+    # closure of the perforations; dropping it keeps mean jumps zero
+    alive_v = ~covered_v & elem_alive[:-1] & elem_alive[1:]
+    alive_h = ~covered_h & elem_alive[:, :-1] & elem_alive[:, 1:]
+    return masks, elem_alive, np.concatenate([alive_v.ravel(), alive_h.ravel()])
 
 
 class _LocalProblem(NamedTuple):
@@ -343,7 +318,7 @@ def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int, kappa: float 
 def count_local_solves(mesh: CoarseMesh, perf, fine_n: int, method: str,
                        with_bubbles: bool) -> int:
     """Local right-hand sides that `_build_space` solves, counted without
-    solving; the geometry is classified here and cached for the build."""
+    solving; the geometry is classified here as in the build."""
     problems = _local_problems(method, mesh, perf, fine_n, with_bubbles)[2]
     return sum(len(prob.dofs) for prob in problems.values())
 

@@ -1,6 +1,11 @@
 """Perforation geometries on the unit square: periodic disc lattices (plain
 or shifted by half a period) and seeded random rectangle clouds. Membership
-is a pure, vectorized indicator function; geometry never touches meshes."""
+is a pure, vectorized indicator function; geometry never touches meshes.
+
+`indicator(x, y)` broadcasts its arguments elementwise, so an x column and a
+y row, `indicator(x[:, None], y[None, :])`, classify a whole tensor grid in
+one call, bitwise equal to classifying its points one by one. The reference
+and MsFEM grids are classified that way."""
 
 from __future__ import annotations
 

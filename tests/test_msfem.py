@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
 from randpde.femcore import SIDES, SquareGrid, square_grid
 from randpde.grid import KXX, KYY, MASS
-from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, baseline_solve,
-                           build_cr_space, build_linear_space, compute_errors,
+from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
+                           baseline_solve, build_cr_space, build_linear_space, compute_errors,
                            count_local_solves, edge_average_matrix, max_mean_jump,
                            msfem_solve)
 from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
@@ -360,16 +360,58 @@ def test_local_engine_counts_factorizations_apart_from_solves():
     assert (cr.solves, linear.solves) == (1216, 1156)
 
 
-def test_geometry_shared_and_read_only():
-    perf = build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2)
-    cr = build_cr_space(CoarseMesh(4), perf, 16)
-    linear = build_linear_space(CoarseMesh(4), perf, 16)
-    q1 = _build_space("q1", CoarseMesh(4), perf, 16, None, True, False)
-    assert cr.masks is linear.masks is q1.masks
-    assert cr.elem_alive is linear.elem_alive is q1.elem_alive
-    for arr in (cr.masks, cr.elem_alive, cr.edge_alive):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = True
+def _loop_geometry(mesh, perf, fine_n):
+    """Per-element and per-edge classification, one indicator call each: the
+    loop `_element_geometry` replaced, kept as its oracle."""
+    m, H = mesh.m, mesh.H
+    grid = square_grid(fine_n)
+    masks = np.zeros((m, m, fine_n, fine_n), dtype=bool)
+    elem_alive = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(m):
+            cx, cy = grid.cell_centers((i * H, j * H), H / fine_n)
+            masks[i, j] = perf.indicator(cx, cy).reshape(fine_n, fine_n)
+            elem_alive[i, j] = not masks[i, j].all()
+    edge_alive = np.zeros(2 * m * (m - 1), dtype=bool)
+    t = np.linspace(0.0, H, fine_n + 1)
+    for eid, (((i, j), side), (eb, _)) in mesh.edge_adjacency().items():
+        if side == "E":  # vertical edge on x = (i+1) H
+            px, py = np.full(fine_n + 1, (i + 1) * H), j * H + t
+        else:            # horizontal edge on y = (j+1) H
+            px, py = i * H + t, np.full(fine_n + 1, (j + 1) * H)
+        covered = perf.indicator(px, py).all()
+        edge_alive[eid] = not covered and elem_alive[i, j] and elem_alive[eb]
+    return masks, elem_alive, edge_alive
+
+
+CLOUD = dict(count=100, width_range=(0.02, 0.05), height_range=(0.02, 0.05), seed=2026)
+
+
+@pytest.mark.parametrize("perf, m, fine_n", [
+    (build_perforations("random_rectangles", **CLOUD), 16, 32),
+    (build_perforations("random_rectangles", **CLOUD), 32, 16),
+    (build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2), 5, 32),
+    (build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2), 10, 16),
+    (build_perforations("shifted_periodic_discs", epsilon=0.1, radius_factor=0.2), 5, 32),
+    (build_perforations("shifted_periodic_discs", epsilon=0.1, radius_factor=0.2), 10, 16),
+    (build_perforations("random_rectangles", count=8, width_range=(0.05, 0.15),
+                        height_range=(0.05, 0.15), seed=7), 4, 8),
+    (build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2), 2, 16),
+    (NoPerforations(), 7, 9),
+], ids=["cloud-16-32", "cloud-32-16", "discs-5-32", "discs-10-16", "shifted-5-32",
+        "shifted-10-16", "big-rects-4-8", "coarse-discs-2-16", "none-7-9"])
+def test_broadcast_classification_matches_per_element_loop(perf, m, fine_n):
+    got = _element_geometry(CoarseMesh(m), perf, fine_n)
+    for name, a, b in zip(("masks", "elem_alive", "edge_alive"), got,
+                          _loop_geometry(CoarseMesh(m), perf, fine_n)):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    n = m * fine_n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        ref = reference_solve(perf, f_one, n)
+    cx, cy = SquareGrid(n).cell_centers((0.0, 0.0), 1.0 / n)
+    assert np.array_equal(ref.mask, perf.indicator(cx, cy).reshape(n, n))
 
 
 def test_unknown_method_rejected():

@@ -25,6 +25,17 @@ def test_indicator_vectorized_and_pure():
     got = perf.indicator(x, y)
     assert got.tolist() == [True, False, True]
     assert np.array_equal(got, perf.indicator(x, y))
+    # an x column and a y row classify the tensor grid, as a meshgrid does
+    x = (np.arange(37) + 0.5) / 37
+    y = (np.arange(23) + 0.5) / 23
+    for perf in (NoPerforations(), perf,
+                 PeriodicDiscs(epsilon=0.1, radius_factor=0.2, shift=(0.05, 0.05)),
+                 build_perforations("random_rectangles", count=100, width_range=(0.02, 0.05),
+                                    height_range=(0.02, 0.05), seed=2026)):
+        got = perf.indicator(x[:, None], y[None, :])
+        assert got.shape == (len(x), len(y))
+        assert np.array_equal(got, perf.indicator(*np.meshgrid(x, y, indexing="ij")))
+        assert got.any() or isinstance(perf, NoPerforations)
 
 
 def test_random_rectangles_deterministic():
