@@ -2,7 +2,8 @@
 
 A run archive is a directory with the fully-defaulted config snapshot, one
 CSV per result family, derived SVG plots, and a manifest carrying content
-hashes; re-running an archived config reproduces the CSVs byte for byte.
+hashes and the measured peak RSS; re-running an archived config reproduces
+the CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import resource
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,9 +107,10 @@ class ExperimentConfig:
     msfem: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
+        """The settings that determine the results: everything but `out`, so
+        an archive does not depend on where it was written."""
         return {
-            "experiment": {"kind": self.kind, "seed": self.seed, "out": self.out,
-                           "strict": self.strict},
+            "experiment": {"kind": self.kind, "seed": self.seed, "strict": self.strict},
             "law": dict(self.law), "estimate": dict(self.estimate),
             "geometry": dict(self.geometry), "msfem": dict(self.msfem),
         }
@@ -539,6 +542,8 @@ def run(cfg: ExperimentConfig, out_override=None, seed_override=None) -> RunArch
     for p in sorted(out.iterdir()):
         if p.name != "manifest.json" and p.is_file():
             manifest["files"][p.name] = _sha256(p)
+    # measured, so it lives only in the manifest, outside its own hash list
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return RunArchive(out_dir=out, manifest=manifest)

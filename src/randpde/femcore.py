@@ -1,25 +1,102 @@
 """Square-grid Q1 building blocks shared by the reference solver and the
-multiscale basis constructions: connectivity, element matrices, trace rows,
-penalty assembly and masked energy products on an fn x fn cell grid, plus
-the Galerkin multigrid V-cycle that preconditions the reference solve's CG
-(`grid.cg_spd`)."""
+multiscale basis constructions: connectivity, trace rows, free-node masks
+and masked energy products on an fn x fn cell grid; the one builder of the
+penalized operator's free-node blocks (`penalized_operator`), written as a
+9-point stencil with per-cell penalty weights; and the Galerkin multigrid
+V-cycle that preconditions the reference solve's CG (`grid.cg_spd`)."""
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import CORNERS, KXX, KYY, MASS, assemble
+from .grid import CORNERS, KXX, KYY, MASS
 
 KLAP = KXX + KYY
 SIDES = ("S", "E", "N", "W")
+# The 9-point stencil: neighbour offsets (dx, dy) in ascending node order
+# (x index slow), and for each the corner pairs (a, b) of the cells that hold
+# a node as corner a and its neighbour as corner b.
+STENCIL = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+STENCIL_PAIRS = tuple(tuple((a, b) for a, (ax, ay) in enumerate(CORNERS.tolist())
+                            for b, (bx, by) in enumerate(CORNERS.tolist())
+                            if (bx - ax, by - ay) == (dx, dy))
+                      for dx, dy in STENCIL.tolist())
+
+
+def penalized_operator(fn: int, mask: np.ndarray, kappa: float, h: float,
+                       dirichlet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Free-node blocks of the penalized Q1 operator on an fn x fn cell grid:
+    the Laplace stiffness plus kappa int_{masked cells} u v (the exact Q1
+    mass), on the nodes off the `dirichlet` sides. Returns (A_ff, A_fd), the
+    free block and its coupling to the Dirichlet nodes, as CSR with int32
+    indices; rows and columns keep `SquareGrid`'s node order.
+
+    Each free node's row is written straight from the stencil: slot (dx, dy)
+    sums KLAP[a, b] over the cells that hold the node as corner a and its
+    neighbour as corner b, then kappa h^2 MASS[a, b] over the masked ones
+    among them, and adds the two sums. All terms of one sum are equal, so
+    the entries are bitwise those of an element-by-element assembly of the
+    Laplacian plus one of the penalty. The (rows, 9) layout is compressed
+    once to the free neighbours and once to the Dirichlet ones; no full
+    matrix is built."""
+    lo = (int("W" in dirichlet), int("S" in dirichlet))
+    hi = (fn + 1 - ("E" in dirichlet), fn + 1 - ("N" in dirichlet))
+    nx, ny = hi[0] - lo[0], hi[1] - lo[1]
+    # cell (cx, cy) sits at [cx + 1, cy + 1]; the padding holds no cell
+    inside = np.zeros((fn + 2, fn + 2))
+    inside[1:-1, 1:-1] = 1.0
+    masked = np.zeros((fn + 2, fn + 2))
+    masked[1:-1, 1:-1] = mask
+    corner_cells = []  # per corner a, the cells holding the free nodes as corner a
+    for cx, cy in CORNERS:
+        cells = (slice(lo[0] + 1 - cx, hi[0] + 1 - cx), slice(lo[1] + 1 - cy, hi[1] + 1 - cy))
+        corner_cells.append((inside[cells], masked[cells]))
+    lap_w, pen_w = KLAP.tolist(), (kappa * h * h * MASS).tolist()
+    data = np.empty((nx, ny, len(STENCIL)))
+    for k, pairs in enumerate(STENCIL_PAIRS):
+        lap = pen = 0.0
+        for a, b in pairs:
+            lap = lap + lap_w[a][b] * corner_cells[a][0]
+            pen = pen + pen_w[a][b] * corner_cells[a][1]
+        data[:, :, k] = lap + pen
+
+    # neighbour coordinates per (x, slot) and (y, slot); a slot is kept where
+    # both lie on the grid, in the free block where both lie in the free range
+    qx = np.arange(lo[0], hi[0])[:, None] + STENCIL[:, 0]
+    qy = np.arange(lo[1], hi[1])[:, None] + STENCIL[:, 1]
+    free_x, free_y = (qx >= lo[0]) & (qx < hi[0]), (qy >= lo[1]) & (qy < hi[1])
+    grid_x, grid_y = (qx >= 0) & (qx <= fn), (qy >= 0) & (qy <= fn)
+    is_free = free_x[:, None, :] & free_y[None, :, :]
+    is_fixed = grid_x[:, None, :] & grid_y[None, :, :] & ~is_free
+
+    # a free neighbour's column is its row's plus the slot's offset ...
+    rows = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny, 1)
+    free_cols = (rows + (STENCIL[:, 0] * ny + STENCIL[:, 1]).astype(np.int32))[is_free]
+    # ... and a Dirichlet neighbour's is its rank among the Dirichlet nodes
+    fixed = np.ones((fn + 1, fn + 1), dtype=bool)
+    fixed[lo[0]:hi[0], lo[1]:hi[1]] = False
+    rank = (np.cumsum(fixed) - 1).astype(np.int32).reshape(fixed.shape)
+    x, y, k = np.nonzero(is_fixed)
+    fixed_cols = rank[qx[x, k], qy[y, k]]
+    return (_stencil_csr(data, is_free, free_cols, nx * ny),
+            _stencil_csr(data, is_fixed, fixed_cols, int(fixed.sum())))
+
+
+def _stencil_csr(data: np.ndarray, keep: np.ndarray, indices: np.ndarray,
+                 ncols: int) -> sp.csr_matrix:
+    """CSR of the kept slots of an (nx, ny, 9) stencil layout, one row per
+    (x, y) in C order; `indices` are the kept slots' columns in that order."""
+    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=-1), out=indptr[1:])
+    return sp.csr_matrix((data[keep], indices, indptr), shape=(len(indptr) - 1, ncols))
 
 
 class SquareGrid:
-    """Connectivity and cached Laplace stiffness for a square Q1 grid."""
+    """Connectivity of a square Q1 grid."""
 
     def __init__(self, fn: int):
         self.fn = fn
@@ -33,16 +110,6 @@ class SquareGrid:
                                     (ex + 1) * stride + ey + 1,
                                     ex * stride + ey + 1], axis=1)
         self.cell_xy = (ex, ey)
-
-    @cached_property
-    def _laplace(self) -> sp.csr_matrix:
-        return assemble([(self.elem_nodes, KLAP)], self.nn)
-
-    def penalized(self, mask: np.ndarray, kappa: float, h: float) -> sp.csr_matrix:
-        """Laplace stiffness (cached per grid) plus kappa * int_{masked cells} u v,
-        the exact Q1 mass on the masked cells."""
-        masked = self.elem_nodes[mask.ravel()]
-        return self._laplace + assemble([(masked, kappa * h * h * MASS)], self.nn)
 
     def side_nodes(self, side: str) -> np.ndarray:
         fn = self.fn
@@ -122,9 +189,7 @@ class SquareGrid:
 
 @lru_cache(maxsize=8)
 def square_grid(fn: int) -> SquareGrid:
-    """Shared grid for the local and error-norm computations; a one-off
-    large grid (the reference solve's) is built uncached instead, so its
-    Laplacian is freed with it."""
+    """Shared grid for the local and error-norm computations."""
     return SquareGrid(fn)
 
 

@@ -164,8 +164,10 @@ class PeriodicGrid:
         return sp.csr_matrix((data, indices, indptr), shape=(self.ndof, self.ndof))
 
     def corrector_rhs(self, cells: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Load vector of -int grad(v).A.p (consistent with the stiffness)."""
-        ap = self.element_coefficients(cells) @ np.asarray(p, dtype=float)
+        """Load vector of -int grad(v).A.p (consistent with the stiffness).
+        A p is taken once per unit cell and gathered per element."""
+        cx, cy = self.elem_cell
+        ap = (cells @ np.asarray(p, dtype=float))[cx, cy]
         fe = np.outer(ap[:, 0], GX)
         for c in range(4):  # by column: no second (E, 4) temporary on large boxes
             fe[:, c] += ap[:, 1] * GY[c]

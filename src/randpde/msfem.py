@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AssemblyError, GridMismatchError, LocalSolveError,
                      ParameterError, ResolutionWarning)
-from .femcore import SIDES, square_grid
+from .femcore import SIDES, penalized_operator, square_grid
 from .grid import assemble
 from .poisson import FineSolution, check_resolution, default_kappa
 
@@ -176,7 +176,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
                  members: dict) -> dict:
     """Factorize the local system shared by `members` and solve each of
     their right-hand sides: the saddle block [[A_ff, C^T], [C, 0]] with
-    right-hand side (-A_fb g, c) for a lift of trace g and averages c, and
+    right-hand side (-A_fd g, c) for a lift of trace g and averages c, and
     (b_f, 0) for the bubble load b, which depends only on the mask. The LU
     uses the minimum-degree ordering of A^T + A, which suits these
     symmetric-pattern systems better than the default COLAMD, and each
@@ -184,14 +184,14 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     first = next(iter(members.values()))
     free = grid.free_nodes(first.dirichlet)
     fixed = ~free
-    nf = np.count_nonzero(free)
-    A_f = grid.penalized(mask, kappa, h_loc)[free]
+    A_ff, A_fd = penalized_operator(grid.fn, mask, kappa, h_loc, first.dirichlet)
+    nf = A_ff.shape[0]
     if first.constrained:
         C = sp.csr_matrix(np.vstack([grid.trace_row(s, h_loc)[free]
                                      for s in first.constrained]))
-        system = sp.bmat([[A_f[:, free], C.T], [C, None]], format="csc")
+        system = sp.bmat([[A_ff, C.T], [C, None]], format="csc")
     else:
-        system = A_f[:, free].tocsc()
+        system = A_ff.tocsc()
     try:
         lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -208,7 +208,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
             rhs[:lifts, nf:] = prob.averages
         if prob.traces is not None:
             g = prob.traces[:, fixed]
-            rhs[:lifts, :nf] = -(A_f[:, fixed] @ g.T).T
+            rhs[:lifts, :nf] = -(A_fd @ g.T).T
             values[:lifts, fixed] = g
         if prob.bubble:
             rhs[-1, :nf] = load

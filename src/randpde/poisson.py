@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionWarning
-from .femcore import SIDES, SquareGrid, multigrid_preconditioner, square_grid
+from .femcore import SIDES, multigrid_preconditioner, penalized_operator, square_grid
 from .grid import cg_spd
 
 DEFAULT_KAPPA_SCALE = 1e8
@@ -87,23 +87,17 @@ def reference_solve(perf, f, fine_n: int, kappa: float | None = None,
         kappa = default_kappa(h)
     check_resolution(perf, h, strict, "reference_solve")
 
-    grid = SquareGrid(fine_n)  # uncached: its full Laplacian dies with the solve
     c = (np.arange(fine_n) + 0.5) * h
     mask = perf.indicator(c[:, None], c[None, :])
-    cx, cy = grid.cell_centers((0.0, 0.0), h)
-
-    K = grid.penalized(mask, kappa, h)
-    fc = np.asarray(f(cx, cy), dtype=float)
-    if fc.ndim == 0:
-        fc = np.full(fine_n * fine_n, float(fc))
-    b = grid.load_vector(fc, np.ones_like(mask, dtype=bool), h)
-
-    free = grid.free_nodes(SIDES)
-    Kff = K[free][:, free].tocsr()
-    del K  # free the full matrix before the multigrid hierarchy is built
-    x_free, _, _ = cg_spd(Kff, b[free], tol=tol,
-                          preconditioner=multigrid_preconditioner(Kff, fine_n))
-    values = np.zeros(grid.nn)
-    values[free] = x_free
-    return FineSolution(fine_n=fine_n, values=values.reshape(fine_n + 1, fine_n + 1),
-                        kappa=kappa, mask=mask)
+    K, _ = penalized_operator(fine_n, mask, kappa, h, SIDES)
+    fc = np.asarray(f(*np.broadcast_arrays(c[:, None], c[None, :])), dtype=float)
+    w = np.broadcast_to(fc, mask.shape) * (h * h / 4.0)
+    # int f v at the interior nodes: each node adds its four cells' shares in
+    # ascending element order, as an element-by-element load does
+    b = ((w[:-1, :-1] + w[:-1, 1:]) + w[1:, :-1]) + w[1:, 1:]
+    del fc, w
+    x_free, _, _ = cg_spd(K, b.ravel(), tol=tol,
+                          preconditioner=multigrid_preconditioner(K, fine_n))
+    values = np.zeros((fine_n + 1, fine_n + 1))
+    values[1:-1, 1:-1] = x_free.reshape(fine_n - 1, fine_n - 1)
+    return FineSolution(fine_n=fine_n, values=values, kappa=kappa, mask=mask)

@@ -220,6 +220,25 @@ def test_cached_stiffness_pattern_matches_coo_assembly(n, r):
             assert np.array_equal(getattr(K, name), getattr(coo, name)), (k, name)
 
 
+@pytest.mark.parametrize("n,r", [(1, 1), (6, 8), (5, 3)])
+def test_corrector_rhs_matches_per_element_product(n, r):
+    # A p taken once per cell and gathered gives the bits of the product
+    # taken per element, on isotropic and anisotropic fields
+    from randpde.grid import GX, GY, PeriodicGrid
+    grid = PeriodicGrid(n, r)
+    rng = np.random.default_rng(n + r)
+    root = rng.uniform(-1.0, 1.0, size=(n, n, 2, 2))
+    fields = (rng.choice([3.0, 20.0], size=(n, n))[..., None, None] * ID,
+              root @ root.swapaxes(-1, -2) + 0.1 * ID)
+    for cells in fields:
+        for p in (E1, E2, np.array([0.3, -1.7])):
+            ap = grid.element_coefficients(cells) @ p
+            fe = -0.5 * grid.h * (np.outer(ap[:, 0], GX) + np.outer(ap[:, 1], GY))
+            oracle = np.bincount(grid.elem_nodes.ravel(), weights=fe.ravel(),
+                                 minlength=grid.ndof)
+            assert np.array_equal(grid.corrector_rhs(cells, p), oracle), p
+
+
 def test_assemble_matches_dense_sum():
     # stacks of k = 1..5 with repeated dofs, int64 and int32 dof arrays, and
     # a (k, k) block shared by every element, against a dense scatter-add

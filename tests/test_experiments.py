@@ -196,6 +196,24 @@ def test_manifest_lists_hashes_and_snapshot(tmp_path):
     assert "msfem.csv" in manifest["files"]
     assert all(len(h) == 64 for h in manifest["files"].values())
     assert manifest["config"]["msfem"]["f"] == "one"  # defaults materialized
+    # the measured peak is in the manifest only, never in the hashed files
+    assert manifest["peak_rss_mb"] > 0
+    assert archive.manifest["peak_rss_mb"] == manifest["peak_rss_mb"]
+    assert "peak_rss_mb" not in (tmp_path / "ms" / "config_snapshot.json").read_text()
+
+
+def test_archive_does_not_depend_on_its_directory(tmp_path):
+    # one config written into two directories gives the same archive files
+    archives = []
+    for name in ("first", "second/nested"):
+        text = MSFEM_CONFIG.replace("out = {out}", f"out = {tmp_path / name}")
+        text = text.replace("reference_n = 64", "reference_n = 32")
+        archives.append(run(parse_config(write_config(tmp_path, text))))
+    assert [a.out_dir for a in archives] == [tmp_path / "first", tmp_path / "second/nested"]
+    assert archives[0].manifest["files"] == archives[1].manifest["files"]
+    assert "config_snapshot.json" in archives[0].manifest["files"]
+    snapshot = json.loads((tmp_path / "first" / "config_snapshot.json").read_text())
+    assert "out" not in snapshot["experiment"]
 
 
 def test_default_reference_matches_local_grids(tmp_path):

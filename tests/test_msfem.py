@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
-from randpde.femcore import SIDES, SquareGrid, square_grid
+from randpde.femcore import SIDES, SquareGrid, penalized_operator, square_grid
 from randpde.grid import KXX, KYY, MASS
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
                            baseline_solve, build_cr_space, build_linear_space, compute_errors,
@@ -235,7 +235,7 @@ def test_without_bubbles_view():
 
 def _penalized_coo(grid, mask, kappa, h):
     """Laplace stiffness plus kappa times the mass on masked cells, each term
-    one COO build, independently of `SquareGrid.penalized`."""
+    one COO build over the full grid, independently of `penalized_operator`."""
     def coo(en, block):
         rows, cols = np.repeat(en, 4, axis=1).ravel(), np.tile(en, (1, 4)).ravel()
         data = np.tile(block.ravel(), len(en))
@@ -244,17 +244,27 @@ def _penalized_coo(grid, mask, kappa, h):
                                                 kappa * h * h * MASS)
 
 
-@pytest.mark.parametrize("fn", [8, 16, 160])
+@pytest.mark.parametrize("fn", [8, 16, 160, 512])
 def test_penalized_matches_coo_build(fn):
+    # the stencil builder's free block and Dirichlet coupling are the arrays
+    # of the full COO build sliced to the free nodes, for every set of
+    # Dirichlet sides
     grid = SquareGrid(fn)
     rng = np.random.default_rng(fn)
+    subsets = [tuple(s for k, s in enumerate(SIDES) if bits >> k & 1) for bits in range(16)]
     for density in (0.0, 0.3, 1.0):
         mask = rng.random((fn, fn)) < density
         kappa, h = 1e8 * fn ** 2, 1.0 / fn
-        A = grid.penalized(mask, kappa, h)
         ref = _penalized_coo(grid, mask, kappa, h)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(A, name), getattr(ref, name)), (density, name)
+        for sides in subsets:
+            free = grid.free_nodes(sides)
+            ref_rows = ref[free]
+            for A, cols in zip(penalized_operator(fn, mask, kappa, h, sides), (free, ~free)):
+                expected = ref_rows[:, cols]
+                assert A.shape == expected.shape and A.indices.dtype == np.int32
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(A, name), getattr(expected, name)), \
+                        (density, sides, name)
 
 
 def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):
