@@ -6,7 +6,7 @@ a few box sizes, averages the resulting tensors over Monte Carlo draws, and
 compares against the two-phase duality value sqrt(alpha*beta), printing one
 line per box size with the 95% confidence half-width.
 
-Runtime: about a minute with the default settings.
+Runtime: about 7 s with the default settings on a 2-CPU machine.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ print(f"random checkerboard, alpha={ALPHA}, beta={BETA}")
 print(f"duality value sqrt(alpha*beta) = {target:.4f}\n")
 print(f"{'n':>4} {'mean A11':>10} {'ci95':>8} {'mean A22':>10} {'A12':>8}")
 for n in SIZES:
-    rep = mc_estimate(law, n=n, r=REFINEMENT, m=SAMPLES, seed=SEED, method="direct")
+    rep = mc_estimate(law, n=n, r=REFINEMENT, m=SAMPLES, seed=SEED)
     print(f"{n:>4} {rep.mean[0, 0]:>10.4f} {rep.ci95[0, 0]:>8.4f} "
           f"{rep.mean[1, 1]:>10.4f} {rep.mean[0, 1]:>8.4f}")
 print("\nThe means drift toward the duality value as n grows; the residual "

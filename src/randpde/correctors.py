@@ -41,8 +41,7 @@ class CorrectorSolution:
 
 
 def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1e-9,
-                     method: str = "cg",
-                     maxiter: int | None = None) -> tuple[CorrectorSolution, ...]:
+                     method: str = "cg") -> tuple[CorrectorSolution, ...]:
     """Galerkin solutions of the periodic corrector problems for several
     directions, from one stiffness assembly.
 
@@ -62,7 +61,7 @@ def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1
         p = np.asarray(p, dtype=float)
         b = grid.corrector_rhs(field.cells, p)
         w, iterations, residual = solve_singular_system(
-            K, b, tol=tol, maxiter=maxiter, method=method, preconditioner=precondition,
+            K, b, tol=tol, method=method, preconditioner=precondition,
             factorization=factorization)
         out.append(CorrectorSolution(n=field.n, r=r, p=p, values=w, iterations=iterations,
                                      residual=residual, method=method))
@@ -70,9 +69,9 @@ def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1
 
 
 def solve_corrector(field: CoefficientField, p, r: int, tol: float = 1e-9,
-                    method: str = "cg", maxiter: int | None = None) -> CorrectorSolution:
+                    method: str = "cg") -> CorrectorSolution:
     """Galerkin solution of the periodic corrector problem for direction p."""
-    return solve_correctors(field, (p,), r, tol=tol, method=method, maxiter=maxiter)[0]
+    return solve_correctors(field, (p,), r, tol=tol, method=method)[0]
 
 
 def homogenized_tensor(field: CoefficientField, correctors) -> np.ndarray:
@@ -117,11 +116,10 @@ def homogenize(field: CoefficientField, r: int, tol: float = 1e-9,
     return homogenized_tensor(field, ws), ws
 
 
-def check_voigt_reuss(field: CoefficientField, tensor: np.ndarray,
-                      rtol: float = 1e-7) -> bool:
+def check_voigt_reuss(field: CoefficientField, tensor: np.ndarray) -> bool:
     """True when the tensor eigenvalues sit inside the harmonic/arithmetic
-    mean bounds of the field's cells (up to relative slack rtol)."""
+    mean bounds of the field's cells (up to a relative slack of 1e-7)."""
     lo, hi = field.voigt_reuss_bounds()
     eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
-    slack = rtol * hi
+    slack = 1e-7 * hi
     return bool(eigs[0] >= lo - slack and eigs[-1] <= hi + slack)

@@ -38,12 +38,13 @@ def _minimal_offset(dx: int, dy: int, n: int) -> tuple[int, int]:
     return mx, my
 
 
-def sign_canonical_offsets(n: int, cutoff: float):
-    """Distinct unordered pair offsets on the n-torus within the cutoff
-    distance: one representative per {delta, -delta (mod n)} class, paired
+def sign_canonical_offsets(n: int):
+    """Distinct unordered pair offsets on the n-torus within distance n/2:
+    one representative per {delta, -delta (mod n)} class, paired
     with the weight 1/2 for self-inverse offsets (delta == -delta mod n),
     so that summing B_k * B_{k+delta} over all k and all returned offsets
     with these weights counts every unordered defect pair exactly once."""
+    cutoff = n / 2
     seen = set()
     out = []
     for dx in range(n):
@@ -84,8 +85,8 @@ def _defect_field(law: PerturbedPeriodic, n: int, defect_cells) -> CoefficientFi
     return CoefficientField(n=n, cells=cells)
 
 
-def _box_flux_excess(law: PerturbedPeriodic, n: int, r: int, defect_cells,
-                     tol: float, method: str) -> tuple[np.ndarray, int]:
+def _box_flux_excess(law: PerturbedPeriodic, n: int, r: int,
+                     defect_cells) -> tuple[np.ndarray, int]:
     """int_{Q_N} [A_def (e_i + grad w_i) - A_per (e_i + grad w_i^0)] per direction.
 
     With the (constant) unperturbed material the reference corrector w^0
@@ -94,47 +95,43 @@ def _box_flux_excess(law: PerturbedPeriodic, n: int, r: int, defect_cells,
     fld = _defect_field(law, n, defect_cells)
     grid = periodic_grid(n, r)
     out = np.zeros((2, 2))
-    ws = solve_correctors(fld, (E1, E2), r, tol=tol, method=method)
+    ws = solve_correctors(fld, (E1, E2), r)
     for j, w in enumerate(ws):
         out[:, j] = n * n * (grid.average_flux(fld.cells, w.values, w.p) - law.a_per @ w.p)
     return out, len(ws)
 
 
-def pair_catalog(law: PerturbedPeriodic, n: int, cutoff: float | None = None):
+def pair_catalog(law: PerturbedPeriodic, n: int):
     """[(offset, weight, solved offset)] of the two-defect catalog within
-    ``cutoff`` (default n/2). The solved offset is the one whose cell problem
-    is solved for this entry: the offset itself, or one representative per
+    distance n/2. The solved offset is the one whose cell problem is solved
+    for this entry: the offset itself, or one representative per
     lattice-symmetry class when the material is isotropic."""
-    if cutoff is None:
-        cutoff = n / 2
     isotropic = _is_isotropic(law.a_per) and _is_isotropic(law.c_per)
 
     def solved(off):
         if not isotropic:
             return off
         return (max(abs(off[0]), abs(off[1])), min(abs(off[0]), abs(off[1])))
-    return [(off, w, solved(off)) for off, w in sign_canonical_offsets(n, cutoff)]
+    return [(off, w, solved(off)) for off, w in sign_canonical_offsets(n)]
 
 
-def defect_solve_count(law: PerturbedPeriodic, n: int, order: int,
-                       cutoff: float | None = None) -> int:
+def defect_solve_count(law: PerturbedPeriodic, n: int, order: int) -> int:
     """PDE solves that `defect_coefficients` makes: 2 for one defect and, at
     order 2, 2 per solved pair offset."""
-    solved = {key for _, _, key in pair_catalog(law, n, cutoff)} if order == 2 else set()
+    solved = {key for _, _, key in pair_catalog(law, n)} if order == 2 else set()
     return 2 + 2 * len(solved)
 
 
-def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
-                        tol: float = 1e-9, method: str = "cg",
-                        defect_cell: tuple[int, int] = (0, 0),
-                        cutoff: float | None = None) -> DefectCoefficients:
-    """Solve the one-defect and (order 2) two-defect cell problems.
+def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
+                        order: int = 1) -> DefectCoefficients:
+    """Solve the one-defect and (order 2) two-defect cell problems by CG at
+    tolerance 1e-9.
 
     The one-defect coefficient is independent of the defect position by
-    periodicity; ``defect_cell`` exists so that tests can verify this. The
-    two-defect catalog covers pair offsets up to Euclidean distance ``cutoff``
-    (default n/2) on the periodic lattice, solved once per symmetry class when
-    the material is isotropic and mapped back by conjugation.
+    periodicity, so the defect sits on cell (0, 0). The two-defect catalog
+    covers pair offsets up to Euclidean distance n/2 on the periodic
+    lattice, solved once per symmetry class when the material is isotropic
+    and mapped back by conjugation.
     """
     if not isinstance(law, PerturbedPeriodic):
         raise ParameterError("defect coefficients are defined for the perturbed-periodic law")
@@ -146,16 +143,16 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int, order: int = 1,
     # The unperturbed material is constant, so its correctors vanish and its
     # homogenized tensor is the material itself.
     a_per_star = law.a_per.copy()
-    a_1def, solves = _box_flux_excess(law, n, r, [defect_cell], tol, method)
+    a_1def, solves = _box_flux_excess(law, n, r, [(0, 0)])
 
     a_2def: dict = {}
     weights: dict = {}
     if order == 2:
         class_values: dict = {}
-        for (off, w, key) in pair_catalog(law, n, cutoff):
+        for (off, w, key) in pair_catalog(law, n):
             weights[off] = w
             if key not in class_values:
-                e2_val, used = _box_flux_excess(law, n, r, [(0, 0), key], tol, method)
+                e2_val, used = _box_flux_excess(law, n, r, [(0, 0), key])
                 solves += used
                 class_values[key] = e2_val - 2.0 * a_1def
             rot = _find_d4(key, off)

@@ -61,15 +61,10 @@ class EstimatorReport:
                    ci95=ci95, solves=solves, seed=seed, rejected=rejected,
                    rho=rho, degenerate_control=degenerate_control)
 
-    def entry(self, name: str, which: str = "mean") -> float:
-        i, j = TENSOR_ENTRIES[name]
-        return float(getattr(self, which)[i, j])
 
-
-def _tensor_sample(law: FieldLaw, cfg: Configuration, r: int, tol: float,
-                   method: str) -> np.ndarray:
+def _tensor_sample(law: FieldLaw, cfg: Configuration, r: int) -> np.ndarray:
     fld = realize_field(law, cfg)
-    tensor, _ = homogenize(fld, r, tol=tol, method=method)
+    tensor, _ = homogenize(fld, r)
     if not check_voigt_reuss(fld, tensor):
         raise InvariantError(
             f"tensor violates Voigt-Reuss bounds for configuration "
@@ -77,21 +72,20 @@ def _tensor_sample(law: FieldLaw, cfg: Configuration, r: int, tol: float,
     return tensor
 
 
-def mc_estimate(law: FieldLaw, n: int, r: int, m: int, seed: int,
-                tol: float = 1e-9, method: str = "cg") -> EstimatorReport:
+def mc_estimate(law: FieldLaw, n: int, r: int, m: int, seed: int) -> EstimatorReport:
     """Plain Monte Carlo: empirical mean over m i.i.d. configurations."""
     if m < 2:
         raise ParameterError("mc_estimate needs m >= 2")
     samples = np.empty((m, 2, 2))
     for i in range(m):
         cfg = sample_configuration(law, n, seed, i)
-        samples[i] = _tensor_sample(law, cfg, r, tol, method)
+        samples[i] = _tensor_sample(law, cfg, r)
     return EstimatorReport.from_samples("mc", law.describe(), n, r, samples,
                                         solves=2 * m, seed=seed)
 
 
-def antithetic_estimate(law: FieldLaw, n: int, r: int, m_pairs: int, seed: int,
-                        tol: float = 1e-9, method: str = "cg") -> EstimatorReport:
+def antithetic_estimate(law: FieldLaw, n: int, r: int, m_pairs: int,
+                        seed: int) -> EstimatorReport:
     """Antithetic pairs: each sample is the average over a configuration and
     its law-preserving flip, at twice the solve cost per sample."""
     if m_pairs < 2:
@@ -99,8 +93,8 @@ def antithetic_estimate(law: FieldLaw, n: int, r: int, m_pairs: int, seed: int,
     samples = np.empty((m_pairs, 2, 2))
     for i in range(m_pairs):
         cfg = sample_configuration(law, n, seed, i)
-        a = _tensor_sample(law, cfg, r, tol, method)
-        b = _tensor_sample(law, antithetic_transform(cfg), r, tol, method)
+        a = _tensor_sample(law, cfg, r)
+        b = _tensor_sample(law, antithetic_transform(cfg), r)
         samples[i] = 0.5 * (a + b)
     return EstimatorReport.from_samples("antithetic", law.describe(), n, r, samples,
                                         solves=4 * m_pairs, seed=seed)
@@ -125,8 +119,8 @@ def _expected_pair_sum(defects: DefectCoefficients, eta: float) -> np.ndarray:
 
 
 def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
-                             order: int, seed: int, defects: DefectCoefficients,
-                             tol: float = 1e-9, method: str = "cg") -> EstimatorReport:
+                             order: int, seed: int,
+                             defects: DefectCoefficients) -> EstimatorReport:
     """Control variate built from defect coefficients.
 
     Order 1 subtracts rho * (centered one-defect surrogate); order 2 adds the
@@ -150,7 +144,7 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
     y2 = np.empty((m, 2, 2)) if order == 2 else None
     for i in range(m):
         cfg = sample_configuration(law, n, seed, i)
-        x[i] = _tensor_sample(law, cfg, r, tol, method)
+        x[i] = _tensor_sample(law, cfg, r)
         occupancy = float(cfg.draws.sum()) / n ** 2
         y1[i] = defects.a_per_star + occupancy * defects.a_1def
         if order == 2:
@@ -207,8 +201,7 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
 
 def sqs_estimate(law: FieldLaw, n: int, r: int, m_keep: int, seed: int,
                  mode: str = "exact1", pool: int | None = None,
-                 aux: SqsAuxiliary | None = None,
-                 tol: float = 1e-9, method: str = "cg") -> EstimatorReport:
+                 aux: SqsAuxiliary | None = None) -> EstimatorReport:
     """Selection sampling over exactly first-moment-balanced configurations.
 
     mode="exact1" estimates over m_keep balanced configurations. mode="ranked2"
@@ -239,7 +232,7 @@ def sqs_estimate(law: FieldLaw, n: int, r: int, m_keep: int, seed: int,
     samples = np.empty((m_keep, 2, 2))
     for row, i in enumerate(kept):
         cfg = sqs1_exact_sample(n, seed, i, p)
-        samples[row] = _tensor_sample(law, cfg, r, tol, method)
+        samples[row] = _tensor_sample(law, cfg, r)
     strategy = "sqs1" if mode == "exact1" else "sqs2"
     return EstimatorReport.from_samples(strategy, law.describe(), n, r, samples,
                                         solves=2 * m_keep, seed=seed,

@@ -46,10 +46,10 @@ RHS_FUNCTIONS = {
 _SCHEMA = {
     "experiment": {"kind", "seed", "out", "strict", "threads"},
     "law": {"kind", "alpha", "beta", "a_per", "c_per", "eta"},
-    "estimate": {"n", "r", "m", "strategies", "pool", "solver"},
+    "estimate": {"n", "r", "m", "strategies", "pool"},
     "geometry": {"kind", "epsilon", "radius_factor", "count", "width_range",
                  "height_range", "gseed"},
-    "msfem": {"h", "fine_n", "methods", "with_bubbles", "reference_n", "f", "kappa"},
+    "msfem": {"h", "fine_n", "methods", "with_bubbles", "reference_n", "f"},
 }
 
 
@@ -181,10 +181,7 @@ def parse_config(path) -> ExperimentConfig:
             "m": _parse_int(est.get("m", "100"), "estimate.m"),
             "strategies": strategies,
             "pool": _parse_int(est.get("pool", "2000"), "estimate.pool"),
-            "solver": est.get("solver", "cg").strip(),
         }
-        if cfg.estimate["solver"] not in ("cg", "direct"):
-            raise ConfigError(f"estimate.solver must be cg or direct")
         if "estimate" in parser and any(v < 1 for v in cfg.estimate["n"]):
             raise ConfigError("estimate.n entries must be >= 1")
     else:
@@ -230,7 +227,6 @@ def parse_config(path) -> ExperimentConfig:
             "with_bubbles": _parse_bool(ms.get("with_bubbles", "true"), "msfem.with_bubbles"),
             "reference_n": _parse_int(ms.get("reference_n", "0"), "msfem.reference_n"),
             "f": f_name,
-            "kappa": _parse_number(ms.get("kappa", "0"), "msfem.kappa"),
         }
         for hval in h_list:
             m = 1.0 / hval
@@ -361,8 +357,7 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
             if not isinstance(law, PerturbedPeriodic):
                 raise ConfigError("control variates need law.kind = perturbed_periodic")
             order = 2 if "cv2" in est["strategies"] else 1
-            extras["defects"] = defect_coefficients(law, n=n, r=est["r"], order=order,
-                                                    method=est["solver"])
+            extras["defects"] = defect_coefficients(law, n=n, r=est["r"], order=order)
         if "sqs2" in est["strategies"]:
             a0, a1 = law.phase_matrices()
             c0 = a0 + law.bernoulli_p * (a1 - a0)
@@ -370,22 +365,21 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
         return extras
 
     def run_one(n, strategy, extras):
-        kw = dict(tol=1e-9, method=est["solver"])
         if strategy == "mc":
-            return mc_estimate(law, n, est["r"], est["m"], cfg.seed, **kw)
+            return mc_estimate(law, n, est["r"], est["m"], cfg.seed)
         if strategy == "antithetic":
-            return antithetic_estimate(law, n, est["r"], est["m"], cfg.seed, **kw)
+            return antithetic_estimate(law, n, est["r"], est["m"], cfg.seed)
         if strategy in ("cv1", "cv2"):
             order = 1 if strategy == "cv1" else 2
             rep = control_variate_estimate(law, n, est["r"], est["m"], order,
-                                           cfg.seed, extras["defects"], **kw)
+                                           cfg.seed, extras["defects"])
             if rep.degenerate_control:
                 warnings_log.append(f"degenerate control variate at n={n} ({strategy})")
             return rep
         if strategy == "sqs1":
-            return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="exact1", **kw)
+            return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="exact1")
         return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="ranked2",
-                            pool=est["pool"], aux=extras["aux"], **kw)
+                            pool=est["pool"], aux=extras["aux"])
 
     def keep(report):
         """Rewrite reports.csv after every strategy, so a later failure
@@ -439,19 +433,17 @@ MSFEM_CSV_COLUMNS = ["method", "H", "geometry", "with_bubbles", "l2_rel", "h1_re
                      "dof", "solves"]
 
 
-def _solve_msfem_case(mesh, perf, f, method, with_bubbles, fine_n, kappa):
+def _solve_msfem_case(mesh, perf, f, method, with_bubbles, fine_n):
     if method == "cr":
-        space = build_cr_space(mesh, perf, fine_n, kappa=kappa, with_bubbles=with_bubbles)
+        space = build_cr_space(mesh, perf, fine_n, with_bubbles=with_bubbles)
         return msfem_solve(space, f)
     name = {"linear": "msfem_linear", "q1": "coarse_q1"}[method]
-    return baseline_solve(mesh, perf, f, name, with_bubbles=with_bubbles,
-                          fine_n=fine_n, kappa=kappa)
+    return baseline_solve(mesh, perf, f, name, with_bubbles=with_bubbles, fine_n=fine_n)
 
 
 def _run_msfem(cfg: ExperimentConfig, out: Path) -> tuple[list[dict], list[str]]:
     ms = cfg.msfem
     f = RHS_FUNCTIONS[ms["f"]]
-    kappa = ms["kappa"] if ms["kappa"] > 0 else None
     pairs, ref_n = _msfem_grids(cfg)
     rows: list[dict] = []
     notes: list[str] = []
@@ -462,7 +454,7 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> tuple[list[dict], list[str]]
         for m, fn in pairs:
             for method in ms["methods"]:
                 u = _solve_msfem_case(CoarseMesh(m), perf, f, method,
-                                      ms["with_bubbles"], fn, kappa)
+                                      ms["with_bubbles"], fn)
                 l2, h1 = compute_errors(u, ref)
                 rows.append({"method": method, "H": 1.0 / m, "geometry": geo_id,
                              "with_bubbles": ms["with_bubbles"], "l2_rel": l2,

@@ -2,7 +2,8 @@
 multiscale basis constructions: connectivity, trace rows, free-node masks
 and masked energy products on an fn x fn cell grid; the one builder of the
 penalized operator's free-node blocks (`penalized_operator`), written as a
-9-point stencil with per-cell penalty weights; and the Galerkin multigrid
+9-point stencil with per-cell penalty weights; the one Q1 load builder
+(`load_vector`); and the Galerkin multigrid
 V-cycle that preconditions the reference solve's CG (`grid.cg_spd`)."""
 
 from __future__ import annotations
@@ -95,6 +96,28 @@ def _stencil_csr(data: np.ndarray, keep: np.ndarray, indices: np.ndarray,
     return sp.csr_matrix((data[keep], indices, indptr), shape=(len(indptr) - 1, ncols))
 
 
+def load_vector(cell_values: np.ndarray, keep: np.ndarray, h: float) -> np.ndarray:
+    """int f v over the kept cells of an fn x fn grid for f constant per cell
+    (midpoint values); exact for bilinear v given the per-cell constants.
+    cell_values (..., fn * fn) and keep (..., fn, fn) give (..., (fn + 1)^2),
+    in `SquareGrid`'s node order.
+
+    Each cell adds a quarter of its integral to its four corners, as four
+    corner-shifted adds. A node takes its cells' shares in ascending element
+    order (the cell holding it as NE corner, then SE, NW, SW), as an
+    element-by-element sum does."""
+    fn = keep.shape[-1]
+    w = np.where(keep.reshape(cell_values.shape), cell_values, 0.0)
+    w *= h * h / 4.0
+    w = w.reshape(keep.shape)
+    out = np.zeros((*keep.shape[:-2], fn + 1, fn + 1))
+    out[..., 1:, 1:] += w
+    out[..., 1:, :-1] += w
+    out[..., :-1, 1:] += w
+    out[..., :-1, :-1] += w
+    return out.reshape(*keep.shape[:-2], -1)
+
+
 class SquareGrid:
     """Connectivity of a square Q1 grid."""
 
@@ -144,17 +167,6 @@ class SquareGrid:
     def cell_centers(self, origin: tuple[float, float], h: float):
         ex, ey = self.cell_xy
         return origin[0] + (ex + 0.5) * h, origin[1] + (ey + 0.5) * h
-
-    def load_vector(self, cell_values: np.ndarray, keep: np.ndarray, h: float) -> np.ndarray:
-        """int f v with f constant per cell (midpoint values), restricted to
-        kept cells; exact for bilinear v given the per-cell constants.
-        cell_values (..., fn * fn) and keep (..., fn, fn) give (..., nn)."""
-        w = np.where(keep.reshape(cell_values.shape), cell_values, 0.0) * (h * h / 4.0)
-        w = w.reshape(-1, w.shape[-1])
-        nodes = self.elem_nodes.ravel() + self.nn * np.arange(len(w))[:, None]
-        out = np.bincount(nodes.ravel(), weights=np.repeat(w, 4, axis=1).ravel(),
-                          minlength=len(w) * self.nn)
-        return out.reshape(*cell_values.shape[:-1], self.nn)
 
     def energy_products(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Gram matrices of grad-grad products over kept cells (h-independent):
@@ -218,9 +230,9 @@ def _v_cycle(levels: tuple, coarse_lu, b: np.ndarray) -> np.ndarray:
     can precondition CG."""
     if not levels:
         return coarse_lu.solve(b)
-    A, w_inv_diag, P, R = levels[0]
+    A, w_inv_diag, P = levels[0]
     x = w_inv_diag * b
-    x += P @ _v_cycle(levels[1:], coarse_lu, R @ (b - A @ x))
+    x += P @ _v_cycle(levels[1:], coarse_lu, P.T @ (b - A @ x))
     x += w_inv_diag * (b - A @ x)
     return x
 
@@ -231,9 +243,13 @@ def multigrid_preconditioner(A: sp.csr_matrix, fn: int):
     `SquareGrid` numbers them (x index slow).
 
     Prolongation is P = kron(P1, P1) with P1 1D linear interpolation,
-    restriction R = P^T and coarse operators R A P, so a penalty jump in A
+    restriction P^T and coarse operators P^T A P, so a penalty jump in A
     carries over to every level (Alcouffe, Brandt, Dendy & Painter, SIAM J.
-    Sci. Stat. Comput. 2, 1981). Returns None when the coarsest reachable
+    Sci. Stat. Comput. 2, 1981). A level keeps only P: a restriction
+    multiplies by the transpose view `P.T`, which sums in the order a CSR
+    copy of P^T does, while the Galerkin product takes a CSR copy that is
+    dropped after it, since the view would sum that product in another
+    order. Returns None when the coarsest reachable
     grid has more than MG_DIRECT_MAX cells per side (an odd fn above it
     cannot coarsen at all); the caller then keeps Jacobi preconditioning.
 
@@ -250,8 +266,7 @@ def multigrid_preconditioner(A: sp.csr_matrix, fn: int):
     while fn > coarsest:
         p1 = _interpolation_1d(fn)
         P = sp.kron(p1, p1, format="csr")
-        R = P.T.tocsr()
-        levels.append((A, MG_OMEGA / A.diagonal(), P, R))
-        A = (R @ A @ P).tocsr()
+        levels.append((A, MG_OMEGA / A.diagonal(), P))
+        A = (P.T.tocsr() @ A @ P).tocsr()
         fn //= 2
     return partial(_v_cycle, tuple(levels), spla.splu(A.tocsc()))

@@ -269,8 +269,7 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
 
 
 def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
-                          maxiter: int | None = None, method: str = "cg",
-                          preconditioner=None, factorization=None):
+                          method: str = "cg", preconditioner=None, factorization=None):
     """Solve K x = b where K is SPD up to the 1D kernel of constants.
 
     Returns (x, iterations, relative_residual) with mean(x) = 0. The "cg"
@@ -289,6 +288,6 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
         return x, 1, float(np.linalg.norm(K @ x - b)) / bnorm
     if method != "cg":
         raise ParameterError(f"unknown solver method {method!r}")
-    x, iterations, residual = cg_spd(K, b, tol, maxiter, preconditioner, centre=True)
+    x, iterations, residual = cg_spd(K, b, tol, preconditioner=preconditioner, centre=True)
     x -= x.mean()
     return x, iterations, residual

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AssemblyError, GridMismatchError, LocalSolveError,
                      ParameterError, ResolutionWarning)
-from .femcore import SIDES, penalized_operator, square_grid
+from .femcore import SIDES, load_vector, penalized_operator, square_grid
 from .grid import assemble
 from .poisson import FineSolution, check_resolution, default_kappa
 
@@ -84,7 +84,6 @@ class MsFEMSpace:
     mesh: CoarseMesh
     perf: object
     fine_n: int
-    kappa: float
     with_bubbles: bool
     method: str                  # "cr", "linear" or "q1"
     elem_alive: np.ndarray       # (m, m) bool
@@ -102,6 +101,11 @@ class MsFEMSpace:
     @property
     def h_loc(self) -> float:
         return self.mesh.H / self.fine_n
+
+    @property
+    def kappa(self) -> float:
+        """The penalty of the local problems, 1e8 / h_loc^2."""
+        return default_kappa(self.h_loc)
 
     def without_bubbles(self) -> "MsFEMSpace":
         """View of the same space with bubble functions dropped."""
@@ -198,7 +202,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
         i, j = next(iter(members))
         raise LocalSolveError(f"singular local system on element ({i}, {j})",
                               kind="element", index=(i, j)) from exc
-    load = grid.load_vector(np.ones(mask.size), ~mask, h_loc)[free]
+    load = load_vector(np.ones(mask.size), ~mask, h_loc)[free]
     out = {}
     for (i, j), prob in members.items():
         rhs = np.zeros((len(prob.dofs), system.shape[0]))
@@ -288,24 +292,23 @@ def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbl
     return geometry, numbering, problems, bubble_dof, prescribed
 
 
-def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int, kappa: float | None,
+def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
                  with_bubbles: bool, strict: bool) -> MsFEMSpace:
     """The space "cr", "linear" or "q1" (coarse Q1): local problems solved with one
     LU per distinct system, after each element's prescribed rows."""
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
-    kappa = default_kappa(h_loc) if kappa is None else kappa
     check_resolution(perf, h_loc, strict, f"MsFEM {method} space")
     (masks, elem_alive, edge_alive), numbering, problems, bubble_dof, prescribed = \
         _local_problems(method, mesh, perf, fine_n, with_bubbles)
-    basis, factorizations = _local_basis(grid, masks, kappa, h_loc, problems)
+    basis, factorizations = _local_basis(grid, masks, default_kappa(h_loc), h_loc, problems)
     empty = (np.array([], dtype=int), np.zeros((0, grid.nn)))
     elem_basis = {(i, j): basis.get((i, j), empty) for i in range(mesh.m) for j in range(mesh.m)}
     for elem, (dofs, values) in prescribed.items():
         solved_dofs, solved = elem_basis[elem]
         elem_basis[elem] = (np.concatenate([np.array(dofs, dtype=int), solved_dofs]),
                             np.vstack([values, solved]))
-    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n, kappa=kappa,
+    return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n,
                       with_bubbles=with_bubbles, method=method, elem_alive=elem_alive,
                       edge_alive=edge_alive, masks=masks, elem_basis=elem_basis,
                       n_dofs=len(numbering) + len(bubble_dof), n_edge_dofs=len(numbering),
@@ -323,19 +326,18 @@ def count_local_solves(mesh: CoarseMesh, perf, fine_n: int, method: str,
     return sum(len(prob.dofs) for prob in problems.values())
 
 
-def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, kappa: float | None = None,
-                   with_bubbles: bool = True, strict: bool = False) -> MsFEMSpace:
+def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, with_bubbles: bool = True,
+                   strict: bool = False) -> MsFEMSpace:
     """Crouzeix-Raviart basis: edge functions and bubbles. Fully perforated
     elements and edges keep no basis functions."""
-    return _build_space("cr", mesh, perf, fine_n, kappa, with_bubbles, strict)
+    return _build_space("cr", mesh, perf, fine_n, with_bubbles, strict)
 
 
-def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
-                       kappa: float | None = None, with_bubbles: bool = True,
+def build_linear_space(mesh: CoarseMesh, perf, fine_n: int, with_bubbles: bool = True,
                        strict: bool = False) -> MsFEMSpace:
     """Classical MsFEM basis: harmonic lifts of affine (hat) traces on each
     element boundary, penalized inside perforations, plus Dirichlet bubbles."""
-    return _build_space("linear", mesh, perf, fine_n, kappa, with_bubbles, strict)
+    return _build_space("linear", mesh, perf, fine_n, with_bubbles, strict)
 
 
 @dataclass(frozen=True)
@@ -390,7 +392,7 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
                 + space.kappa * grid.l2_products(values, mask, h_loc)
         cx, cy = grid.cell_centers((elems[:, :1] * mesh.H, elems[:, 1:] * mesh.H), h_loc)
         fc = np.broadcast_to(np.asarray(f(cx, cy), dtype=float), cx.shape)
-        load = values @ grid.load_vector(fc, keep, h_loc)[..., None]
+        load = values @ load_vector(fc, keep, h_loc)[..., None]
         np.add.at(b, dofs.ravel(), load.ravel())
         blocks.append((dofs, gram))
     K = assemble(blocks, space.n_dofs)
@@ -418,7 +420,7 @@ def msfem_solve(space: MsFEMSpace, f) -> CoarseSolution:
 
 def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
                    with_bubbles: bool = True, fine_n: int = 32,
-                   kappa: float | None = None, strict: bool = False) -> CoarseSolution:
+                   strict: bool = False) -> CoarseSolution:
     """Reference methods "msfem_linear" (affine boundary conditions) and
     "coarse_q1". Their coarse problem is the Galerkin projection of the
     penalized problem (the penalty makes affine traces crossing perforations
@@ -426,8 +428,7 @@ def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
     space = {"msfem_linear": "linear", "coarse_q1": "q1"}.get(method)
     if space is None:
         raise ParameterError(f"unknown baseline method {method!r}")
-    return _coarse_galerkin(_build_space(space, mesh, perf, fine_n, kappa, with_bubbles,
-                                         strict), f)
+    return _coarse_galerkin(_build_space(space, mesh, perf, fine_n, with_bubbles, strict), f)
 
 
 def compute_errors(u: CoarseSolution, ref: FineSolution) -> tuple[float, float]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionWarning
-from .femcore import SIDES, multigrid_preconditioner, penalized_operator, square_grid
+from .femcore import (SIDES, load_vector, multigrid_preconditioner, penalized_operator,
+                      square_grid)
 from .grid import cg_spd
 
 DEFAULT_KAPPA_SCALE = 1e8
@@ -45,7 +46,6 @@ class FineSolution:
 
     fine_n: int
     values: np.ndarray  # (fine_n + 1, fine_n + 1), indexed [ix, iy]
-    kappa: float
     mask: np.ndarray    # (fine_n, fine_n) bool, True inside perforations
 
     def __post_init__(self):
@@ -71,33 +71,29 @@ class FineSolution:
         return float(np.sqrt(grid.energy_products(v, ~self.mask)[0, 0]))
 
 
-def reference_solve(perf, f, fine_n: int, kappa: float | None = None,
-                    tol: float = 1e-10, strict: bool = False) -> FineSolution:
-    """Bilinear FEM solve of the penalized problem on the fine_n^2 grid.
+def reference_solve(perf, f, fine_n: int, strict: bool = False) -> FineSolution:
+    """Bilinear FEM solve of the penalized problem on the fine_n^2 grid,
+    with kappa = 1e8 / h^2.
 
     f is a vectorized callable f(x, y); homogeneous Dirichlet data on the
-    outer boundary is imposed strongly. The CG on the interior nodes is
-    preconditioned by one Galerkin multigrid V-cycle (Jacobi when fine_n
-    cannot coarsen to a small enough grid, see `multigrid_preconditioner`).
+    outer boundary is imposed strongly. The CG on the interior nodes runs to
+    tolerance 1e-10, preconditioned by one Galerkin multigrid V-cycle
+    (Jacobi when fine_n cannot coarsen to a small enough grid, see
+    `multigrid_preconditioner`).
     """
     if fine_n < 2:
         raise ParameterError("fine_n must be >= 2")
     h = 1.0 / fine_n
-    if kappa is None:
-        kappa = default_kappa(h)
     check_resolution(perf, h, strict, "reference_solve")
 
     c = (np.arange(fine_n) + 0.5) * h
     mask = perf.indicator(c[:, None], c[None, :])
-    K, _ = penalized_operator(fine_n, mask, kappa, h, SIDES)
+    K, _ = penalized_operator(fine_n, mask, default_kappa(h), h, SIDES)
     fc = np.asarray(f(*np.broadcast_arrays(c[:, None], c[None, :])), dtype=float)
-    w = np.broadcast_to(fc, mask.shape) * (h * h / 4.0)
-    # int f v at the interior nodes: each node adds its four cells' shares in
-    # ascending element order, as an element-by-element load does
-    b = ((w[:-1, :-1] + w[:-1, 1:]) + w[1:, :-1]) + w[1:, 1:]
-    del fc, w
-    x_free, _, _ = cg_spd(K, b.ravel(), tol=tol,
-                          preconditioner=multigrid_preconditioner(K, fine_n))
+    load = load_vector(np.broadcast_to(fc, mask.shape).ravel(), np.ones_like(mask), h)
+    b = load.reshape(fine_n + 1, fine_n + 1)[1:-1, 1:-1].ravel()
+    del fc, load
+    x_free, _, _ = cg_spd(K, b, tol=1e-10, preconditioner=multigrid_preconditioner(K, fine_n))
     values = np.zeros((fine_n + 1, fine_n + 1))
     values[1:-1, 1:-1] = x_free.reshape(fine_n - 1, fine_n - 1)
-    return FineSolution(fine_n=fine_n, values=values, kappa=kappa, mask=mask)
+    return FineSolution(fine_n=fine_n, values=values, mask=mask)

@@ -45,16 +45,14 @@ def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
 @dataclass(frozen=True)
 class SqsAuxiliary:
     """Per-offset flux integrals on the working box and on an enlarged box
-    used as a whole-space proxy (the gradient of phi decays fast, so periodic
-    truncation at n_big >= 3n is a documented, testable approximation)."""
+    of side max(3n, 24) used as a whole-space proxy (the gradient of phi
+    decays fast, so periodic truncation there is a documented, testable
+    approximation)."""
 
     n: int
     r: int
-    c0: np.ndarray
-    c1: np.ndarray
     i_n: np.ndarray        # (n, n, 2, 2), offset-indexed
-    n_big: int
-    i_inf_box: np.ndarray  # (n_big, n_big, 2, 2)
+    i_inf_box: np.ndarray  # (N, N, 2, 2) on the enlarged box of side N
     solves: int = 0
 
     def rhs_second_moment(self, var_x: float) -> np.ndarray:
@@ -62,7 +60,7 @@ class SqsAuxiliary:
         return var_x * self.i_inf_box[0, 0]
 
 
-def sqs_auxiliary(c0, c1, n: int, r: int, n_big: int | None = None) -> SqsAuxiliary:
+def sqs_auxiliary(c0, c1, n: int, r: int) -> SqsAuxiliary:
     """Build the offset-indexed integrals for the selection conditions."""
     c0 = _as_symmetric_matrix(c0, "c0")
     c1 = np.asarray(c1, dtype=float)
@@ -70,12 +68,9 @@ def sqs_auxiliary(c0, c1, n: int, r: int, n_big: int | None = None) -> SqsAuxili
         c1 = float(c1) * np.eye(2)
     if np.linalg.eigvalsh(c0)[0] <= 0:
         raise ParameterError("c0 must be symmetric positive definite")
-    if n_big is None:
-        n_big = max(3 * n, 24)
     i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
-    i_big, s2 = _cell_flux_integrals(c0, c1, n_big, r)
-    return SqsAuxiliary(n=n, r=r, c0=c0, c1=c1, i_n=i_n, n_big=n_big,
-                        i_inf_box=i_big, solves=s1 + s2)
+    i_big, s2 = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
+    return SqsAuxiliary(n=n, r=r, i_n=i_n, i_inf_box=i_big, solves=s1 + s2)
 
 
 def pair_correlation_sums(x: np.ndarray) -> np.ndarray:

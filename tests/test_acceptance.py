@@ -22,7 +22,7 @@ from randpde import (Checkerboard, CoarseMesh, PerturbedPeriodic,
 from randpde.correctors import E1
 from randpde.estimators import write_reports_csv
 from randpde.fields import CoefficientField
-from randpde.femcore import SIDES, square_grid
+from randpde.femcore import SIDES, load_vector, square_grid
 from randpde.msfem import edge_average_matrix, max_mean_jump
 from randpde.perforations import NoPerforations
 
@@ -381,8 +381,8 @@ def test_criterion_9_invariants(table_runs, tmp_path):
             fixed.update(np.unique(grid_f.elem_nodes[mask.ravel()]).tolist())
             v[sorted(fixed)] = 0.0
             rows = [grid_f.trace_row(s, space.h_loc) for s in SIDES if s not in dirichlet]
-            rows.append(grid_f.load_vector(np.ones(space.fine_n ** 2),
-                                           np.ones_like(mask), space.h_loc))
+            rows.append(load_vector(np.ones(space.fine_n ** 2),
+                                    np.ones_like(mask), space.h_loc))
             free = np.setdiff1d(np.arange(grid_f.nn), sorted(fixed))
             C = np.vstack(rows)[:, free]
             lam = np.linalg.solve(C @ C.T, C @ v[free])

@@ -161,13 +161,14 @@ def test_constant_medium_preconditioner_is_exact():
 def test_solver_error_carries_diagnostics(monkeypatch):
     # both legs run the one CG loop: the periodic corrector solve and the
     # penalized reference solve, capped here at 3 iterations
-    from randpde import poisson
+    from randpde import grid, poisson
     from randpde.grid import cg_spd
     from randpde.perforations import NoPerforations
     law = Checkerboard(3.0, 20.0)
     f = realize_field(law, sample_configuration(law, 8, seed=2, index=0))
-    monkeypatch.setattr(poisson, "cg_spd", partial(cg_spd, maxiter=3))
-    legs = (lambda: solve_corrector(f, E1, r=8, maxiter=3),
+    for module in (grid, poisson):
+        monkeypatch.setattr(module, "cg_spd", partial(cg_spd, maxiter=3))
+    legs = (lambda: solve_corrector(f, E1, r=8),
             lambda: poisson.reference_solve(NoPerforations(), lambda x, y: np.ones_like(x), 64))
     for leg in legs:
         with pytest.raises(SolverError) as err:

@@ -18,10 +18,10 @@ def test_zero_perturbation_gives_zero_coefficient():
 
 
 def test_one_defect_position_independent():
-    d00 = defect_coefficients(LAW, n=5, r=4, defect_cell=(0, 0))
-    d23 = defect_coefficients(LAW, n=5, r=4, defect_cell=(2, 3))
-    scale = np.abs(d00.a_1def).max()
-    assert np.max(np.abs(d00.a_1def - d23.a_1def)) <= 1e-8 * scale
+    e00, _ = _box_flux_excess(LAW, n=5, r=4, defect_cells=[(0, 0)])
+    e23, _ = _box_flux_excess(LAW, n=5, r=4, defect_cells=[(2, 3)])
+    scale = np.abs(e00).max()
+    assert np.max(np.abs(e00 - e23)) <= 1e-8 * scale
 
 
 def test_one_defect_converges_in_box_size():
@@ -35,7 +35,7 @@ def test_one_defect_converges_in_box_size():
 
 def test_offset_catalog_counts_pairs_once():
     n = 6
-    offsets = sign_canonical_offsets(n, cutoff=n / 2)
+    offsets = sign_canonical_offsets(n)
     seen = set()
     total_weight = 0.0
     for (off, w) in offsets:
@@ -60,10 +60,8 @@ def test_offset_catalog_counts_pairs_once():
 
 def test_two_defect_symmetry_map_matches_direct_solve():
     # isotropic material: the (0,1) pair is the 90-degree image of (1,0)
-    e_10, _ = _box_flux_excess(LAW, n=4, r=4, defect_cells=[(0, 0), (1, 0)],
-                               tol=1e-10, method="cg")
-    e_01, _ = _box_flux_excess(LAW, n=4, r=4, defect_cells=[(0, 0), (0, 1)],
-                               tol=1e-10, method="cg")
+    e_10, _ = _box_flux_excess(LAW, n=4, r=4, defect_cells=[(0, 0), (1, 0)])
+    e_01, _ = _box_flux_excess(LAW, n=4, r=4, defect_cells=[(0, 0), (0, 1)])
     rot = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.max(np.abs(e_01 - rot @ e_10 @ rot.T)) <= 1e-7 * np.abs(e_10).max()
 

@@ -91,7 +91,7 @@ def test_control_variate_order2_beats_order1():
 
 def test_sqs_ranked_equals_exact_without_selection_pressure():
     law = Checkerboard(3.0, 20.0)
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2, n_big=8)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
     exact = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, mode="exact1")
     ranked = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, mode="ranked2",
                           pool=6, aux=aux)
@@ -110,7 +110,7 @@ def test_sqs_exact_reduces_variance():
 
 def test_sqs_ranked_selection_reports_rejections():
     law = Checkerboard(3.0, 20.0)
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2, n_big=8)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
     rep = sqs_estimate(law, n=4, r=2, m_keep=5, seed=2, mode="ranked2",
                        pool=40, aux=aux)
     assert rep.rejected == 35

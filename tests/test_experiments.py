@@ -57,6 +57,15 @@ def test_parse_rejects_unknown_keys(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_removed_keys(tmp_path):
+    # the corrector solver (CG at 1e-9) and the penalty (kappa = 1e8/h^2)
+    # are fixed, so configs cannot set them
+    for text, key in ((VR_CONFIG + "solver = cg\n", "estimate.solver"),
+                      (MSFEM_CONFIG + "kappa = 1e8\n", "msfem.kappa")):
+        with pytest.raises(ConfigError, match=f"unknown key {key}"):
+            parse_config(write_config(tmp_path, text))
+
+
 def test_parse_rejects_unknown_section(tmp_path):
     path = write_config(tmp_path, VR_CONFIG + "\n[mystery]\nx = 1\n")
     with pytest.raises(ConfigError, match="mystery"):

@@ -6,14 +6,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
-from randpde.femcore import SIDES, SquareGrid, penalized_operator, square_grid
+from randpde.femcore import SIDES, SquareGrid, load_vector, penalized_operator, square_grid
 from randpde.grid import KXX, KYY, MASS
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
                            baseline_solve, build_cr_space, build_linear_space, compute_errors,
                            count_local_solves, edge_average_matrix, max_mean_jump,
                            msfem_solve)
 from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
-from randpde.poisson import reference_solve
+from randpde.poisson import default_kappa, reference_solve
 
 
 def f_one(x, y):
@@ -140,8 +140,7 @@ def _whspace_probe(space, elem, rng):
     fixed.update(np.unique(grid.elem_nodes[mask.ravel()]).tolist())
     v[sorted(fixed)] = 0.0
     rows = [grid.trace_row(s, space.h_loc) for s in SIDES if s not in dirichlet]
-    rows.append(grid.load_vector(np.ones(space.fine_n ** 2),
-                                 np.ones_like(mask), space.h_loc))
+    rows.append(load_vector(np.ones(space.fine_n ** 2), np.ones_like(mask), space.h_loc))
     free = np.setdiff1d(np.arange(grid.nn), sorted(fixed))
     C = np.vstack(rows)[:, free]
     lam = np.linalg.solve(C @ C.T, C @ v[free])
@@ -233,6 +232,33 @@ def test_without_bubbles_view():
     assert u.dof == bare.n_dofs
 
 
+def test_space_penalty_is_the_default_kappa(plain_space):
+    assert plain_space.kappa == default_kappa(plain_space.h_loc)
+    assert plain_space.kappa == pytest.approx(1e8 * 64 ** 2)  # h_loc = 1/(4 * 16)
+
+
+@pytest.mark.parametrize("fn", [1, 2, 3, 8, 16, 33])
+def test_load_vector_matches_elementwise_bincount(fn):
+    # the corner-shifted adds give the bits of a per-element bincount, which
+    # adds each node's cell shares in ascending element order from 0.0
+    grid = SquareGrid(fn)
+    rng = np.random.default_rng(fn)
+    h = 1.0 / fn
+    for batch in ((), (5,), (3, 4)):
+        values = rng.normal(size=(*batch, fn * fn))
+        values[..., ::3] = -0.0
+        keep = rng.random((*batch, fn, fn)) < 0.7
+        w = np.where(keep.reshape(values.shape), values, 0.0) * (h * h / 4.0)
+        w = w.reshape(-1, fn * fn)
+        nodes = grid.elem_nodes.ravel() + grid.nn * np.arange(len(w))[:, None]
+        oracle = np.bincount(nodes.ravel(), weights=np.repeat(w, 4, axis=1).ravel(),
+                             minlength=len(w) * grid.nn).reshape(*batch, grid.nn)
+        load = load_vector(values, keep, h)
+        assert load.shape == oracle.shape
+        assert np.array_equal(load, oracle) and np.array_equal(np.signbit(load),
+                                                               np.signbit(oracle))
+
+
 def _penalized_coo(grid, mask, kappa, h):
     """Laplace stiffness plus kappa times the mass on masked cells, each term
     one COO build over the full grid, independently of `penalized_operator`."""
@@ -287,8 +313,7 @@ def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):
     rhs = np.zeros((len(dofs), S.shape[0]))
     for row, b, dof in zip(out, rhs, dofs):
         if space.bubble_dof.get(elem) == dof:
-            b[:free.size] = grid.load_vector(np.ones(space.fine_n ** 2),
-                                             ~space.masks[elem], h)[free]
+            b[:free.size] = load_vector(np.ones(space.fine_n ** 2), ~space.masks[elem], h)[free]
         elif space.method == "cr":
             (a, sa), (_, sb) = space.mesh.edge_adjacency()[
                 next(e for e, d in space.edge_dof.items() if d == dof)]
@@ -317,7 +342,7 @@ def _engine_spaces(geometry, m, fine_n=16):
     cr = build_cr_space(mesh, perf, fine_n)
     return [cr, cr.without_bubbles(), build_cr_space(mesh, perf, fine_n, with_bubbles=False),
             build_linear_space(mesh, perf, fine_n),
-            _build_space("q1", mesh, perf, fine_n, None, True, False)]
+            _build_space("q1", mesh, perf, fine_n, True, False)]
 
 
 def _local_rows(space):
@@ -360,7 +385,7 @@ def test_local_engine_counts_factorizations_apart_from_solves():
                                height_range=(0.02, 0.05), seed=2026)
     cr = build_cr_space(CoarseMesh(5), discs, 32)
     linear = build_linear_space(CoarseMesh(5), discs, 32)
-    q1 = _build_space("q1", CoarseMesh(5), discs, 32, None, True, False)
+    q1 = _build_space("q1", CoarseMesh(5), discs, 32, True, False)
     assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
     # every alive element solves one right-hand side per basis function
     assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
@@ -436,7 +461,7 @@ def test_count_local_solves_matches_builds(geometry):
         assert count_local_solves(space.mesh, space.perf, space.fine_n, space.method,
                                   space.with_bubbles) == space.solves, space.method
     # coarse Q1 without bubbles prescribes every row and solves nothing
-    bare = _build_space("q1", q1.mesh, q1.perf, q1.fine_n, None, False, False)
+    bare = _build_space("q1", q1.mesh, q1.perf, q1.fine_n, False, False)
     assert (bare.solves, bare.factorizations) == (0, 0)
     assert count_local_solves(q1.mesh, q1.perf, q1.fine_n, "q1", False) == 0
 

@@ -10,14 +10,14 @@ ID = np.eye(2)
 
 
 def test_zero_perturbation_gives_zero_integrals():
-    aux = sqs_auxiliary(11.5 * ID, 0.0 * ID, n=4, r=2, n_big=8)
+    aux = sqs_auxiliary(11.5 * ID, 0.0 * ID, n=4, r=2)
     assert np.max(np.abs(aux.i_n)) == 0.0
     assert np.max(np.abs(aux.i_inf_box)) == 0.0
 
 
 def test_cell_integrals_sum_to_zero():
     # for constant c1 the box integral of c1 grad(phi) vanishes by periodicity
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=6, r=4, n_big=12)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=6, r=4)
     total = aux.i_n.sum(axis=(0, 1))
     assert np.max(np.abs(total)) <= 1e-8 * np.abs(aux.i_n).max()
 
@@ -59,7 +59,7 @@ def test_pair_correlation_sums_match_direct():
 
 
 def test_balanced_configuration_satisfies_first_condition_exactly():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2, n_big=8)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
     cfg = sqs1_exact_sample(4, seed=5, index=2)
     s1, s2 = sqs_condition_values(cfg, aux)
     assert s1 == 0.0
@@ -67,14 +67,14 @@ def test_balanced_configuration_satisfies_first_condition_exactly():
 
 
 def test_all_ones_first_moment_is_half():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2, n_big=8)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
     cfg = Configuration(n=4, draws=np.ones((4, 4), dtype=np.uint8), seed=0, index=0)
     s1, _ = sqs_condition_values(cfg, aux)
     assert s1 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_residual_distribution_is_spread_out():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=8, r=4, n_big=24)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=8, r=4)
     residuals = []
     for i in range(2000):
         cfg = sqs1_exact_sample(8, seed=17, index=i)
@@ -85,7 +85,7 @@ def test_residual_distribution_is_spread_out():
 
 
 def test_mismatched_sizes_rejected():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2, n_big=8)
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
     cfg = sqs1_exact_sample(6, seed=0, index=0)
     with pytest.raises(GridMismatchError):
         sqs_condition_values(cfg, aux)

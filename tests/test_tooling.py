@@ -1,17 +1,20 @@
 """The benchmark's per-layer metrics come from wrappers that `tracing.install`
 puts around named functions of `randpde`; a renamed or moved function would
 silently drop its layer from a traced run. These tests resolve the names
-without installing anything."""
+without installing anything. The README's list of config keys is checked
+against the parser's schema in the same spirit."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 from randpde import experiments
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmark" / "tracing.py"
 
 # Wrapped by the benchmark but no longer imported by `randpde.sqs`; removing
 # it from `TARGETS` is a change to the benchmark alone.
@@ -68,3 +71,13 @@ methods = linear, q1
     span_name = _tracing().span_name
     assert [span_name({"name": "msfem.baseline", "method": args[3]}) for args in calls] \
         == ["msfem.linear", "msfem.q1"]
+
+
+def test_readme_lists_the_config_keys():
+    # README's per-section key list under "Command line runner" is the parser's
+    # schema, so the documented keys cannot drift from the accepted ones
+    readme = (ROOT / "README.md").read_text()
+    runner = readme.split("## Command line runner", 1)[1].split("\n## ", 1)[0]
+    listed = {section: {key.strip() for key in keys.split(",")}
+              for section, keys in re.findall(r"^\[(\w+)\]\s+(.+)$", runner, re.M)}
+    assert listed == experiments._SCHEMA
