@@ -1,10 +1,11 @@
 """Square-grid Q1 building blocks shared by the reference solver and the
 multiscale basis constructions: connectivity, trace rows, free-node masks
 and masked energy products on an fn x fn cell grid; the one builder of the
-penalized operator's free-node blocks (`penalized_operator`), written as a
-9-point stencil with per-cell penalty weights; the one Q1 load builder
-(`load_vector`); and the Galerkin multigrid
-V-cycle that preconditions the reference solve's CG (`grid.cg_spd`)."""
+penalized operator's free-node blocks, written as a 9-point stencil with
+per-cell penalty weights, in CSR (`penalized_operator`) or, for the banded
+Cholesky of the local problems, in LAPACK band storage (`penalized_band`);
+the one Q1 load builder (`load_vector`); and the Galerkin multigrid V-cycle
+that preconditions the reference solve's CG (`grid.cg_spd`)."""
 
 from __future__ import annotations
 
@@ -36,14 +37,47 @@ def penalized_operator(fn: int, mask: np.ndarray, kappa: float, h: float,
     free block and its coupling to the Dirichlet nodes, as CSR with int32
     indices; rows and columns keep `SquareGrid`'s node order.
 
+    The (rows, 9) stencil layout of `_penalized_stencil` is compressed once
+    to the free neighbours and once to the Dirichlet ones; no full matrix is
+    built."""
+    data, is_free, A_fd = _penalized_stencil(fn, mask, kappa, h, dirichlet)
+    nx, ny = is_free.shape[:2]
+    # a free neighbour's column is its row's plus the slot's offset
+    rows = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny, 1)
+    free_cols = (rows + (STENCIL[:, 0] * ny + STENCIL[:, 1]).astype(np.int32))[is_free]
+    return _stencil_csr(data, is_free, free_cols, nx * ny), A_fd
+
+
+def penalized_band(fn: int, mask: np.ndarray, kappa: float, h: float,
+                   dirichlet) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The blocks of `penalized_operator`, with A_ff in LAPACK's lower band
+    storage (`band[i - j, j] = A_ff[i, j]` for 0 <= i - j <= ny + 1, ny the
+    free nodes per grid column), ready for `dpbtrf`. In the x-slow node order
+    the stencil's lower slots (dx, dy) = (0, 0), (0, 1), (1, -1), (1, 0),
+    (1, 1) sit at the band offsets dx ny + dy, so each fills one band row."""
+    data, is_free, A_fd = _penalized_stencil(fn, mask, kappa, h, dirichlet)
+    nx, ny = is_free.shape[:2]
+    band = np.zeros((ny + 2, nx * ny), order="F")   # LAPACK's layout: no copy
+    for k in range(len(STENCIL) // 2, len(STENCIL)):
+        # += since a short column (ny = 1) maps two slots, one always empty,
+        # to one offset
+        band[STENCIL[k, 0] * ny + STENCIL[k, 1]] += \
+            np.where(is_free[..., k], data[..., k], 0.0).ravel()
+    return band, A_fd
+
+
+def _penalized_stencil(fn: int, mask: np.ndarray, kappa: float, h: float,
+                       dirichlet) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """The penalized operator's rows at the free nodes as a (nx, ny, 9)
+    stencil layout, the (nx, ny, 9) mask of its slots that reach free nodes,
+    and the CSR coupling A_fd to the Dirichlet nodes.
+
     Each free node's row is written straight from the stencil: slot (dx, dy)
     sums KLAP[a, b] over the cells that hold the node as corner a and its
     neighbour as corner b, then kappa h^2 MASS[a, b] over the masked ones
     among them, and adds the two sums. All terms of one sum are equal, so
     the entries are bitwise those of an element-by-element assembly of the
-    Laplacian plus one of the penalty. The (rows, 9) layout is compressed
-    once to the free neighbours and once to the Dirichlet ones; no full
-    matrix is built."""
+    Laplacian plus one of the penalty."""
     lo = (int("W" in dirichlet), int("S" in dirichlet))
     hi = (fn + 1 - ("E" in dirichlet), fn + 1 - ("N" in dirichlet))
     nx, ny = hi[0] - lo[0], hi[1] - lo[1]
@@ -74,17 +108,13 @@ def penalized_operator(fn: int, mask: np.ndarray, kappa: float, h: float,
     is_free = free_x[:, None, :] & free_y[None, :, :]
     is_fixed = grid_x[:, None, :] & grid_y[None, :, :] & ~is_free
 
-    # a free neighbour's column is its row's plus the slot's offset ...
-    rows = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny, 1)
-    free_cols = (rows + (STENCIL[:, 0] * ny + STENCIL[:, 1]).astype(np.int32))[is_free]
-    # ... and a Dirichlet neighbour's is its rank among the Dirichlet nodes
+    # a Dirichlet neighbour's column is its rank among the Dirichlet nodes
     fixed = np.ones((fn + 1, fn + 1), dtype=bool)
     fixed[lo[0]:hi[0], lo[1]:hi[1]] = False
     rank = (np.cumsum(fixed) - 1).astype(np.int32).reshape(fixed.shape)
     x, y, k = np.nonzero(is_fixed)
     fixed_cols = rank[qx[x, k], qy[y, k]]
-    return (_stencil_csr(data, is_free, free_cols, nx * ny),
-            _stencil_csr(data, is_fixed, fixed_cols, int(fixed.sum())))
+    return data, is_free, _stencil_csr(data, is_fixed, fixed_cols, int(fixed.sum()))
 
 
 def _stencil_csr(data: np.ndarray, keep: np.ndarray, indices: np.ndarray,

@@ -20,10 +20,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from .errors import (AssemblyError, GridMismatchError, LocalSolveError,
                      ParameterError, ResolutionWarning)
-from .femcore import SIDES, load_vector, penalized_operator, square_grid
+from .femcore import SIDES, load_vector, penalized_band, square_grid
 from .grid import assemble
 from .poisson import FineSolution, check_resolution, default_kappa
 
@@ -96,7 +98,7 @@ class MsFEMSpace:
     bubble_dof: dict             # (i, j) -> dof
     node_dof: dict               # coarse node -> dof (linear and q1)
     solves: int                  # local right-hand sides solved
-    factorizations: int = 0      # local LU factorizations made
+    factorizations: int = 0      # local banded Cholesky factorizations made
 
     @property
     def h_loc(self) -> float:
@@ -158,13 +160,14 @@ class _LocalProblem(NamedTuple):
 
 def _local_basis(grid, masks: np.ndarray, kappa: float, h_loc: float,
                  problems: dict) -> tuple[dict, int]:
-    """Solve every element's local problems with one LU per distinct system.
+    """Solve every element's local problems with one banded Cholesky
+    factorization per distinct system.
 
     Elements whose problems share the mask and the Dirichlet and constrained
     sides share the matrix, so they are grouped and each group is factorized
-    once; its LU is freed before the next group is factorized, which keeps
-    one LU alive at a time. Returns element -> (dof ids, nodal values (k, nn))
-    and the number of factorizations."""
+    once; its factor is freed before the next group is factorized, which
+    keeps one factorization alive at a time. Returns element -> (dof ids,
+    nodal values (k, nn)) and the number of factorizations."""
     groups = {}
     for elem, prob in problems.items():
         key = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
@@ -179,48 +182,73 @@ def _local_basis(grid, masks: np.ndarray, kappa: float, h_loc: float,
 def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
                  members: dict) -> dict:
     """Factorize the local system shared by `members` and solve each of
-    their right-hand sides: the saddle block [[A_ff, C^T], [C, 0]] with
-    right-hand side (-A_fd g, c) for a lift of trace g and averages c, and
-    (b_f, 0) for the bubble load b, which depends only on the mask. The LU
-    uses the minimum-degree ordering of A^T + A, which suits these
-    symmetric-pattern systems better than the default COLAMD, and each
-    member's right-hand sides are solved as one block."""
+    their right-hand sides as one block: the saddle system
+    [[A_ff, C^T], [C, 0]] (u, lambda) = (-A_fd g, c) for a lift of trace g
+    and averages c, and (b_f, 0) for the bubble load b, which depends only
+    on the mask.
+
+    A_ff is banded (lower bandwidth ny + 1 in the x-slow node order) and
+    gets LAPACK's banded Cholesky (`dpbtrf`) straight from the stencil. On
+    an element with no Dirichlet side and no perforation it is singular (its
+    kernel is the constants), so one constrained side s, W or E, with trace
+    row c_s and prescribed average c[s], adds sigma c_s^T c_s to A_ff and
+    sigma c_s^T c[s] to the right-hand side, with sigma = 1 / h_loc^2: exact
+    wherever C u = c holds, and inside the band, as a W or E side's nodes
+    are consecutive. The k <= 4 averages are then enforced through the dense
+    k x k Schur complement S = C A~^-1 C^T, also factorized once per group.
+    A factorization that fails names the group's first element."""
     first = next(iter(members.values()))
+    elem = next(iter(members))
     free = grid.free_nodes(first.dirichlet)
     fixed = ~free
-    A_ff, A_fd = penalized_operator(grid.fn, mask, kappa, h_loc, first.dirichlet)
-    nf = A_ff.shape[0]
+    band, A_fd = penalized_band(grid.fn, mask, kappa, h_loc, first.dirichlet)
+    C = np.array([grid.trace_row(s, h_loc)[free] for s in first.constrained])
     if first.constrained:
-        C = sp.csr_matrix(np.vstack([grid.trace_row(s, h_loc)[free]
-                                     for s in first.constrained]))
-        system = sp.bmat([[A_ff, C.T], [C, None]], format="csc")
-    else:
-        system = A_ff.tocsc()
-    try:
-        lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        i, j = next(iter(members))
-        raise LocalSolveError(f"singular local system on element ({i}, {j})",
-                              kind="element", index=(i, j)) from exc
+        shifted = first.constrained.index("W" if "W" in first.constrained else "E")
+        sigma = 1.0 / h_loc ** 2
+        nodes = np.flatnonzero(C[shifted])
+        p, q = np.tril_indices(len(nodes))
+        band[p - q, nodes[q]] += sigma * C[shifted, nodes[p]] * C[shifted, nodes[q]]
+    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise LocalSolveError(f"singular local system on element {elem}",
+                              kind="element", index=elem)
+
+    def solve(rhs):
+        return lapack.dpbtrs(factor, rhs, lower=1, overwrite_b=1)[0]
+
+    if first.constrained:
+        Y = solve(np.array(C.T, order="F"))
+        try:
+            schur = cho_factor(C @ Y)
+        except LinAlgError as exc:
+            raise LocalSolveError(f"singular local system on element {elem}",
+                                  kind="element", index=elem) from exc
     load = load_vector(np.ones(mask.size), ~mask, h_loc)[free]
     out = {}
     for (i, j), prob in members.items():
-        rhs = np.zeros((len(prob.dofs), system.shape[0]))
+        rhs = np.zeros((len(load), len(prob.dofs)), order="F")
+        averages = np.zeros((len(C), len(prob.dofs)))
         values = np.zeros((len(prob.dofs), grid.nn))
         lifts = len(prob.dofs) - prob.bubble
         if prob.averages is not None:
-            rhs[:lifts, nf:] = prob.averages
+            averages[:, :lifts] = prob.averages.T
         if prob.traces is not None:
             g = prob.traces[:, fixed]
-            rhs[:lifts, :nf] = -(A_fd @ g.T).T
+            rhs[:, :lifts] = -(A_fd @ g.T)
             values[:lifts, fixed] = g
         if prob.bubble:
-            rhs[-1, :nf] = load
-        sol = lu.solve(rhs.T)
+            rhs[:, -1] = load
+        if first.constrained:
+            rhs += sigma * np.outer(C[shifted], averages[shifted])
+            sol = solve(rhs)
+            sol -= Y @ cho_solve(schur, C @ sol - averages)
+        else:
+            sol = solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise LocalSolveError(f"local solve diverged on element ({i}, {j})",
                                   kind="element", index=(i, j))
-        values[:, free] = sol[:nf].T
+        values[:, free] = sol.T
         out[(i, j)] = (np.array(prob.dofs, dtype=int), values)
     return out
 
@@ -295,7 +323,7 @@ def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbl
 def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
                  with_bubbles: bool, strict: bool) -> MsFEMSpace:
     """The space "cr", "linear" or "q1" (coarse Q1): local problems solved with one
-    LU per distinct system, after each element's prescribed rows."""
+    factorization per distinct system, after each element's prescribed rows."""
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
     check_resolution(perf, h_loc, strict, f"MsFEM {method} space")

@@ -5,13 +5,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from randpde.errors import GridMismatchError, ParameterError, ResolutionWarning
-from randpde.femcore import SIDES, SquareGrid, load_vector, penalized_operator, square_grid
+from scipy.linalg import lapack
+
+from randpde import msfem
+from randpde.errors import GridMismatchError, LocalSolveError, ParameterError, ResolutionWarning
+from randpde.femcore import (SIDES, SquareGrid, load_vector, penalized_band, penalized_operator,
+                             square_grid)
 from randpde.grid import KXX, KYY, MASS
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
-                           baseline_solve, build_cr_space, build_linear_space, compute_errors,
-                           count_local_solves, edge_average_matrix, max_mean_jump,
-                           msfem_solve)
+                           _local_problems, _solve_group, baseline_solve, build_cr_space,
+                           build_linear_space, compute_errors, count_local_solves,
+                           edge_average_matrix, max_mean_jump, msfem_solve)
 from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
 from randpde.poisson import default_kappa, reference_solve
 
@@ -293,6 +297,28 @@ def test_penalized_matches_coo_build(fn):
                         (density, sides, name)
 
 
+@pytest.mark.parametrize("fn", [1, 2, 8, 33])
+def test_penalized_band_is_the_lower_band(fn):
+    # band[d, j] holds A_ff[j + d, j] for every d <= ny + 1, the whole lower
+    # triangle, bitwise; the coupling block is penalized_operator's
+    rng = np.random.default_rng(fn)
+    mask = rng.random((fn, fn)) < 0.3
+    kappa, h = 1e8 * fn ** 2, 1.0 / fn
+    for bits in range(16):
+        sides = tuple(s for k, s in enumerate(SIDES) if bits >> k & 1)
+        A_ff, A_fd = penalized_operator(fn, mask, kappa, h, sides)
+        band, coupling = penalized_band(fn, mask, kappa, h, sides)
+        n = A_ff.shape[0]
+        assert band.shape == (fn + 3 - ("S" in sides) - ("N" in sides), n)
+        lower = np.zeros((n, n))
+        for d, row in enumerate(band):
+            k = max(n - d, 0)   # the entries of band row d inside the matrix
+            lower[np.arange(d, d + k), np.arange(k)] = row[:k]
+            assert not row[k:].any()
+        assert np.array_equal(lower, np.tril(A_ff.toarray())), sides
+        assert (coupling != A_fd).nnz == 0 and coupling.shape == A_fd.shape
+
+
 def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):
     """Plain per-element local solves: assemble, slice, factorize with the
     given column ordering, then solve the basis functions' right-hand sides
@@ -357,26 +383,121 @@ def _local_rows(space):
 
 
 @pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
-def test_local_engine_matches_per_element_solves(geometry):
-    for space in _engine_spaces(geometry, 5):
+def test_local_engine_groups_bitwise(geometry):
+    # a grouped build gives the bits of one-member groups: sharing a
+    # factorization changes nothing but the count
+    cr, _, cr_plain, linear, q1 = _engine_spaces(geometry, 5)
+    for space in (cr, cr_plain, linear, q1):
         # some local problems repeat, so the grouping is exercised
         assert space.factorizations < len(space.bubble_dof or space.elem_basis)
+        grid = square_grid(space.fine_n)
+        problems = _local_problems(space.method, space.mesh, space.perf, space.fine_n,
+                                   space.with_bubbles)[2]
         for elem, dofs, values in _local_rows(space):
-            assert np.array_equal(values, _reference_basis(space, elem, dofs)), \
+            alone = _solve_group(grid, space.masks[elem], space.kappa, space.h_loc,
+                                 {elem: problems[elem]})[elem]
+            assert np.array_equal(alone[0][-len(dofs):], dofs)
+            assert np.array_equal(alone[1][-len(dofs):], values), (space.method, elem)
+
+
+@pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
+def test_local_engine_matches_per_element_solves(geometry):
+    # SuperLU on the assembled saddle system (minimum-degree ordering, block
+    # solves) is an independent oracle for the banded Cholesky and the
+    # Schur complement (measured <= 6.5e-15)
+    for space in _engine_spaces(geometry, 5):
+        for elem, dofs, values in _local_rows(space):
+            old = _reference_basis(space, elem, dofs)
+            assert np.max(np.abs(values - old)) <= 1e-12 * np.max(np.abs(old)), \
                 (space.method, elem)
 
 
 @pytest.mark.parametrize("geometry,m,fine_n", [("cloud", 16, 32), ("shifted_discs", 5, 16)])
 def test_local_engine_matches_colamd_column_solves(geometry, m, fine_n):
-    # the minimum-degree ordering and the block solves change the bases only
-    # at round-off against the default COLAMD ordering with one solve per
-    # right-hand side (measured <= 2.2e-14 and <= 3.7e-15)
+    # against the default COLAMD ordering with one solve per right-hand side
+    # the bases move only at round-off (measured <= 2.2e-14 and <= 4.0e-15)
     cr, _, _, linear, q1 = _engine_spaces(geometry, m, fine_n)
     for space in (cr, linear, q1):
         for elem, dofs, values in _local_rows(space):
             old = _reference_basis(space, elem, dofs, permc_spec="COLAMD", block=False)
             assert np.max(np.abs(values - old)) <= 1e-12 * np.max(np.abs(old)), \
                 (space.method, elem)
+
+
+def _edge_average_error(space, elem):
+    """Largest |int_s phi - target| over the element's internal sides s and
+    its basis functions phi: 1 for the edge function of side s, else 0."""
+    i, j = elem
+    grid = square_grid(space.fine_n)
+    dofs, values = space.elem_basis[elem]
+    worst = 0.0
+    for s in SIDES:
+        eid = space.mesh.element_side_edge(i, j, s)
+        if eid is None:
+            continue
+        target = np.array([float(space.edge_dof.get(eid) == dof) for dof in dofs])
+        worst = max(worst, np.abs(values @ grid.trace_row(s, space.h_loc) - target).max())
+    return worst
+
+
+def test_cr_engine_on_neumann_blocks(plain_space):
+    # unperforated interior elements have no Dirichlet side and no penalty,
+    # so A_ff is singular (constants); the W or E shift makes it definite
+    space = plain_space
+    for elem, (dofs, values) in space.elem_basis.items():
+        old = _reference_basis(space, elem, dofs)
+        assert np.max(np.abs(values - old)) <= 1e-12 * np.max(np.abs(old)), elem
+    ea = edge_average_matrix(space)
+    n_e = space.n_edge_dofs
+    assert np.max(np.abs(ea[:, :n_e] - np.eye(n_e))) <= 1e-12
+    assert np.max(np.abs(ea[:, n_e:])) <= 1e-12
+
+
+@pytest.mark.parametrize("strip", ["W", "S"])
+def test_cr_engine_on_nearly_covered_element(strip):
+    # element (2, 2) of H = 1/5, fine_n = 32 is perforated but for one cell
+    # column (W) or row (S), with all four edges alive. The saddle system is
+    # ill-conditioned (cond S = 8.8e5 for the W strip), and the bubble, of
+    # size 1e-12 there, differs from SuperLU's by 6.5e-8 (W) and 4.4e-8 (S)
+    # relative, while the edge averages hold at round-off (<= 6.2e-16)
+    h = 1.0 / 160
+    lo, hi = 0.4 + 1.25 * h, 0.6 - 0.25 * h   # cell 0 of the strip axis stays open
+    full = (0.4 + 0.25 * h, hi)                # every cell of the other axis
+    (x0, x1), (y0, y1) = ((lo, hi), full) if strip == "W" else (full, (lo, hi))
+    perf = RandomRectangles(rects=((0.5 * (x0 + x1), 0.5 * (y0 + y1), x1 - x0, y1 - y0),))
+    space = build_cr_space(CoarseMesh(5), perf, fine_n=32)
+    mask = space.masks[2, 2]
+    assert (~mask).sum() == 32 and not (mask[0] if strip == "W" else mask[:, 0]).any()
+    dofs, values = space.elem_basis[(2, 2)]
+    assert len(dofs) == 5
+    assert _edge_average_error(space, (2, 2)) <= 1e-12
+    old = _reference_basis(space, (2, 2), dofs)
+    assert np.all(np.max(np.abs(values - old), axis=1) <= 1e-6 * np.max(np.abs(old), axis=1))
+
+
+@pytest.mark.parametrize("stage", ["cholesky", "schur"])
+def test_singular_local_system_names_its_element(monkeypatch, stage):
+    if stage == "cholesky":
+        monkeypatch.setattr(lapack, "dpbtrf", lambda band, **kw: (band, 1))
+    else:
+        def singular(S):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(msfem, "cho_factor", singular)
+    with pytest.raises(LocalSolveError, match=r"element \(0, 0\)") as info:
+        build_cr_space(CoarseMesh(2), NoPerforations(), fine_n=8)
+    assert (info.value.kind, info.value.index) == ("element", (0, 0))
+
+
+def test_local_engine_assembles_no_saddle_matrix(monkeypatch):
+    # the local problems never build the sparse saddle block nor call SuperLU
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr(sp, "bmat", forbidden)
+    perf = build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2)
+    for method in ("cr", "linear", "q1"):
+        space = _build_space(method, CoarseMesh(4), perf, 16, True, False)
+        assert space.factorizations > 0
 
 
 def test_local_engine_counts_factorizations_apart_from_solves():
