@@ -38,20 +38,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            cfg = parse_config(args.config)
-            if args.strict:
-                cfg.strict = True
-            diag = validate(cfg)
-            print(json.dumps(diag, indent=2, sort_keys=True))
-            return 0 if not diag["problems"] else 2
         if args.command == "plot":
             for name in replot(args.archive):
                 print(f"wrote {name}")
             return 0
         cfg = parse_config(args.config)
-        if args.strict:
-            cfg.strict = True
+        cfg.strict = cfg.strict or args.strict
+        if args.command == "validate":
+            diag = validate(cfg)
+            print(json.dumps(diag, indent=2, sort_keys=True))
+            return 0 if not diag["problems"] else 2
         archive = run(cfg, out_override=args.out, seed_override=args.seed)
         print(f"archive: {archive.out_dir}")
         if archive.status != "ok":

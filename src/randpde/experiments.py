@@ -30,26 +30,18 @@ from .fields import Checkerboard, PerturbedPeriodic, balanced_ones
 from .msfem import (CoarseMesh, baseline_solve, build_cr_space, compute_errors,
                     count_local_solves, msfem_solve)
 from .perforations import build_perforations
-from .poisson import reference_solve
+from .poisson import reference_solve, under_resolution
 from .sqs import sqs_auxiliary
 from .svgplot import svg_heatmap, svg_line_plot
 
 KINDS = ("homogenize", "vr-compare", "msfem", "msfem-robustness")
 STRATEGIES = ("mc", "antithetic", "cv1", "cv2", "sqs1", "sqs2")
 MSFEM_METHODS = ("cr", "linear", "q1")
+GEOMETRIES = ("none", "periodic_discs", "shifted_periodic_discs", "random_rectangles")
 
 RHS_FUNCTIONS = {
     "one": lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
     "sinq": lambda x, y: np.sin(np.pi * np.asarray(x) / 2) * np.sin(np.pi * np.asarray(y) / 2),
-}
-
-_SCHEMA = {
-    "experiment": {"kind", "seed", "out", "strict", "threads"},
-    "law": {"kind", "alpha", "beta", "a_per", "c_per", "eta"},
-    "estimate": {"n", "r", "m", "strategies", "pool"},
-    "geometry": {"kind", "epsilon", "radius_factor", "count", "width_range",
-                 "height_range", "gseed"},
-    "msfem": {"h", "fine_n", "methods", "with_bubbles", "reference_n", "f"},
 }
 
 
@@ -62,10 +54,6 @@ def _parse_number(token: str, key: str) -> float:
         return float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse number {token!r}") from exc
-
-
-def _parse_list(raw: str, key: str, conv):
-    return [conv(tok, key) for tok in raw.split(",") if tok.strip()]
 
 
 def _parse_int(token: str, key: str) -> int:
@@ -84,13 +72,68 @@ def _parse_bool(token: str, key: str) -> bool:
     raise ConfigError(f"key {key!r}: expected boolean, got {token!r}")
 
 
-def _parse_matrix(raw: str, key: str) -> np.ndarray:
-    vals = _parse_list(raw, key, _parse_number)
+def _parse_matrix(raw: str, key: str) -> list:
+    vals = _list_of(_parse_number)(raw, key)
     if len(vals) == 1:
-        return vals[0] * np.eye(2)
+        return (vals[0] * np.eye(2)).tolist()
     if len(vals) == 4:
-        return np.array(vals).reshape(2, 2)
+        return np.array(vals).reshape(2, 2).tolist()
     raise ConfigError(f"key {key!r}: expected 1 or 4 numbers, got {len(vals)}")
+
+
+def _parse_text(token: str, key: str) -> str:
+    return token.strip()
+
+
+def _one_of(options):
+    def parse(token: str, key: str) -> str:
+        value = token.strip()
+        if value not in options:
+            raise ConfigError(f"{key} must be one of {tuple(options)}, got {value!r}")
+        return value
+    return parse
+
+
+def _list_of(conv):
+    """Parser of a comma-separated list whose entries `conv` parses."""
+    return lambda raw, key: [conv(tok, key) for tok in raw.split(",") if tok.strip()]
+
+
+# section -> key -> (parser, default); the law's keys depend on law.kind
+_SCHEMA = {
+    "experiment": {"kind": (_one_of(KINDS), ""), "seed": (_parse_int, "0"),
+                   "out": (_parse_text, "runs/out"), "strict": (_parse_bool, "false"),
+                   "threads": (_parse_int, "1")},
+    "law": {"checkerboard": {"alpha": (_parse_number, "3"), "beta": (_parse_number, "20")},
+            "perturbed_periodic": {"a_per": (_parse_matrix, "3"), "c_per": (_parse_matrix, "17"),
+                                   "eta": (_parse_number, "0.5")}},
+    "estimate": {"n": (_list_of(_parse_int), "10"), "r": (_parse_int, "8"),
+                 "m": (_parse_int, "100"), "strategies": (_list_of(_one_of(STRATEGIES)), "mc"),
+                 "pool": (_parse_int, "2000")},
+    "geometry": {"kind": (_one_of(GEOMETRIES), ""), "epsilon": (_parse_number, "0.1"),
+                 "radius_factor": (_parse_number, "0.2"), "count": (_parse_int, "100"),
+                 "width_range": (_list_of(_parse_number), "0.02,0.05"),
+                 "height_range": (_list_of(_parse_number), "0.02,0.05"),
+                 "gseed": (_parse_int, "0")},
+    "msfem": {"h": (_list_of(_parse_number), "0.2"), "fine_n": (_list_of(_parse_int), "32"),
+              "methods": (_list_of(_one_of(MSFEM_METHODS)), "cr"),
+              "with_bubbles": (_parse_bool, "true"), "reference_n": (_parse_int, "0"),
+              "f": (_one_of(RHS_FUNCTIONS), "one")},
+}
+
+
+def _keys(section: str) -> set:
+    """The keys a config may set in `section`."""
+    if section == "law":
+        return {"kind"}.union(*_SCHEMA["law"].values())
+    return set(_SCHEMA[section])
+
+
+def _read(parser, section: str, table: dict) -> dict:
+    """Every key of `table`, parsed from `section` or from its default."""
+    given = parser[section] if section in parser else {}
+    return {key: conv(given.get(key, default), f"{section}.{key}")
+            for key, (conv, default) in table.items()}
 
 
 @dataclass
@@ -131,109 +174,58 @@ def parse_config(path) -> ExperimentConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _keys(section):
                 raise ConfigError(f"unknown key {section}.{key}")
 
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
-    kind = exp.get("kind", "").strip()
-    if kind not in KINDS:
-        raise ConfigError(f"experiment.kind must be one of {KINDS}, got {kind!r}")
-    cfg = ExperimentConfig(
-        kind=kind,
-        seed=_parse_int(exp.get("seed", "0"), "experiment.seed"),
-        out=exp.get("out", "runs/out").strip(),
-        strict=_parse_bool(exp.get("strict", "false"), "experiment.strict"),
-    )
+    exp = _read(parser, "experiment", _SCHEMA["experiment"])
     # `threads = 1` stays valid so configs that set it still parse
-    if _parse_int(exp.get("threads", "1"), "experiment.threads") != 1:
+    if exp.pop("threads") != 1:
         raise ConfigError("experiment.threads must be 1: runs are single-threaded")
+    cfg = ExperimentConfig(**exp)
 
-    if kind in ("homogenize", "vr-compare"):
+    if cfg.kind in ("homogenize", "vr-compare"):
         if "law" not in parser:
-            raise ConfigError(f"{kind} needs a [law] section")
-        law = parser["law"]
-        lkind = law.get("kind", "").strip()
-        if lkind == "checkerboard":
-            cfg.law = {"kind": lkind,
-                       "alpha": _parse_number(law.get("alpha", "3"), "law.alpha"),
-                       "beta": _parse_number(law.get("beta", "20"), "law.beta")}
-        elif lkind == "perturbed_periodic":
-            cfg.law = {"kind": lkind,
-                       "a_per": _parse_matrix(law.get("a_per", "3"), "law.a_per").tolist(),
-                       "c_per": _parse_matrix(law.get("c_per", "17"), "law.c_per").tolist(),
-                       "eta": _parse_number(law.get("eta", "0.5"), "law.eta")}
-        else:
-            raise ConfigError(f"law.kind must be checkerboard or perturbed_periodic, got {lkind!r}")
-        est = parser["estimate"] if "estimate" in parser else {}
-        strategies = [s.strip() for s in est.get("strategies", "mc").split(",") if s.strip()]
-        if kind == "homogenize":
-            strategies = ["mc"]
-        for s in strategies:
-            if s not in STRATEGIES:
-                raise ConfigError(f"estimate.strategies: unknown strategy {s!r}")
-        if kind == "vr-compare" and "mc" not in strategies:
+            raise ConfigError(f"{cfg.kind} needs a [law] section")
+        lkind = _one_of(_SCHEMA["law"])(parser["law"].get("kind", ""), "law.kind")
+        cfg.law = {"kind": lkind, **_read(parser, "law", _SCHEMA["law"][lkind])}
+        est = cfg.estimate = _read(parser, "estimate", _SCHEMA["estimate"])
+        if cfg.kind == "homogenize":
+            est["strategies"] = ["mc"]
+        if cfg.kind == "vr-compare" and "mc" not in est["strategies"]:
             raise ConfigError("vr-compare needs the mc baseline in estimate.strategies")
-        cfg.estimate = {
-            "n": _parse_list(est.get("n", "10"), "estimate.n", _parse_int),
-            "r": _parse_int(est.get("r", "8"), "estimate.r"),
-            "m": _parse_int(est.get("m", "100"), "estimate.m"),
-            "strategies": strategies,
-            "pool": _parse_int(est.get("pool", "2000"), "estimate.pool"),
-        }
-        if "estimate" in parser and any(v < 1 for v in cfg.estimate["n"]):
+        if any(n < 1 for n in est["n"]):
             raise ConfigError("estimate.n entries must be >= 1")
+        if est["r"] < 1:
+            raise ConfigError("estimate.r must be >= 1")
+        if est["m"] < 2:
+            raise ConfigError("estimate.m must be >= 2: a variance needs two samples")
+        if {"cv1", "cv2"} & set(est["strategies"]):
+            if lkind != "perturbed_periodic":
+                raise ConfigError("estimate.strategies: cv1 and cv2 need "
+                                  "law.kind = perturbed_periodic")
+            if any(n < 2 for n in est["n"]):
+                raise ConfigError("estimate.n entries must be >= 2 for cv1 and cv2")
+        if "sqs2" in est["strategies"] and est["pool"] < est["m"]:
+            raise ConfigError("estimate.pool must be >= estimate.m for sqs2")
     else:
         if "geometry" not in parser:
-            raise ConfigError(f"{kind} needs a [geometry] section")
-        geo = parser["geometry"]
-        gkind = geo.get("kind", "").strip()
-        cfg.geometry = {"kind": gkind,
-                        "epsilon": _parse_number(geo.get("epsilon", "0.1"), "geometry.epsilon"),
-                        "radius_factor": _parse_number(geo.get("radius_factor", "0.2"),
-                                                       "geometry.radius_factor"),
-                        "count": _parse_int(geo.get("count", "100"), "geometry.count"),
-                        "width_range": _parse_list(geo.get("width_range", "0.02,0.05"),
-                                                   "geometry.width_range", _parse_number),
-                        "height_range": _parse_list(geo.get("height_range", "0.02,0.05"),
-                                                    "geometry.height_range", _parse_number),
-                        "gseed": _parse_int(geo.get("gseed", "0"), "geometry.gseed")}
-        allowed = ("none", "periodic_discs", "shifted_periodic_discs", "random_rectangles")
-        if gkind not in allowed:
-            raise ConfigError(f"geometry.kind must be one of {allowed}, got {gkind!r}")
-        if kind == "msfem-robustness" and gkind not in ("periodic_discs",
-                                                        "shifted_periodic_discs"):
+            raise ConfigError(f"{cfg.kind} needs a [geometry] section")
+        cfg.geometry = _read(parser, "geometry", _SCHEMA["geometry"])
+        if cfg.kind == "msfem-robustness" and not cfg.geometry["kind"].endswith("_discs"):
             raise ConfigError("msfem-robustness is defined for periodic disc geometries")
-        ms = parser["msfem"] if "msfem" in parser else {}
-        h_list = _parse_list(ms.get("h", "0.2"), "msfem.h", _parse_number)
-        methods = [s.strip() for s in ms.get("methods", "cr").split(",") if s.strip()]
-        for meth in methods:
-            if meth not in MSFEM_METHODS:
-                raise ConfigError(f"msfem.methods: unknown method {meth!r}")
-        fine_raw = ms.get("fine_n", "32")
-        fine_list = _parse_list(fine_raw, "msfem.fine_n", _parse_int)
-        if len(fine_list) == 1:
-            fine_list = fine_list * len(h_list)
-        if len(fine_list) != len(h_list):
+        ms = cfg.msfem = _read(parser, "msfem", _SCHEMA["msfem"])
+        if len(ms["fine_n"]) == 1:
+            ms["fine_n"] = ms["fine_n"] * len(ms["h"])
+        if len(ms["fine_n"]) != len(ms["h"]):
             raise ConfigError("msfem.fine_n must be scalar or match msfem.h in length")
-        f_name = ms.get("f", "one").strip()
-        if f_name not in RHS_FUNCTIONS:
-            raise ConfigError(f"msfem.f must be one of {tuple(RHS_FUNCTIONS)}, got {f_name!r}")
-        cfg.msfem = {
-            "h": h_list,
-            "fine_n": fine_list,
-            "methods": methods,
-            "with_bubbles": _parse_bool(ms.get("with_bubbles", "true"), "msfem.with_bubbles"),
-            "reference_n": _parse_int(ms.get("reference_n", "0"), "msfem.reference_n"),
-            "f": f_name,
-        }
-        for hval in h_list:
-            m = 1.0 / hval
+        for hval in ms["h"]:
+            m = 1.0 / hval if hval > 0 else 0.0
             if abs(m - round(m)) > 1e-9 or round(m) < 2:
                 raise ConfigError(f"msfem.h entry {hval} must equal 1/m for integer m >= 2")
-        if cfg.msfem["reference_n"] == 0:
-            cfg.msfem["reference_n"] = _msfem_grids(cfg)[1]
+        if ms["reference_n"] == 0:
+            ms["reference_n"] = _msfem_grids(cfg)[1]
     return cfg
 
 
@@ -288,7 +280,10 @@ def validate(cfg: ExperimentConfig) -> dict:
     kinds it counts one reference solve per geometry plus the local solves of
     every (geometry, level, method), taken from the same local problems the
     space builder solves, on the geometry classified the same way. An SQS
-    strategy on a box where p*n^2 is not an integer is a problem.
+    strategy on a box where p*n^2 is not an integer is a problem. A level
+    whose local grids put fewer than 4 cells across the smallest perforation
+    is a note, or a problem under `strict`; this covers the reference too,
+    whose N is a multiple of every level's m*fine_n.
     """
     problems: list[str] = []
     notes: list[str] = []
@@ -301,8 +296,7 @@ def validate(cfg: ExperimentConfig) -> dict:
             for n in est["n"]:
                 # two correctors per sample; an antithetic sample is a pair
                 solves += sum(4 if s == "antithetic" else 2 for s in strategies) * est["m"]
-                if isinstance(law, PerturbedPeriodic) and ("cv1" in strategies
-                                                          or "cv2" in strategies):
+                if "cv1" in strategies or "cv2" in strategies:
                     solves += defect_solve_count(law, n, 2 if "cv2" in strategies else 1)
                 if "sqs2" in strategies:
                     solves += 4  # two directions on the working and the enlarged box
@@ -313,14 +307,10 @@ def validate(cfg: ExperimentConfig) -> dict:
             pairs, _ = _msfem_grids(cfg)
             for _, perf in geometries:
                 solves += 1  # the reference solve
-                feature = perf.smallest_feature()
                 for m, fn in pairs:
-                    h_loc = 1.0 / (m * fn)
-                    if np.isfinite(feature) and feature / h_loc < 4.0:
-                        msg = (f"fine_n={fn} at H=1/{m} under-resolves {perf.describe()}: "
-                               f"{feature / h_loc:.2f} < 4 cells across the smallest "
-                               f"perforation")
-                        (problems if cfg.strict else notes).append(msg)
+                    note = under_resolution(perf, m * fn)
+                    if note:
+                        (problems if cfg.strict else notes).append(note)
                     solves += sum(count_local_solves(CoarseMesh(m), perf, fn, method,
                                                      cfg.msfem["with_bubbles"])
                                   for method in cfg.msfem["methods"])
@@ -343,7 +333,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
+def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+    """Rows as CSV, floats written with 17 significant digits (round-trip exact)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
+                             for k, v in row.items()})
+
+
+def _read_csv(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
+    """Estimates of every (box size, strategy) into reports.csv, their
+    comparison and mean_ci.svg; returns the run's warnings."""
     law = _build_law(cfg)
     est = cfg.estimate
     warnings_log: list[str] = []
@@ -352,10 +359,7 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
     def offline(n):
         """Defect catalog and selection integrals shared by the strategies."""
         extras = {}
-        needs_cv = any(s in est["strategies"] for s in ("cv1", "cv2"))
-        if needs_cv:
-            if not isinstance(law, PerturbedPeriodic):
-                raise ConfigError("control variates need law.kind = perturbed_periodic")
+        if "cv1" in est["strategies"] or "cv2" in est["strategies"]:
             order = 2 if "cv2" in est["strategies"] else 1
             extras["defects"] = defect_coefficients(law, n=n, r=est["r"], order=order)
         if "sqs2" in est["strategies"]:
@@ -381,38 +385,21 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> tuple[list, list[str]]:
         return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="ranked2",
                             pool=est["pool"], aux=extras["aux"])
 
-    def keep(report):
-        """Rewrite reports.csv after every strategy, so a later failure
-        leaves the finished strategies' rows in the archive."""
-        reports.append(report)
-        write_reports_csv(reports, out / "reports.csv")
-
     for n in est["n"]:
         extras = offline(n)
         for s in est["strategies"]:
-            keep(run_one(n, s, extras))
+            # rewritten after every strategy, so a later failure leaves the
+            # finished strategies' rows in the archive
+            reports.append(run_one(n, s, extras))
+            write_reports_csv(reports, out / "reports.csv")
     if len(est["strategies"]) > 1:
-        rows = []
-        for n in est["n"]:
-            group = [r for r in reports if r.n == n]
-            table = compare_strategies(group)
-            for rec in table.rows:
-                rows.append({"n": n, **rec})
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "strategy", "entry",
-                                                    "factor_equal_cost", "factor_realized",
-                                                    "bias", "bias_bound", "bias_within_bound"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
-                                 for k, v in row.items()})
+        rows = [{"n": n, **rec} for n in est["n"]
+                for rec in compare_strategies([r for r in reports if r.n == n]).rows]
+        _write_csv(out / "comparison.csv", ["n", "strategy", "entry", "factor_equal_cost",
+                                            "factor_realized", "bias", "bias_bound",
+                                            "bias_within_bound"], rows)
     _plot_mean_ci(out)
-    return reports, warnings_log
-
-
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    return warnings_log
 
 
 def _plot_mean_ci(out: Path) -> None:
@@ -441,16 +428,28 @@ def _solve_msfem_case(mesh, perf, f, method, with_bubbles, fine_n):
     return baseline_solve(mesh, perf, f, name, with_bubbles=with_bubbles, fine_n=fine_n)
 
 
-def _run_msfem(cfg: ExperimentConfig, out: Path) -> tuple[list[dict], list[str]]:
+def _plot_heatmaps(u, method: str, perf, out: Path) -> None:
+    """The stitched coarse solution and the perforation indicator."""
+    fn = u.fine_n
+    stitched = np.zeros((u.m * fn + 1, u.m * fn + 1))
+    for i in range(u.m):
+        for j in range(u.m):
+            stitched[i * fn:(i + 1) * fn + 1, j * fn:(j + 1) * fn + 1] = u.recon[i, j]
+    svg_heatmap(stitched, out / "heatmap_solution.svg", title=f"coarse solution ({method})")
+    probe = np.linspace(0, 1, 257)
+    svg_heatmap(perf.indicator(probe[:, None], probe[None, :]).astype(float),
+                out / "heatmap_perforations.svg", title="perforation indicator")
+
+
+def _run_msfem(cfg: ExperimentConfig, out: Path) -> None:
+    """Errors of every (geometry, level, method) against the geometry's
+    reference into msfem.csv, their plots, and heatmaps of the first case."""
     ms = cfg.msfem
     f = RHS_FUNCTIONS[ms["f"]]
     pairs, ref_n = _msfem_grids(cfg)
     rows: list[dict] = []
-    notes: list[str] = []
-    heat_done = False
     for geo_id, perf in _geometries(cfg):
-        ref = reference_solve(perf, f, ref_n, strict=cfg.strict)
-        first = None  # (method, solution) of the geometry's first case
+        ref = reference_solve(perf, f, ref_n)
         for m, fn in pairs:
             for method in ms["methods"]:
                 u = _solve_msfem_case(CoarseMesh(m), perf, f, method,
@@ -459,45 +458,26 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> tuple[list[dict], list[str]]
                 rows.append({"method": method, "H": 1.0 / m, "geometry": geo_id,
                              "with_bubbles": ms["with_bubbles"], "l2_rel": l2,
                              "h1_rel": h1, "dof": u.dof, "solves": u.solves})
-                if first is None:
-                    first = (method, u)
-
-        if not heat_done and first is not None:
-            method, u = first
-            fn = u.fine_n
-            stitched = np.zeros((u.m * fn + 1, u.m * fn + 1))
-            for i in range(u.m):
-                for j in range(u.m):
-                    stitched[i * fn:(i + 1) * fn + 1, j * fn:(j + 1) * fn + 1] = u.recon[i, j]
-            svg_heatmap(stitched, out / "heatmap_solution.svg",
-                        title=f"coarse solution ({method})")
-            probe = np.linspace(0, 1, 257)
-            svg_heatmap(perf.indicator(probe[:, None], probe[None, :]).astype(float),
-                        out / "heatmap_perforations.svg", title="perforation indicator")
-            heat_done = True
-
-    with open(out / "msfem.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MSFEM_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
-    _plot_msfem(rows, out)
-    return rows, notes
+                if len(rows) == 1:
+                    _plot_heatmaps(u, method, perf, out)
+    _write_csv(out / "msfem.csv", MSFEM_CSV_COLUMNS, rows)
+    _plot_msfem(out)
 
 
-def _plot_msfem(rows: list[dict], out: Path) -> None:
+def _plot_msfem(out: Path) -> None:
+    """errors_l2.svg and errors_h1.svg from msfem.csv: each error against H,
+    one series per (method, geometry)."""
+    rows = _read_csv(out / "msfem.csv")
+    keys = sorted({(r["method"], r["geometry"]) for r in rows})
+    one_geometry = len({geo for _, geo in keys}) == 1
     for norm, fname in (("l2_rel", "errors_l2.svg"), ("h1_rel", "errors_h1.svg")):
         series = []
-        keys = sorted({(r["method"], r["geometry"]) for r in rows})
         for method, geo in keys:
-            group = sorted((r for r in rows
-                            if r["method"] == method and r["geometry"] == geo),
-                           key=lambda r: r["H"])
-            label = method if len({g for _, g in keys}) == 1 else f"{method}:{geo}"
-            series.append({"label": label,
-                           "x": [r["H"] for r in group],
-                           "y": [r[norm] for r in group]})
+            group = sorted((r for r in rows if (r["method"], r["geometry"]) == (method, geo)),
+                           key=lambda r: float(r["H"]))
+            series.append({"label": method if one_geometry else f"{method}:{geo}",
+                           "x": [float(r["H"]) for r in group],
+                           "y": [float(r[norm]) for r in group]})
         svg_line_plot(series, out / fname, title=f"relative {norm.split('_')[0]} error vs H",
                       xlabel="H", ylabel="relative error", logx=True)
 
@@ -505,25 +485,24 @@ def _plot_msfem(rows: list[dict], out: Path) -> None:
 def run(cfg: ExperimentConfig, out_override=None, seed_override=None) -> RunArchive:
     """Execute the experiment and write the archive; on solver failure the
     partial results are flushed and flagged in the manifest (``reports.csv``
-    holds every strategy finished before the failure)."""
+    holds every strategy finished before the failure). A config that
+    `validate` rejects raises ConfigError before anything is written."""
     if seed_override is not None:
         cfg.seed = seed_override
-    out = Path(out_override if out_override is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     diag = validate(cfg)
     if diag["problems"]:
         raise ConfigError("; ".join(diag["problems"]))
+    out = Path(out_override if out_override is not None else cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = {"config": cfg.snapshot(), "seed": cfg.seed, "version": __version__,
                 "status": "ok", "warnings": list(diag["notes"]), "files": {},
                 "estimated_pde_solves": diag["estimated_pde_solves"]}
     try:
         if cfg.kind in ("homogenize", "vr-compare"):
-            _, warn = _run_estimators(cfg, out)
+            manifest["warnings"].extend(_run_estimators(cfg, out))
         else:
-            _, warn = _run_msfem(cfg, out)
-        manifest["warnings"].extend(warn)
+            _run_msfem(cfg, out)
     except RandpdeError as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -545,17 +524,11 @@ def replot(archive_dir) -> list[str]:
     """Regenerate the SVG plots of an archive from its CSVs."""
     out = Path(archive_dir)
     made = []
-    msfem_csv = out / "msfem.csv"
     if (out / "reports.csv").exists():
         _plot_mean_ci(out)
         made.append("mean_ci.svg")
-    if msfem_csv.exists():
-        rows = _read_csv(msfem_csv)
-        for row in rows:
-            row["H"] = float(row["H"])
-            row["l2_rel"] = float(row["l2_rel"])
-            row["h1_rel"] = float(row["h1_rel"])
-        _plot_msfem(rows, out)
+    if (out / "msfem.csv").exists():
+        _plot_msfem(out)
         made.extend(["errors_l2.svg", "errors_h1.svg"])
     if not made:
         raise ConfigError(f"no CSVs found to plot in {archive_dir}")

@@ -27,7 +27,7 @@ from .errors import (AssemblyError, GridMismatchError, LocalSolveError,
                      ParameterError, ResolutionWarning)
 from .femcore import SIDES, load_vector, penalized_band, square_grid
 from .grid import assemble
-from .poisson import FineSolution, check_resolution, default_kappa
+from .poisson import FineSolution, default_kappa, under_resolution
 
 
 @dataclass(frozen=True)
@@ -321,12 +321,15 @@ def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbl
 
 
 def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
-                 with_bubbles: bool, strict: bool) -> MsFEMSpace:
+                 with_bubbles: bool) -> MsFEMSpace:
     """The space "cr", "linear" or "q1" (coarse Q1): local problems solved with one
-    factorization per distinct system, after each element's prescribed rows."""
+    factorization per distinct system, after each element's prescribed rows. Local
+    grids that under-resolve a perforation give a ResolutionWarning."""
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
-    check_resolution(perf, h_loc, strict, f"MsFEM {method} space")
+    note = under_resolution(perf, mesh.m * fine_n)
+    if note:
+        warnings.warn(note, ResolutionWarning, stacklevel=3)
     (masks, elem_alive, edge_alive), numbering, problems, bubble_dof, prescribed = \
         _local_problems(method, mesh, perf, fine_n, with_bubbles)
     basis, factorizations = _local_basis(grid, masks, default_kappa(h_loc), h_loc, problems)
@@ -354,18 +357,18 @@ def count_local_solves(mesh: CoarseMesh, perf, fine_n: int, method: str,
     return sum(len(prob.dofs) for prob in problems.values())
 
 
-def build_cr_space(mesh: CoarseMesh, perf, fine_n: int, with_bubbles: bool = True,
-                   strict: bool = False) -> MsFEMSpace:
+def build_cr_space(mesh: CoarseMesh, perf, fine_n: int,
+                   with_bubbles: bool = True) -> MsFEMSpace:
     """Crouzeix-Raviart basis: edge functions and bubbles. Fully perforated
     elements and edges keep no basis functions."""
-    return _build_space("cr", mesh, perf, fine_n, with_bubbles, strict)
+    return _build_space("cr", mesh, perf, fine_n, with_bubbles)
 
 
-def build_linear_space(mesh: CoarseMesh, perf, fine_n: int, with_bubbles: bool = True,
-                       strict: bool = False) -> MsFEMSpace:
+def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
+                       with_bubbles: bool = True) -> MsFEMSpace:
     """Classical MsFEM basis: harmonic lifts of affine (hat) traces on each
     element boundary, penalized inside perforations, plus Dirichlet bubbles."""
-    return _build_space("linear", mesh, perf, fine_n, with_bubbles, strict)
+    return _build_space("linear", mesh, perf, fine_n, with_bubbles)
 
 
 @dataclass(frozen=True)
@@ -447,8 +450,7 @@ def msfem_solve(space: MsFEMSpace, f) -> CoarseSolution:
 
 
 def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
-                   with_bubbles: bool = True, fine_n: int = 32,
-                   strict: bool = False) -> CoarseSolution:
+                   with_bubbles: bool = True, fine_n: int = 32) -> CoarseSolution:
     """Reference methods "msfem_linear" (affine boundary conditions) and
     "coarse_q1". Their coarse problem is the Galerkin projection of the
     penalized problem (the penalty makes affine traces crossing perforations
@@ -456,7 +458,7 @@ def baseline_solve(mesh: CoarseMesh, perf, f, method: str,
     space = {"msfem_linear": "linear", "coarse_q1": "q1"}.get(method)
     if space is None:
         raise ParameterError(f"unknown baseline method {method!r}")
-    return _coarse_galerkin(_build_space(space, mesh, perf, fine_n, with_bubbles, strict), f)
+    return _coarse_galerkin(_build_space(space, mesh, perf, fine_n, with_bubbles), f)
 
 
 def compute_errors(u: CoarseSolution, ref: FineSolution) -> tuple[float, float]:

@@ -25,19 +25,14 @@ def default_kappa(h: float) -> float:
     return DEFAULT_KAPPA_SCALE / (h * h)
 
 
-def check_resolution(perf, h: float, strict: bool, context: str) -> list[str]:
-    """Warn (or raise, in strict mode) when fewer than 4 cells span the
-    smallest perforation; returns the diagnostics."""
-    feature = perf.smallest_feature()
-    notes = []
-    if np.isfinite(feature) and feature / h < 4.0:
-        msg = (f"{context}: smallest perforation of {perf.describe()} spans "
-               f"{feature / h:.2f} < 4 cells at h={h:g}")
-        notes.append(msg)
-        if strict:
-            raise ParameterError(msg)
-        warnings.warn(msg, ResolutionWarning, stacklevel=3)
-    return notes
+def under_resolution(perf, n: int) -> str | None:
+    """The message saying that cells of width 1/n put fewer than 4 cells
+    across the smallest perforation, or None when they put at least 4."""
+    cells = perf.smallest_feature() * n
+    if np.isfinite(cells) and cells < 4.0:
+        return (f"h=1/{n} under-resolves {perf.describe()}: {cells:.2f} < 4 cells "
+                f"across the smallest perforation")
+    return None
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class FineSolution:
         return float(np.sqrt(grid.energy_products(v, ~self.mask)[0, 0]))
 
 
-def reference_solve(perf, f, fine_n: int, strict: bool = False) -> FineSolution:
+def reference_solve(perf, f, fine_n: int) -> FineSolution:
     """Bilinear FEM solve of the penalized problem on the fine_n^2 grid,
     with kappa = 1e8 / h^2.
 
@@ -79,12 +74,15 @@ def reference_solve(perf, f, fine_n: int, strict: bool = False) -> FineSolution:
     outer boundary is imposed strongly. The CG on the interior nodes runs to
     tolerance 1e-10, preconditioned by one Galerkin multigrid V-cycle
     (Jacobi when fine_n cannot coarsen to a small enough grid, see
-    `multigrid_preconditioner`).
+    `multigrid_preconditioner`). An under-resolved perforation is a
+    ResolutionWarning, never an error: refusing one is the runner's choice.
     """
     if fine_n < 2:
         raise ParameterError("fine_n must be >= 2")
     h = 1.0 / fine_n
-    check_resolution(perf, h, strict, "reference_solve")
+    note = under_resolution(perf, fine_n)
+    if note:
+        warnings.warn(note, ResolutionWarning, stacklevel=2)
 
     c = (np.arange(fine_n) + 0.5) * h
     mask = perf.indicator(c[:, None], c[None, :])

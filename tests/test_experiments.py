@@ -163,6 +163,60 @@ def test_validate_flags_underresolved_msfem(tmp_path):
     assert any("under-resolves" in p for p in diag_strict["problems"])
 
 
+UNDERRESOLVED_CONFIG = MSFEM_CONFIG.replace(
+    "kind = none", "kind = periodic_discs\nepsilon = 0.03\nradius_factor = 0.35").replace(
+    "reference_n = 64", "reference_n = 32")
+
+
+def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
+    # under strict, `run` refuses an under-resolved config before any solve;
+    # without, the note lands in the manifest and the solvers warn with it
+    cfg = parse_config(write_config(tmp_path, UNDERRESOLVED_CONFIG))
+    (note,) = validate(cfg)["notes"]
+    assert "under-resolves" in note
+
+    def never(*args, **kwargs):
+        raise AssertionError("run solved before refusing the config")
+
+    strict_text = UNDERRESOLVED_CONFIG.replace("seed = 0", "seed = 0\nstrict = true")
+    strict_path = write_config(tmp_path, strict_text, name="strict.ini")
+    with monkeypatch.context() as patched:
+        for name in ("reference_solve", "build_cr_space", "baseline_solve"):
+            patched.setattr(experiments, name, never)
+        with pytest.raises(ConfigError, match="under-resolves"):
+            run(parse_config(strict_path), out_override=tmp_path / "strict")
+        cli_path = str(write_config(tmp_path, UNDERRESOLVED_CONFIG, name="cli.ini"))
+        assert cli_main(["run", "--config", cli_path, "--strict",
+                         "--out", str(tmp_path / "cli")]) == 2
+    assert not (tmp_path / "strict").exists() and not (tmp_path / "cli").exists()
+
+    with pytest.warns(ResolutionWarning) as record:
+        archive = run(cfg, out_override=tmp_path / "lenient")
+    assert archive.status == "ok"
+    assert archive.manifest["warnings"] == [note]
+    messages = [str(w.message) for w in record if issubclass(w.category, ResolutionWarning)]
+    assert messages == [note, note]  # the reference and the local grids
+
+
+@pytest.mark.parametrize("text, key", [
+    (VR_CONFIG.replace("mc, antithetic", "mc, cv1"), "estimate.strategies"),
+    (VR_CONFIG.replace("mc, antithetic", "mc, cv2"), "estimate.strategies"),
+    (VR_CONFIG.replace("m = 6", "m = 1"), "estimate.m"),
+    (VR_CONFIG.replace("r = 2", "r = 0"), "estimate.r"),
+    (VR_CONFIG.replace("mc, antithetic", "mc, sqs2\npool = 5"), "estimate.pool"),
+    (CV_CONFIG.replace("n = 4, 6", "n = 1, 4"), "estimate.n"),
+], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1"])
+def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
+    # each of these once passed `validate` and then failed in `run` as a
+    # solver error, leaving a partial archive
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(path)
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "archive").exists()
+
+
 def test_fraction_values_accepted(tmp_path):
     cfg = parse_config(write_config(tmp_path, MSFEM_CONFIG))
     assert cfg.msfem["h"] == [0.25]
@@ -258,11 +312,12 @@ def test_partial_results_flushed_on_solver_error(tmp_path, monkeypatch):
 def test_replot_from_csv(tmp_path):
     cfg = parse_config(write_config(tmp_path, MSFEM_CONFIG))
     run(cfg, out_override=tmp_path / "ms")
+    # the run and replot draw the error plots from msfem.csv and mean_ci.svg
+    # from reports.csv with the same code
+    drawn = (tmp_path / "ms" / "errors_l2.svg").read_bytes()
     (tmp_path / "ms" / "errors_l2.svg").unlink()
-    made = replot(tmp_path / "ms")
-    assert "errors_l2.svg" in made
-    assert (tmp_path / "ms" / "errors_l2.svg").exists()
-    # the run and replot draw mean_ci.svg from reports.csv with the same code
+    assert replot(tmp_path / "ms") == ["errors_l2.svg", "errors_h1.svg"]
+    assert (tmp_path / "ms" / "errors_l2.svg").read_bytes() == drawn
     run(parse_config(write_config(tmp_path, VR_CONFIG)), out_override=tmp_path / "vr")
     drawn = (tmp_path / "vr" / "mean_ci.svg").read_bytes()
     (tmp_path / "vr" / "mean_ci.svg").unlink()

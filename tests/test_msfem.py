@@ -368,7 +368,7 @@ def _engine_spaces(geometry, m, fine_n=16):
     cr = build_cr_space(mesh, perf, fine_n)
     return [cr, cr.without_bubbles(), build_cr_space(mesh, perf, fine_n, with_bubbles=False),
             build_linear_space(mesh, perf, fine_n),
-            _build_space("q1", mesh, perf, fine_n, True, False)]
+            _build_space("q1", mesh, perf, fine_n, True)]
 
 
 def _local_rows(space):
@@ -496,7 +496,7 @@ def test_local_engine_assembles_no_saddle_matrix(monkeypatch):
     monkeypatch.setattr(sp, "bmat", forbidden)
     perf = build_perforations("periodic_discs", epsilon=0.25, radius_factor=0.2)
     for method in ("cr", "linear", "q1"):
-        space = _build_space(method, CoarseMesh(4), perf, 16, True, False)
+        space = _build_space(method, CoarseMesh(4), perf, 16, True)
         assert space.factorizations > 0
 
 
@@ -506,7 +506,7 @@ def test_local_engine_counts_factorizations_apart_from_solves():
                                height_range=(0.02, 0.05), seed=2026)
     cr = build_cr_space(CoarseMesh(5), discs, 32)
     linear = build_linear_space(CoarseMesh(5), discs, 32)
-    q1 = _build_space("q1", CoarseMesh(5), discs, 32, True, False)
+    q1 = _build_space("q1", CoarseMesh(5), discs, 32, True)
     assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
     # every alive element solves one right-hand side per basis function
     assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
@@ -582,13 +582,6 @@ def test_count_local_solves_matches_builds(geometry):
         assert count_local_solves(space.mesh, space.perf, space.fine_n, space.method,
                                   space.with_bubbles) == space.solves, space.method
     # coarse Q1 without bubbles prescribes every row and solves nothing
-    bare = _build_space("q1", q1.mesh, q1.perf, q1.fine_n, False, False)
+    bare = _build_space("q1", q1.mesh, q1.perf, q1.fine_n, False)
     assert (bare.solves, bare.factorizations) == (0, 0)
     assert count_local_solves(q1.mesh, q1.perf, q1.fine_n, "q1", False) == 0
-
-
-@pytest.mark.parametrize("method", ["msfem_linear", "coarse_q1"])
-def test_strict_baselines_reject_underresolved_perforations(method):
-    perf = build_perforations("periodic_discs", epsilon=0.03, radius_factor=0.35)
-    with pytest.raises(ParameterError, match="4 cells"):
-        baseline_solve(CoarseMesh(4), perf, f_one, method, fine_n=8, strict=True)
