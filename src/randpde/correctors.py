@@ -40,6 +40,34 @@ class CorrectorSolution:
         object.__setattr__(self, "values", values)
 
 
+# DOFs times right-hand sides of one stacked corrector PCG: `homogenize_fields`
+# solves as many fields together as fit (at least one).
+CHUNK_DOFS = 1 << 14
+
+
+def _solve_stack(cells: np.ndarray, directions, r: int, tol: float, method: str) -> list:
+    """Correctors of a (k, n, n, 2, 2) stack of cells, one (w, iterations,
+    residuals) per direction with w of shape (k, ndof), from one
+    block-diagonal assembly and one stacked PCG (or, for one field, one LU)
+    per direction."""
+    grid = periodic_grid(cells.shape[1], r)
+    K = grid.assemble_stiffness(cells)
+    precondition = grid.constant_medium_solver(cells.mean(axis=(1, 2)))
+    factorization = pinned_factorization(K) if method == "direct" else None
+    return [solve_singular_system(K, grid.corrector_rhs(cells, p), tol=tol, method=method,
+                                  preconditioner=precondition, factorization=factorization)
+            for p in directions]
+
+
+def _solutions(field: CoefficientField, r: int, directions, solved, row: int,
+               method: str) -> tuple[CorrectorSolution, ...]:
+    """The `CorrectorSolution`s of stack row `row` of `_solve_stack`'s output."""
+    return tuple(CorrectorSolution(n=field.n, r=r, p=p, values=w[row],
+                                   iterations=int(iterations[row]),
+                                   residual=float(residual[row]), method=method)
+                 for p, (w, iterations, residual) in zip(directions, solved))
+
+
 def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1e-9,
                      method: str = "cg") -> tuple[CorrectorSolution, ...]:
     """Galerkin solutions of the periodic corrector problems for several
@@ -52,20 +80,9 @@ def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    grid = periodic_grid(field.n, r)
-    K = grid.assemble_stiffness(field.cells)
-    precondition = grid.constant_medium_solver(field.cells.mean(axis=(0, 1)))
-    factorization = pinned_factorization(K) if method == "direct" else None
-    out = []
-    for p in directions:
-        p = np.asarray(p, dtype=float)
-        b = grid.corrector_rhs(field.cells, p)
-        w, iterations, residual = solve_singular_system(
-            K, b, tol=tol, method=method, preconditioner=precondition,
-            factorization=factorization)
-        out.append(CorrectorSolution(n=field.n, r=r, p=p, values=w, iterations=iterations,
-                                     residual=residual, method=method))
-    return tuple(out)
+    directions = [np.asarray(p, dtype=float) for p in directions]
+    solved = _solve_stack(field.cells[None], directions, r, tol, method)
+    return _solutions(field, r, directions, solved, 0, method)
 
 
 def solve_corrector(field: CoefficientField, p, r: int, tol: float = 1e-9,
@@ -109,11 +126,34 @@ def energy_tensor(field: CoefficientField, correctors) -> np.ndarray:
     return out
 
 
+def homogenize_fields(fields, r: int, tol: float = 1e-9, method: str = "cg"):
+    """Yield (tensor, (w_1, w_2)) for each field in turn, as `homogenize`
+    gives it, with the same bits.
+
+    The fields share one box size. They are solved in chunks of at most
+    CHUNK_DOFS // ndof fields (one field for the direct method): per chunk
+    one block-diagonal assembly and one stacked PCG per canonical direction,
+    so only one chunk's correctors are alive at a time.
+    """
+    if tol <= 0:
+        raise ParameterError("tol must be positive")
+    fields = list(fields)
+    if len({f.n for f in fields}) > 1:
+        raise GridMismatchError("fields of one batch must share the box size n")
+    chunk = 1 if method == "direct" or not fields else max(1, CHUNK_DOFS // (fields[0].n * r) ** 2)
+    for start in range(0, len(fields), chunk):
+        members = fields[start:start + chunk]
+        solved = _solve_stack(np.stack([f.cells for f in members]), (E1, E2), r, tol, method)
+        for row, field in enumerate(members):
+            ws = _solutions(field, r, (E1, E2), solved, row, method)
+            yield homogenized_tensor(field, ws), ws
+
+
 def homogenize(field: CoefficientField, r: int, tol: float = 1e-9,
                method: str = "cg") -> tuple[np.ndarray, tuple[CorrectorSolution, CorrectorSolution]]:
-    """Solve both canonical correctors and return (tensor, (w_1, w_2))."""
-    ws = solve_correctors(field, (E1, E2), r, tol=tol, method=method)
-    return homogenized_tensor(field, ws), ws
+    """Solve both canonical correctors and return (tensor, (w_1, w_2)): the
+    one-field case of `homogenize_fields`."""
+    return next(homogenize_fields([field], r, tol=tol, method=method))
 
 
 def check_voigt_reuss(field: CoefficientField, tensor: np.ndarray) -> bool:

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correctors import E1, E2, solve_correctors
+from .correctors import homogenize_fields
 from .errors import ParameterError
 from .fields import CoefficientField, PerturbedPeriodic
-from .grid import periodic_grid
 
 # The 8 lattice symmetries of the square (used only for isotropic materials).
 _D4 = [np.array(m, dtype=int) for m in (
@@ -86,19 +85,17 @@ def _defect_field(law: PerturbedPeriodic, n: int, defect_cells) -> CoefficientFi
 
 
 def _box_flux_excess(law: PerturbedPeriodic, n: int, r: int,
-                     defect_cells) -> tuple[np.ndarray, int]:
-    """int_{Q_N} [A_def (e_i + grad w_i) - A_per (e_i + grad w_i^0)] per direction.
+                     defect_sets) -> tuple[np.ndarray, int]:
+    """int_{Q_N} [A_def (e_i + grad w_i) - A_per (e_i + grad w_i^0)] per
+    direction, one (2, 2) matrix per set of defect cells, as a (k, 2, 2)
+    array; plus the solve count. All sets go through one batched call.
 
     With the (constant) unperturbed material the reference corrector w^0
     vanishes, so the subtracted term is just A_per integrated over the box.
     """
-    fld = _defect_field(law, n, defect_cells)
-    grid = periodic_grid(n, r)
-    out = np.zeros((2, 2))
-    ws = solve_correctors(fld, (E1, E2), r)
-    for j, w in enumerate(ws):
-        out[:, j] = n * n * (grid.average_flux(fld.cells, w.values, w.p) - law.a_per @ w.p)
-    return out, len(ws)
+    fields = [_defect_field(law, n, cells) for cells in defect_sets]
+    tensors = np.array([tensor for tensor, _ in homogenize_fields(fields, r)])
+    return n * n * (tensors - law.a_per), 2 * len(fields)
 
 
 def pair_catalog(law: PerturbedPeriodic, n: int):
@@ -143,20 +140,17 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
     # The unperturbed material is constant, so its correctors vanish and its
     # homogenized tensor is the material itself.
     a_per_star = law.a_per.copy()
-    a_1def, solves = _box_flux_excess(law, n, r, [(0, 0)])
-
+    catalog = pair_catalog(law, n) if order == 2 else []
+    keys = list(dict.fromkeys(key for _, _, key in catalog))
+    excess, solves = _box_flux_excess(law, n, r, [[(0, 0)]] + [[(0, 0), key] for key in keys])
+    a_1def = excess[0]
+    class_values = {key: e2_val - 2.0 * a_1def for key, e2_val in zip(keys, excess[1:])}
     a_2def: dict = {}
     weights: dict = {}
-    if order == 2:
-        class_values: dict = {}
-        for (off, w, key) in pair_catalog(law, n):
-            weights[off] = w
-            if key not in class_values:
-                e2_val, used = _box_flux_excess(law, n, r, [(0, 0), key])
-                solves += used
-                class_values[key] = e2_val - 2.0 * a_1def
-            rot = _find_d4(key, off)
-            a_2def[off] = rot @ class_values[key] @ rot.T
+    for (off, w, key) in catalog:
+        weights[off] = w
+        rot = _find_d4(key, off)
+        a_2def[off] = rot @ class_values[key] @ rot.T
     return DefectCoefficients(law=law, n=n, r=r, order=order, a_per_star=a_per_star,
                               a_1def=a_1def, a_2def=a_2def, pair_weights=weights,
                               solves=solves)

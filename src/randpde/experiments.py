@@ -189,10 +189,14 @@ def parse_config(path) -> ExperimentConfig:
         if "law" not in parser:
             raise ConfigError(f"{cfg.kind} needs a [law] section")
         lkind = _one_of(_SCHEMA["law"])(parser["law"].get("kind", ""), "law.kind")
+        for key in parser["law"]:
+            if key != "kind" and key not in _SCHEMA["law"][lkind]:
+                raise ConfigError(f"key law.{key} does not apply to law.kind = {lkind}")
         cfg.law = {"kind": lkind, **_read(parser, "law", _SCHEMA["law"][lkind])}
         est = cfg.estimate = _read(parser, "estimate", _SCHEMA["estimate"])
-        if cfg.kind == "homogenize":
-            est["strategies"] = ["mc"]
+        if cfg.kind == "homogenize" and est["strategies"] != ["mc"]:
+            raise ConfigError(f"estimate.strategies must be mc for kind = homogenize, "
+                              f"got {', '.join(est['strategies'])}")
         if cfg.kind == "vr-compare" and "mc" not in est["strategies"]:
             raise ConfigError("vr-compare needs the mc baseline in estimate.strategies")
         if any(n < 1 for n in est["n"]):

@@ -12,6 +12,13 @@ corrector CG with an iteration count independent of the grid (Moulinec &
 Suquet, CMAME 157, 1998; Ladecky et al., Appl. Math. Comput. 446, 2023).
 `cg_spd` is the package's one CG loop: the corrector solves run it with the
 constants projected out, the penalized reference solves of `poisson` without.
+
+The corrector layer also takes stacks: a (k, n, n, 2, 2) array of cells
+assembles into one block-diagonal stiffness (`assemble_stiffness`), its loads
+into a (k, ndof) array (`corrector_rhs`), and k mean cell matrices into one
+stacked FFT inverse (`constant_medium_solver`), so `cg_spd` solves k samples
+in one loop. `correctors.CHUNK_DOFS` bounds the DOFs times right-hand sides
+of such a stack.
 """
 
 from __future__ import annotations
@@ -103,6 +110,9 @@ class PeriodicGrid:
                                     exp * g + eyp,
                                     ex * g + eyp], axis=1)
         self.elem_cell = (ex // r, ey // r)
+        # flat cell index of each element; `np.take` with it gathers a stack
+        # of cells in C order, which cells[..., cx, cy, :, :] does not
+        self._cell_of_element = (ex // r) * n + ey // r
         # rfft2 symbols of the constant-medium stiffness for a11, a22, a12 = 1
         self._unit_symbols = tuple(self._symbol(element_stiffness(*unit))
                                   for unit in np.eye(3))
@@ -121,21 +131,32 @@ class PeriodicGrid:
 
     def constant_medium_solver(self, a: np.ndarray):
         """Exact solver b -> mean-zero x with K x = b - mean(b), where K is the
-        stiffness of the constant symmetric medium a, applied by FFT."""
+        stiffness of the constant symmetric medium a, applied by FFT.
+
+        `a` is one 2x2 matrix or a (k, 2, 2) stack of them. The solver takes
+        b of shape (ndof,) or (k', ndof); `rows` picks the stack's matrices
+        for the rows of b (all of them by default), and one stacked
+        rfft2/irfft2 pair solves every row."""
+        a = np.reshape(a, (-1, 2, 2))[:, :, :, None, None]
         sxx, syy, sxy = self._unit_symbols
-        symbol = a[0, 0] * sxx + a[1, 1] * syy + a[0, 1] * sxy
-        symbol[0, 0] = np.inf  # drops the zero mode, the kernel of constants
+        symbol = a[:, 0, 0] * sxx + a[:, 1, 1] * syy + a[:, 0, 1] * sxy
+        symbol[:, 0, 0] = np.inf  # drops the zero mode, the kernel of constants
         inverse = 1.0 / symbol
         g = self.size
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            return np.fft.irfft2(np.fft.rfft2(b.reshape(g, g)) * inverse, s=(g, g)).ravel()
+        def solve(b: np.ndarray, rows=slice(None)) -> np.ndarray:
+            # rfft2 and irfft2 written as their two 1-D passes each, which
+            # skips their argument handling and gives the same bits
+            f = np.fft.fft(np.fft.rfft(b.reshape(-1, g, g), axis=-1), axis=-2)
+            x = np.fft.irfft(np.fft.ifft(f * inverse[rows], axis=-2), n=g, axis=-1)
+            return x.reshape(b.shape)
         return solve
 
     def element_coefficients(self, cells: np.ndarray) -> np.ndarray:
-        """Per-element 2x2 coefficient matrices from cell-wise field values."""
-        cx, cy = self.elem_cell
-        return cells[cx, cy]
+        """Per-element 2x2 coefficient matrices from cell-wise field values;
+        (..., n_elements, 2, 2) for cells of shape (..., n, n, 2, 2)."""
+        flat = cells.reshape(cells.shape[:-4] + (-1, 2, 2))
+        return np.take(flat, self._cell_of_element, axis=-3)
 
     @cached_property
     def _stiffness_pattern(self):
@@ -156,24 +177,46 @@ class PeriodicGrid:
         return pattern.indices, pattern.indptr, slot
 
     def assemble_stiffness(self, cells: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix for grad(v).A.grad(u) with element-constant A."""
-        a = self.element_coefficients(cells)
-        ke = element_stiffness(a[:, 0, 0], a[:, 1, 1], a[:, 0, 1])
+        """Stiffness matrix for grad(v).A.grad(u) with element-constant A.
+
+        For a (k, n, n, 2, 2) stack of cells it is the block-diagonal matrix
+        of the k stiffnesses, over the stack's DOFs numbered sample by sample:
+        the cached pattern offset per sample. The element matrices are formed
+        once per cell; each sample's are gathered per element and summed by
+        one `bincount` over the cached slots, one sample at a time, so the
+        gathered weights (16 per element) never exist for the whole stack."""
+        ke = element_stiffness(cells[..., 0, 0], cells[..., 1, 1], cells[..., 0, 1])
+        ke = ke.reshape(-1, self.n * self.n, 16)
         indices, indptr, slot = self._stiffness_pattern
-        data = np.bincount(slot, weights=ke.ravel(), minlength=len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(self.ndof, self.ndof))
+        k, nnz = len(ke), len(indices)
+        data = np.empty((k, nnz))
+        for s in range(k):
+            weights = np.take(ke[s], self._cell_of_element, axis=0)
+            data[s] = np.bincount(slot, weights=weights.ravel(), minlength=nnz)
+        shift = np.arange(k, dtype=indices.dtype)[:, None]
+        indices = (indices + self.ndof * shift).ravel()
+        indptr = np.append((indptr[:-1] + nnz * shift).ravel(), k * nnz)
+        return sp.csr_matrix((data.ravel(), indices, indptr),
+                             shape=(k * self.ndof, k * self.ndof))
 
     def corrector_rhs(self, cells: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Load vector of -int grad(v).A.p (consistent with the stiffness).
-        A p is taken once per unit cell and gathered per element."""
-        cx, cy = self.elem_cell
-        ap = (cells @ np.asarray(p, dtype=float))[cx, cy]
-        fe = np.outer(ap[:, 0], GX)
+        A p is taken once per unit cell and gathered per element. A
+        (k, n, n, 2, 2) stack of cells gives a (k, ndof) stack of loads from
+        one offset `bincount`."""
+        ap = cells @ np.asarray(p, dtype=float)
+        ap = np.take(ap.reshape(ap.shape[:-3] + (-1, 2)), self._cell_of_element, axis=-2)
+        fe = ap[..., 0, None] * GX
         for c in range(4):  # by column: no second (E, 4) temporary on large boxes
-            fe[:, c] += ap[:, 1] * GY[c]
+            fe[..., c] += ap[..., 1] * GY[c]
         fe *= -0.5 * self.h
-        return np.bincount(self.elem_nodes.ravel(), weights=fe.ravel(),
-                           minlength=self.ndof)
+        stack = fe.shape[:-2]
+        k = fe.size // (4 * self.ndof)
+        nodes = self.elem_nodes.ravel()
+        if k > 1:
+            nodes = (nodes + self.ndof * np.arange(k)[:, None]).ravel()
+        return np.bincount(nodes, weights=fe.ravel(),
+                           minlength=k * self.ndof).reshape(stack + (self.ndof,))
 
     def element_gradient_integrals(self, w: np.ndarray) -> np.ndarray:
         """Per-element exact integral of grad(w), shape (n_elements, 2)."""
@@ -223,8 +266,7 @@ def pinned_factorization(K: sp.csr_matrix):
 
 
 def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-           maxiter: int | None = None, preconditioner=None,
-           centre: bool = False) -> tuple[np.ndarray, int, float]:
+           maxiter: int | None = None, preconditioner=None, centre: bool = False):
     """Preconditioned conjugate gradients for K x = b, the one CG loop of
     both legs (periodic correctors and penalized references).
 
@@ -232,40 +274,89 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
     constants as its kernel and b of mean zero; the residual is then
     projected to mean zero at every iteration. `preconditioner` maps a
     residual to the search update and must be symmetric positive definite
-    (default: the inverse diagonal of K). The default `maxiter` is
-    10000 + 50 sqrt(n). Returns (x, iterations, relative_residual).
+    (default: the inverse diagonal of K). Returns (x, iterations,
+    relative_residual).
+
+    b is one vector or a (k, N) stack of right-hand sides, for a K that is
+    block-diagonal over the stack's rows (N DOFs each). Every row runs its
+    own CG: its own step lengths, and it leaves the loop at the iteration it
+    converges, so it ends with the bits a solve of that row alone would give.
+    A zero row returns zeros after 0 iterations. A stack's preconditioner is
+    called as preconditioner(r, rows), with r the residuals of the stack
+    rows `rows` (an index array or slice) still iterating; a vector's as
+    preconditioner(r). For a stack, iterations and residuals are arrays.
+    The default `maxiter`, 10000 + 50 sqrt(N), holds per row.
     """
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    if maxiter is None:
-        maxiter = 10000 + int(50 * np.sqrt(K.shape[0]))
+    single = b.ndim == 1
+    stack = b[None] if single else b
+    k, n = stack.shape
+    if single and preconditioner is not None:
+        apply = preconditioner
+        preconditioner = lambda r, rows: apply(r[0])[None]
     if preconditioner is None:
-        inv_diag = 1.0 / K.diagonal()
-        preconditioner = lambda r: inv_diag * r
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = preconditioner(r)
-    p = z.copy()
-    rz = float(r @ z)
+        inv_diag = (1.0 / K.diagonal()).reshape(k, n)
+        preconditioner = lambda r, rows: inv_diag[rows] * r
+    if maxiter is None:
+        maxiter = 10000 + int(50 * np.sqrt(n))
+    x = np.zeros_like(stack)
+    iterations = np.zeros(k, dtype=int)
+    residual = np.zeros(k)
+
+    def result():
+        if single:
+            return x[0], int(iterations[0]), float(residual[0])
+        return x, iterations, residual
+
+    bnorm = np.sqrt(np.vecdot(stack, stack))
+    live = np.flatnonzero(bnorm)
+    if not live.size:
+        return result()
+    rows = slice(None) if live.size == k else live
+    xs = x if live.size == k else x[live]  # the live rows' iterates; x itself until a row leaves
+    bnorm = bnorm[live]
+    r = stack[live]
+    z = preconditioner(r, rows)
+    p = z
+    rz = np.vecdot(r, z)
+    rnorm = bnorm  # relative residual 1 until the first iteration
+    padded = None
     for it in range(1, maxiter + 1):
-        q = K @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
+        if live.size == k:
+            q = (K @ p.ravel()).reshape(p.shape)
+        else:
+            # rows that left keep stale values in `padded`; K is
+            # block-diagonal, so no live row sees them
+            if padded is None:
+                padded = np.zeros_like(stack)
+            padded[live] = p
+            q = (K @ padded.ravel()).reshape(k, n)[live]
+        alpha = (rz / np.vecdot(p, q))[:, None]
+        xs += alpha * p
         r -= alpha * q
-        if centre:
-            r -= r.mean()  # project out the kernel of constants
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
-            return x, it, rnorm / bnorm
-        z = preconditioner(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        if centre:  # project out the kernel of constants: r.mean(axis=-1), without its wrapper
+            r -= r.sum(axis=-1, keepdims=True) / n
+        rnorm = np.sqrt(np.vecdot(r, r))
+        done = rnorm <= tol * bnorm
+        if done.any():
+            finished = live[done]
+            iterations[finished] = it
+            residual[finished] = rnorm[done] / bnorm[done]
+            if xs is not x:
+                x[finished] = xs[done]
+            if done.all():
+                return result()
+            left = ~done
+            live = rows = live[left]
+            xs = x[live] if xs is x else xs[left]
+            r, p, rz, bnorm, rnorm = r[left], p[left], rz[left], bnorm[left], rnorm[left]
+        z = preconditioner(r, rows)
+        rz_new = np.vecdot(r, z)
+        p = z + (rz_new / rz)[:, None] * p
         rz = rz_new
+    worst = float((rnorm / bnorm).max())
     raise SolverError(
         f"CG did not reach tol={tol:g} within {maxiter} iterations "
-        f"(relative residual {rnorm / bnorm:.3e})",
-        iterations=maxiter, residual=rnorm / bnorm)
+        f"(relative residual {worst:.3e})", iterations=maxiter, residual=worst)
 
 
 def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
@@ -273,21 +364,28 @@ def solve_singular_system(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-9,
     """Solve K x = b where K is SPD up to the 1D kernel of constants.
 
     Returns (x, iterations, relative_residual) with mean(x) = 0. The "cg"
-    method is `cg_spd` on the centred b with the residual kept at mean zero.
+    method is `cg_spd` on the centred b with the residual kept at mean zero;
+    b may be a (k, N) stack for a block-diagonal K, centred row by row.
     "direct" pins one DOF and solves with `factorization`, the
-    `pinned_factorization(K)` (computed here when not given).
+    `pinned_factorization(K)` (computed here when not given); it takes one
+    right-hand side, as a vector or a one-row stack.
     """
-    b = b - b.mean()
+    b = b - b.mean(axis=-1, keepdims=True)
     if method == "direct":
         bnorm = float(np.linalg.norm(b))
-        if bnorm == 0.0:
-            return np.zeros_like(b), 0, 0.0
-        lu = pinned_factorization(K) if factorization is None else factorization
-        x = np.concatenate(([0.0], lu.solve(b[1:])))
-        x -= x.mean()
-        return x, 1, float(np.linalg.norm(K @ x - b)) / bnorm
+        x = np.zeros_like(b)
+        residual = 0.0
+        if bnorm > 0.0:
+            lu = pinned_factorization(K) if factorization is None else factorization
+            x[..., 1:] = lu.solve(b[..., 1:].ravel()).reshape(b[..., 1:].shape)
+            x -= x.mean(axis=-1, keepdims=True)
+            residual = float(np.linalg.norm(K @ x.ravel() - b.ravel())) / bnorm
+        iterations = int(bnorm > 0.0)
+        if b.ndim == 1:
+            return x, iterations, residual
+        return x, np.full(1, iterations), np.full(1, residual)
     if method != "cg":
         raise ParameterError(f"unknown solver method {method!r}")
     x, iterations, residual = cg_spd(K, b, tol, preconditioner=preconditioner, centre=True)
-    x -= x.mean()
+    x -= x.mean(axis=-1, keepdims=True)
     return x, iterations, residual

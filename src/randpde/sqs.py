@@ -13,6 +13,7 @@ first two moments need checking.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .correctors import E1, E2
 from .errors import GridMismatchError, ParameterError
 from .fields import Configuration, _as_symmetric_matrix
 from .grid import periodic_grid
+
+# Configurations that `sqs_condition_values` ranks per stacked FFT: a pool of
+# thousands is ranked in blocks, so its transforms stay a few hundred kB.
+RANK_BLOCK = 256
 
 
 def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
@@ -79,21 +84,31 @@ def pair_correlation_sums(x: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft2(f * np.conj(f)))
 
 
-def sqs_condition_values(cfg: Configuration, aux: SqsAuxiliary) -> tuple[float, float]:
-    """(first-moment value, second-moment residual) of a configuration.
+def sqs_condition_values(cfgs, aux: SqsAuxiliary):
+    """(first-moment value, second-moment residual) of a configuration, or
+    two arrays of them for an iterable of configurations, which is ranked
+    RANK_BLOCK configurations at a time with one stacked FFT and one
+    contraction per block.
 
     The first value is the box average of the centered draws (exactly zero
     for balanced configurations); the second is the Frobenius norm, over both
     directions, of the mismatch between the empirical pair form and its
     i.i.d. infinite-volume target.
     """
-    if cfg.n != aux.n:
-        raise GridMismatchError(f"configuration n={cfg.n} does not match auxiliary n={aux.n}")
-    p = cfg.p
-    x = cfg.draws.astype(float) - p
-    s1 = float(x.sum()) / cfg.n ** 2
-    s = pair_correlation_sums(x)
-    lhs = np.einsum("ab,abij->ij", s, aux.i_n) / cfg.n ** 2
-    rhs = aux.rhs_second_moment(p * (1.0 - p))
-    s2_residual = float(np.linalg.norm(lhs - rhs))
-    return s1, s2_residual
+    single = isinstance(cfgs, Configuration)
+    pending = iter([cfgs] if single else cfgs)
+    s1, s2 = [], []
+    while block := list(islice(pending, RANK_BLOCK)):
+        for cfg in block:
+            if cfg.n != aux.n:
+                raise GridMismatchError(
+                    f"configuration n={cfg.n} does not match auxiliary n={aux.n}")
+        p = np.array([cfg.p for cfg in block])[:, None, None]
+        x = np.stack([cfg.draws for cfg in block]).astype(float) - p
+        s1.append(x.sum(axis=(1, 2)) / aux.n ** 2)
+        s = pair_correlation_sums(x)
+        lhs = np.einsum("kab,abij->kij", s, aux.i_n) / aux.n ** 2
+        mismatch = (lhs - aux.rhs_second_moment(p * (1.0 - p))).reshape(-1, 4)
+        s2.append(np.sqrt(np.vecdot(mismatch, mismatch)))
+    s1, s2 = np.concatenate(s1), np.concatenate(s2)
+    return (float(s1[0]), float(s2[0])) if single else (s1, s2)

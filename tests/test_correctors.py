@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from randpde.correctors import (E1, E2, check_voigt_reuss, energy_tensor,
                                 homogenize, homogenized_tensor, solve_corrector)
-from randpde.errors import GridMismatchError, SolverError
+from randpde.errors import GridMismatchError, ResolutionWarning, SolverError
 from randpde.fields import Checkerboard, CoefficientField, realize_field, sample_configuration
 
 ID = np.eye(2)
@@ -277,3 +278,166 @@ def test_checkerboard_mean_consistent_with_duality():
     v = np.array(vals)
     half = 1.96 * v.std(ddof=1) / np.sqrt(len(v))
     assert abs(v.mean() - np.sqrt(60.0)) <= half
+
+
+# ---------------------------------------------------------------------------
+# Batched corrector solves: a (k, N) stack in one CG loop gives every row the
+# bits and the iteration count of its own solve.
+
+def _vector_cg(K, b, tol, preconditioner=None, centre=False):
+    """The CG loop as it ran on one right-hand side before stacks: scalar
+    step lengths, `np.linalg.norm`, `r.mean()`. The oracle for the vector
+    path of `cg_spd`."""
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    if preconditioner is None:
+        inv_diag = 1.0 / K.diagonal()
+        preconditioner = lambda r: inv_diag * r
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = preconditioner(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, 10000 + int(50 * np.sqrt(K.shape[0])) + 1):
+        q = K @ p
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        if centre:
+            r -= r.mean()
+        if float(np.linalg.norm(r)) <= tol * bnorm:
+            return x, it
+        z = preconditioner(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("oracle CG did not converge")
+
+
+def _mixed_stack(n=5, r=4):
+    """Cells of fields whose correctors converge at different iterations,
+    the last with an exactly zero load: a perturbed-periodic sample with no
+    defect is the constant a_per, and its corrector load cancels node by
+    node."""
+    from randpde.fields import PerturbedPeriodic
+    rng = np.random.default_rng(11)
+    root = rng.uniform(-1.5, 1.5, size=(n, n, 2, 2)) * np.tril(np.ones((2, 2)))
+    law = PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=0.5)
+    fields = [constant_field(n, 5.0),
+              realize_field(Checkerboard(3.0, 20.0), sample_configuration(Checkerboard(3.0, 20.0), n, 1, 0)),
+              realize_field(Checkerboard(1.0, 100.0), sample_configuration(Checkerboard(1.0, 100.0), n, 2, 0)),
+              CoefficientField(n=n, cells=root @ root.swapaxes(-1, -2) + 0.5 * ID),
+              CoefficientField(n=n, cells=np.broadcast_to(law.a_per, (n, n, 2, 2)).copy())]
+    return fields, np.stack([f.cells for f in fields])
+
+
+def test_batched_cg_matches_per_row_solves():
+    from randpde.grid import cg_spd, periodic_grid
+    n, r = 5, 4
+    fields, cells = _mixed_stack(n, r)
+    grid = periodic_grid(n, r)
+    K = grid.assemble_stiffness(cells)
+    precondition = grid.constant_medium_solver(cells.mean(axis=(1, 2)))
+    for p in (E1, E2):
+        b = grid.corrector_rhs(cells, p)
+        b -= b.mean(axis=-1, keepdims=True)
+        assert not b[-1].any()  # the zero row
+        x, iterations, residual = cg_spd(K, b, 1e-9, preconditioner=precondition, centre=True)
+        assert x.shape == b.shape and iterations.shape == residual.shape == (len(fields),)
+        assert iterations[-1] == 0 and residual[-1] == 0.0 and not x[-1].any()
+        assert len(set(iterations[:-1].tolist())) >= 3  # rows leave at different iterations
+        for row, f in enumerate(fields):
+            K1 = grid.assemble_stiffness(f.cells)
+            solve1 = grid.constant_medium_solver(f.cells.mean(axis=(0, 1)))
+            x1, it1, res1 = cg_spd(K1, b[row], 1e-9, preconditioner=solve1, centre=True)
+            assert np.array_equal(x[row], x1) and iterations[row] == it1, (p, row)
+            assert residual[row] == res1
+            # and the vector path runs the arithmetic of the loop before stacks
+            x0, it0 = _vector_cg(K1, b[row], 1e-9, solve1, centre=True)
+            assert np.array_equal(x1, x0) and it1 == it0, (p, row)
+
+
+def test_batched_cg_default_preconditioner_and_error():
+    # Jacobi on a stack picks each row's own diagonal; a cap reached by one
+    # row raises with the worst row's residual
+    from randpde.grid import cg_spd, periodic_grid
+    n, r = 4, 2
+    fields, cells = _mixed_stack(n, r)
+    grid = periodic_grid(n, r)
+    K = grid.assemble_stiffness(cells)
+    b = grid.corrector_rhs(cells, E1)
+    b -= b.mean(axis=-1, keepdims=True)
+    x, iterations, _ = cg_spd(K, b, 1e-9, centre=True)
+    for row, f in enumerate(fields):
+        x1, it1, _ = cg_spd(grid.assemble_stiffness(f.cells), b[row], 1e-9, centre=True)
+        assert np.array_equal(x[row], x1) and iterations[row] == it1
+    with pytest.raises(SolverError) as err:
+        cg_spd(K, b, 1e-9, maxiter=2, centre=True)
+    assert err.value.iterations == 2 and err.value.residual > 1e-9
+
+
+def test_stacked_assembly_is_block_diagonal():
+    from randpde.grid import periodic_grid
+    n, r = 3, 2
+    fields, cells = _mixed_stack(n, r)
+    grid = periodic_grid(n, r)
+    K = grid.assemble_stiffness(cells)
+    b = grid.corrector_rhs(cells, np.array([0.3, -1.7]))
+    N = grid.ndof
+    assert K.shape == (len(fields) * N,) * 2 and b.shape == (len(fields), N)
+    for row, f in enumerate(fields):
+        block = K[row * N:(row + 1) * N]
+        K1 = grid.assemble_stiffness(f.cells)
+        assert np.array_equal(block[:, row * N:(row + 1) * N].toarray(), K1.toarray())
+        assert block.nnz == K1.nnz  # nothing outside the diagonal block
+        assert np.array_equal(b[row], grid.corrector_rhs(f.cells, np.array([0.3, -1.7])))
+
+
+def test_chunked_homogenize_matches_one_field_solves(monkeypatch):
+    # m = 2 chunks + 1: chunk boundaries change no bit of any tensor, any
+    # corrector or any iteration count, and neither does mc_estimate
+    from randpde import correctors
+    from randpde.estimators import EstimatorReport, mc_estimate
+    law = Checkerboard(3.0, 20.0)
+    n, r, chunk = 4, 4, 3
+    m = 2 * chunk + 1
+    fields = [realize_field(law, sample_configuration(law, n, 5, i)) for i in range(m)]
+    one_by_one = [homogenize(f, r) for f in fields]
+    monkeypatch.setattr(correctors, "CHUNK_DOFS", chunk * (n * r) ** 2)
+    batched = list(correctors.homogenize_fields(fields, r))
+    for (t, ws), (t1, ws1) in zip(batched, one_by_one):
+        assert np.array_equal(t, t1)
+        for w, w1 in zip(ws, ws1):
+            assert np.array_equal(w.values, w1.values)
+            assert (w.iterations, w.residual) == (w1.iterations, w1.residual)
+    rep = mc_estimate(law, n, r, m, seed=5)
+    loop = EstimatorReport.from_samples("mc", law.describe(), n, r,
+                                        [t for t, _ in one_by_one], solves=2 * m, seed=5)
+    assert np.array_equal(rep.mean, loop.mean) and np.array_equal(rep.var, loop.var)
+
+
+def test_reference_solve_bitwise_through_vector_path(monkeypatch):
+    # the reference leg passes one vector: cg_spd runs it as a one-row stack
+    # and must keep the loop's values and iteration count
+    from randpde import poisson
+    from randpde.grid import cg_spd
+    from randpde.perforations import build_perforations
+    perf = build_perforations("random_rectangles", seed=2026, count=100,
+                              width_range=(0.02, 0.05), height_range=(0.02, 0.05))
+    calls = []
+
+    def recorded(K, b, tol, preconditioner=None):
+        out = cg_spd(K, b, tol, preconditioner=preconditioner)
+        calls.append((K, b, tol, preconditioner, out))
+        return out
+    monkeypatch.setattr(poisson, "cg_spd", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        ref = poisson.reference_solve(perf, lambda x, y: np.ones_like(x), 64)
+    ((K, b, tol, preconditioner, (x, iterations, residual)),) = calls
+    assert preconditioner is not None  # the multigrid V-cycle
+    x0, it0 = _vector_cg(K, b, tol, preconditioner)
+    assert np.array_equal(x, x0) and iterations == it0
+    assert isinstance(iterations, int) and isinstance(residual, float)
+    assert np.array_equal(ref.values[1:-1, 1:-1].ravel(), x0)

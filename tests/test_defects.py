@@ -18,8 +18,7 @@ def test_zero_perturbation_gives_zero_coefficient():
 
 
 def test_one_defect_position_independent():
-    e00, _ = _box_flux_excess(LAW, n=5, r=4, defect_cells=[(0, 0)])
-    e23, _ = _box_flux_excess(LAW, n=5, r=4, defect_cells=[(2, 3)])
+    (e00, e23), _ = _box_flux_excess(LAW, n=5, r=4, defect_sets=[[(0, 0)], [(2, 3)]])
     scale = np.abs(e00).max()
     assert np.max(np.abs(e00 - e23)) <= 1e-8 * scale
 
@@ -60,8 +59,8 @@ def test_offset_catalog_counts_pairs_once():
 
 def test_two_defect_symmetry_map_matches_direct_solve():
     # isotropic material: the (0,1) pair is the 90-degree image of (1,0)
-    e_10, _ = _box_flux_excess(LAW, n=4, r=4, defect_cells=[(0, 0), (1, 0)])
-    e_01, _ = _box_flux_excess(LAW, n=4, r=4, defect_cells=[(0, 0), (0, 1)])
+    (e_10, e_01), _ = _box_flux_excess(LAW, n=4, r=4,
+                                       defect_sets=[[(0, 0), (1, 0)], [(0, 0), (0, 1)]])
     rot = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.max(np.abs(e_01 - rot @ e_10 @ rot.T)) <= 1e-7 * np.abs(e_10).max()
 
@@ -90,3 +89,26 @@ def test_solve_count_matches_solves_made(a_per, order):
     law = PerturbedPeriodic(a_per=a_per, c_per=17 * ID, eta=0.5)
     d = defect_coefficients(law, n=4, r=2, order=order)
     assert defect_solve_count(law, 4, order) == d.solves
+
+
+@pytest.mark.parametrize("a_per", [3 * ID, np.array([[3.0, 0.5], [0.5, 2.0]])])
+def test_batched_catalog_matches_one_field_solves(a_per, monkeypatch):
+    # the one-defect field and every pair class go through one batched call
+    # (here in chunks of 3 fields); each coefficient keeps the bits of its
+    # own one-field solve
+    from randpde import correctors
+    from randpde.correctors import homogenize
+    from randpde.defects import _defect_field, _find_d4, pair_catalog
+    law = PerturbedPeriodic(a_per=a_per, c_per=17 * ID, eta=0.5)
+    n, r = 4, 2
+    monkeypatch.setattr(correctors, "CHUNK_DOFS", 3 * (n * r) ** 2)
+    d = defect_coefficients(law, n=n, r=r, order=2)
+
+    def excess(cells):
+        return n * n * (homogenize(_defect_field(law, n, cells), r)[0] - law.a_per)
+    a_1def = excess([(0, 0)])
+    assert np.array_equal(d.a_1def, a_1def)
+    for off, _, key in pair_catalog(law, n):
+        rot = _find_d4(key, off)
+        assert np.array_equal(d.a_2def[off], rot @ (excess([(0, 0), key]) - 2.0 * a_1def) @ rot.T)
+    assert d.solves == defect_solve_count(law, n, 2)

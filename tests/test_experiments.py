@@ -205,10 +205,18 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (VR_CONFIG.replace("r = 2", "r = 0"), "estimate.r"),
     (VR_CONFIG.replace("mc, antithetic", "mc, sqs2\npool = 5"), "estimate.pool"),
     (CV_CONFIG.replace("n = 4, 6", "n = 1, 4"), "estimate.n"),
-], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1"])
+    (VR_CONFIG.replace("beta = 20.0", "beta = 20.0\neta = 0.9"), "law.eta"),
+    (CV_CONFIG.replace("eta = 0.5", "eta = 0.5\nalpha = 2"), "law.alpha"),
+    (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize"), "estimate.strategies"),
+    (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize")
+     .replace("mc, antithetic", "sqs1"), "estimate.strategies"),
+], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
+        "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1"])
 def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
     # each of these once passed `validate` and then failed in `run` as a
-    # solver error, leaving a partial archive
+    # solver error, leaving a partial archive, or (the last four) ran
+    # something else than the config states: a key of the other law kind
+    # was dropped and a homogenize run's strategies replaced by mc
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError, match=key):
         parse_config(path)

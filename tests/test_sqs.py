@@ -89,3 +89,18 @@ def test_mismatched_sizes_rejected():
     cfg = sqs1_exact_sample(6, seed=0, index=0)
     with pytest.raises(GridMismatchError):
         sqs_condition_values(cfg, aux)
+
+
+def test_stacked_ranking_matches_single_calls():
+    # a pool spanning three blocks ranks as one call per configuration does
+    from randpde.sqs import RANK_BLOCK
+    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    pool = [sqs1_exact_sample(4, seed=9, index=i) for i in range(2 * RANK_BLOCK + 7)]
+    s1, s2 = sqs_condition_values(iter(pool), aux)
+    single = np.array([sqs_condition_values(cfg, aux) for cfg in pool])
+    assert s1.shape == s2.shape == (len(pool),)
+    assert np.array_equal(s1, single[:, 0])
+    assert np.allclose(s2, single[:, 1], rtol=1e-12, atol=0)
+    assert np.array_equal(np.argsort(s2, kind="stable"), np.argsort(single[:, 1], kind="stable"))
+    with pytest.raises(GridMismatchError):
+        sqs_condition_values(pool[:3] + [sqs1_exact_sample(6, seed=0, index=0)], aux)
