@@ -3,7 +3,7 @@
 For a coefficient field A on the periodic n x n box and a direction p, the
 corrector w_p solves -div[A (p + grad w_p)] = 0 with periodic boundary
 conditions and zero mean. Averaging the flux A (e_j + grad w_j) over the box
-yields the (random, truncated) homogenized tensor.
+yields the (random, truncated) homogenized tensor, read off the solve's loads.
 """
 
 from __future__ import annotations
@@ -45,50 +45,50 @@ class CorrectorSolution:
 CHUNK_DOFS = 1 << 14
 
 
-def _solve_stack(cells: np.ndarray, directions, r: int, tol: float, method: str) -> list:
-    """Correctors of a (k, n, n, 2, 2) stack of cells, one (w, iterations,
-    residuals) per direction with w of shape (k, ndof), from one
-    block-diagonal assembly and one stacked PCG (or, for one field, one LU)
-    per direction."""
-    grid = periodic_grid(cells.shape[1], r)
+def _solve_stack(cells: np.ndarray, directions, r: int, tol: float, method: str):
+    """The loads and correctors, each (k, J, ndof), of a (k, n, n, 2, 2) stack
+    of cells in J directions, and per stack row the tuple of its J
+    `CorrectorSolution`s: one block-diagonal assembly, then per direction one
+    PCG preconditioned by the FFT inverse of each field's mean constant
+    medium (its iterations do not grow with the grid) or, for one field, LU."""
+    if tol <= 0:
+        raise ParameterError("tol must be positive")
+    n = cells.shape[1]
+    grid = periodic_grid(n, r)
     K = grid.assemble_stiffness(cells)
     precondition = grid.constant_medium_solver(cells.mean(axis=(1, 2)))
     factorization = pinned_factorization(K) if method == "direct" else None
-    return [solve_singular_system(K, grid.corrector_rhs(cells, p), tol=tol, method=method,
-                                  preconditioner=precondition, factorization=factorization)
-            for p in directions]
+    loads = [grid.corrector_rhs(cells, p) for p in directions]
+    solved = [solve_singular_system(K, b, tol=tol, method=method, preconditioner=precondition,
+                                    factorization=factorization) for b in loads]
+    ws, iterations, residuals = (np.stack(out, axis=1) for out in zip(*solved))
+    solutions = [tuple(CorrectorSolution(n=n, r=r, p=p, values=ws[row, j],
+                                         iterations=int(iterations[row, j]),
+                                         residual=float(residuals[row, j]), method=method)
+                       for j, p in enumerate(directions))
+                 for row in range(len(cells))]
+    return np.stack(loads, axis=1), ws, solutions
 
 
-def _solutions(field: CoefficientField, r: int, directions, solved, row: int,
-               method: str) -> tuple[CorrectorSolution, ...]:
-    """The `CorrectorSolution`s of stack row `row` of `_solve_stack`'s output."""
-    return tuple(CorrectorSolution(n=field.n, r=r, p=p, values=w[row],
-                                   iterations=int(iterations[row]),
-                                   residual=float(residual[row]), method=method)
-                 for p, (w, iterations, residual) in zip(directions, solved))
+def _flux_tensors(cells: np.ndarray, loads: np.ndarray, ws: np.ndarray, directions) -> np.ndarray:
+    """(k, 2, J) tensors of a (k, n, n, 2, 2) stack of cells: column j is
+    (1/|Q_N|) int A (p_j + grad w_j) for the correctors ws (k, J, ndof).
 
-
-def solve_correctors(field: CoefficientField, directions, r: int, tol: float = 1e-9,
-                     method: str = "cg") -> tuple[CorrectorSolution, ...]:
-    """Galerkin solutions of the periodic corrector problems for several
-    directions, from one stiffness assembly.
-
-    The "cg" method is preconditioned by the exact inverse of the stiffness
-    of the constant medium with the field's mean cell matrix, applied by FFT,
-    so its iteration count does not grow with the grid. The "direct" method
-    factorizes the stiffness once for all directions.
+    With b_i the load of e_i (loads is (k, 2, ndof)), a Q1 corrector w has
+    int e_i.A grad w = -b_i.w for symmetric A, so column j is
+    <A> p_j - (b_i.w_j) / n^2. `np.vecdot` takes each row's dot products
+    alone, so a row's bits do not depend on the stack it is solved in.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    directions = [np.asarray(p, dtype=float) for p in directions]
-    solved = _solve_stack(field.cells[None], directions, r, tol, method)
-    return _solutions(field, r, directions, solved, 0, method)
+    flux = np.vecdot(loads[:, :, None], ws[:, None])
+    return cells.mean(axis=(1, 2)) @ np.transpose(directions) - flux / cells.shape[1] ** 2
 
 
 def solve_corrector(field: CoefficientField, p, r: int, tol: float = 1e-9,
                     method: str = "cg") -> CorrectorSolution:
-    """Galerkin solution of the periodic corrector problem for direction p."""
-    return solve_correctors(field, (p,), r, tol=tol, method=method)[0]
+    """Galerkin solution of the periodic corrector problem for direction p,
+    by FFT-preconditioned CG or, with "direct", one LU factorization."""
+    _, _, ((w,),) = _solve_stack(field.cells[None], (p,), r, tol, method)
+    return w
 
 
 def homogenized_tensor(field: CoefficientField, correctors) -> np.ndarray:
@@ -101,15 +101,15 @@ def homogenized_tensor(field: CoefficientField, correctors) -> np.ndarray:
     correctors = list(correctors)
     if not correctors:
         raise ParameterError("need at least one corrector")
-    grid = periodic_grid(field.n, correctors[0].r)
-    tensor = np.zeros((2, len(correctors)))
-    for j, w in enumerate(correctors):
-        if w.n != field.n or w.r != correctors[0].r:
+    r = correctors[0].r
+    for w in correctors:
+        if w.n != field.n or w.r != r:
             raise GridMismatchError(
-                f"corrector grid ({w.n}, {w.r}) does not match field "
-                f"({field.n}, {correctors[0].r})")
-        tensor[:, j] = grid.average_flux(field.cells, w.values, w.p)
-    return tensor
+                f"corrector grid ({w.n}, {w.r}) does not match field ({field.n}, {r})")
+    grid = periodic_grid(field.n, r)
+    loads = np.stack([grid.corrector_rhs(field.cells, p) for p in (E1, E2)])[None]
+    ws = np.stack([w.values for w in correctors])[None]
+    return _flux_tensors(field.cells[None], loads, ws, [w.p for w in correctors])[0]
 
 
 def energy_tensor(field: CoefficientField, correctors) -> np.ndarray:
@@ -133,20 +133,17 @@ def homogenize_fields(fields, r: int, tol: float = 1e-9, method: str = "cg"):
     The fields share one box size. They are solved in chunks of at most
     CHUNK_DOFS // ndof fields (one field for the direct method): per chunk
     one block-diagonal assembly and one stacked PCG per canonical direction,
-    so only one chunk's correctors are alive at a time.
+    so only one chunk's correctors are alive at a time. The chunk's tensors
+    come from the loads of those PCGs in one contraction (`_flux_tensors`).
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
     fields = list(fields)
     if len({f.n for f in fields}) > 1:
         raise GridMismatchError("fields of one batch must share the box size n")
     chunk = 1 if method == "direct" or not fields else max(1, CHUNK_DOFS // (fields[0].n * r) ** 2)
     for start in range(0, len(fields), chunk):
-        members = fields[start:start + chunk]
-        solved = _solve_stack(np.stack([f.cells for f in members]), (E1, E2), r, tol, method)
-        for row, field in enumerate(members):
-            ws = _solutions(field, r, (E1, E2), solved, row, method)
-            yield homogenized_tensor(field, ws), ws
+        cells = np.stack([f.cells for f in fields[start:start + chunk]])
+        loads, ws, solutions = _solve_stack(cells, (E1, E2), r, tol, method)
+        yield from zip(_flux_tensors(cells, loads, ws, (E1, E2)), solutions)
 
 
 def homogenize(field: CoefficientField, r: int, tol: float = 1e-9,

@@ -50,10 +50,14 @@ def _parse_number(token: str, key: str) -> float:
     try:
         if "/" in token:
             num, den = token.split("/")
-            return float(num) / float(den)
-        return float(token)
+            value = float(num) / float(den)
+        else:
+            value = float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse number {token!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {token!r}")
+    return value
 
 
 def _parse_int(token: str, key: str) -> int:
@@ -95,8 +99,13 @@ def _one_of(options):
 
 
 def _list_of(conv):
-    """Parser of a comma-separated list whose entries `conv` parses."""
-    return lambda raw, key: [conv(tok, key) for tok in raw.split(",") if tok.strip()]
+    """Parser of a comma-separated list of one or more entries that `conv` parses."""
+    def parse(raw: str, key: str) -> list:
+        values = [conv(tok, key) for tok in raw.split(",") if tok.strip()]
+        if not values:
+            raise ConfigError(f"key {key!r}: expected at least one value")
+        return values
+    return parse
 
 
 # section -> key -> (parser, default); the law's keys depend on law.kind
@@ -224,6 +233,10 @@ def parse_config(path) -> ExperimentConfig:
             ms["fine_n"] = ms["fine_n"] * len(ms["h"])
         if len(ms["fine_n"]) != len(ms["h"]):
             raise ConfigError("msfem.fine_n must be scalar or match msfem.h in length")
+        if any(fn < 2 for fn in ms["fine_n"]):
+            raise ConfigError("msfem.fine_n entries must be >= 2")
+        if ms["reference_n"] < 0:
+            raise ConfigError("msfem.reference_n must be >= 0 (0 picks the local grids' own)")
         for hval in ms["h"]:
             m = 1.0 / hval if hval > 0 else 0.0
             if abs(m - round(m)) > 1e-9 or round(m) < 2:

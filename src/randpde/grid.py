@@ -18,7 +18,7 @@ assembles into one block-diagonal stiffness (`assemble_stiffness`), its loads
 into a (k, ndof) array (`corrector_rhs`), and k mean cell matrices into one
 stacked FFT inverse (`constant_medium_solver`), so `cg_spd` solves k samples
 in one loop. `correctors.CHUNK_DOFS` bounds the DOFs times right-hand sides
-of such a stack.
+of such a stack. The loads also give the homogenized tensor (`correctors`).
 """
 
 from __future__ import annotations
@@ -109,10 +109,9 @@ class PeriodicGrid:
                                     exp * g + ey,
                                     exp * g + eyp,
                                     ex * g + eyp], axis=1)
-        self.elem_cell = (ex // r, ey // r)
         # flat cell index of each element; `np.take` with it gathers a stack
         # of cells in C order, which cells[..., cx, cy, :, :] does not
-        self._cell_of_element = (ex // r) * n + ey // r
+        self.cell_of_element = (ex // r) * n + ey // r
         # rfft2 symbols of the constant-medium stiffness for a11, a22, a12 = 1
         self._unit_symbols = tuple(self._symbol(element_stiffness(*unit))
                                   for unit in np.eye(3))
@@ -156,7 +155,7 @@ class PeriodicGrid:
         """Per-element 2x2 coefficient matrices from cell-wise field values;
         (..., n_elements, 2, 2) for cells of shape (..., n, n, 2, 2)."""
         flat = cells.reshape(cells.shape[:-4] + (-1, 2, 2))
-        return np.take(flat, self._cell_of_element, axis=-3)
+        return np.take(flat, self.cell_of_element, axis=-3)
 
     @cached_property
     def _stiffness_pattern(self):
@@ -191,7 +190,7 @@ class PeriodicGrid:
         k, nnz = len(ke), len(indices)
         data = np.empty((k, nnz))
         for s in range(k):
-            weights = np.take(ke[s], self._cell_of_element, axis=0)
+            weights = np.take(ke[s], self.cell_of_element, axis=0)
             data[s] = np.bincount(slot, weights=weights.ravel(), minlength=nnz)
         shift = np.arange(k, dtype=indices.dtype)[:, None]
         indices = (indices + self.ndof * shift).ravel()
@@ -205,7 +204,7 @@ class PeriodicGrid:
         (k, n, n, 2, 2) stack of cells gives a (k, ndof) stack of loads from
         one offset `bincount`."""
         ap = cells @ np.asarray(p, dtype=float)
-        ap = np.take(ap.reshape(ap.shape[:-3] + (-1, 2)), self._cell_of_element, axis=-2)
+        ap = np.take(ap.reshape(ap.shape[:-3] + (-1, 2)), self.cell_of_element, axis=-2)
         fe = ap[..., 0, None] * GX
         for c in range(4):  # by column: no second (E, 4) temporary on large boxes
             fe[..., c] += ap[..., 1] * GY[c]
@@ -223,15 +222,6 @@ class PeriodicGrid:
         we = w[self.elem_nodes]
         half_h = 0.5 * self.h
         return np.stack([we @ GX, we @ GY], axis=1) * half_h
-
-    def average_flux(self, cells: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """(1/|Q_N|) int A (p + grad w) as a length-2 vector."""
-        a = self.element_coefficients(cells)
-        grads = self.element_gradient_integrals(w)
-        p = np.asarray(p, dtype=float)
-        flux = np.einsum("eij,ej->i", a, grads)
-        flux += (a.sum(axis=0) @ p) * self.h ** 2
-        return flux / self.n ** 2
 
     def energy_product(self, cells: np.ndarray,
                        w1: np.ndarray, p1: np.ndarray,

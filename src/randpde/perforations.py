@@ -98,6 +98,10 @@ def random_rectangles(count: int, width_range, height_range, seed: int) -> Rando
     in the given ranges, deterministically from the seed."""
     if count < 0:
         raise ParameterError("count must be nonnegative")
+    for name, bounds in (("width_range", width_range), ("height_range", height_range)):
+        if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
+            raise ParameterError(f"{name} must be two numbers lo, hi with 0 <= lo <= hi, "
+                                 f"got {tuple(bounds)}")
     rng = _philox(seed, 0x7ec7)
     cx = rng.random(count)
     cy = rng.random(count)

@@ -34,17 +34,15 @@ def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
     constant-medium problems are solved exactly by FFT."""
     grid = periodic_grid(n, r)
     solve = grid.constant_medium_solver(c0)
-    cell_of_elem = grid.elem_cell  # (cx, cy) arrays
     origin_c1 = np.zeros((n, n, 2, 2))
     origin_c1[0, 0] = c1  # 1_Q C1: C1 on the origin cell, zero elsewhere
-    out = np.zeros((n, n, 2, 2))
+    out = np.zeros((n * n, 2, 2))
     for col, p in enumerate((E1, E2)):
         phi = solve(grid.corrector_rhs(origin_c1, p))
-        grads = grid.element_gradient_integrals(phi)
-        flux = grads @ c1.T  # (n_elements, 2): C1 grad phi integrated per element
-        np.add.at(out[:, :, 0, col], (cell_of_elem[0], cell_of_elem[1]), flux[:, 0])
-        np.add.at(out[:, :, 1, col], (cell_of_elem[0], cell_of_elem[1]), flux[:, 1])
-    return out, 2  # one FFT solve per direction
+        flux = grid.element_gradient_integrals(phi) @ c1.T  # C1 grad phi per element
+        for row in range(2):  # every cell has elements, so bincount gives n * n sums
+            out[:, row, col] = np.bincount(grid.cell_of_element, weights=flux[:, row])
+    return out.reshape(n, n, 2, 2), 2  # one FFT solve per direction
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,33 @@ def test_galerkin_residual_below_tolerance():
     assert abs(w.values.mean()) < 1e-12
 
 
+def element_flux(cells, w, r):
+    """(1/|Q_N|) int A (p + grad w) for a corrector w, summed element by
+    element from the element coefficients and gradient integrals."""
+    from randpde.grid import periodic_grid
+    grid = periodic_grid(len(cells), r)
+    a = grid.element_coefficients(cells)
+    flux = np.einsum("eij,ej->i", a, grid.element_gradient_integrals(w.values))
+    return (flux + a.sum(axis=0) @ w.p * grid.h ** 2) / grid.n ** 2
+
+
+@pytest.mark.parametrize("n,r", [(1, 2), (5, 3), (6, 8)])
+def test_tensor_from_loads_matches_element_flux(n, r):
+    # the tensor is read off the loads, int e_i.A grad w = -b_i.w: it must
+    # give the element-level flux integral on isotropic and anisotropic cells
+    law = Checkerboard(3.0, 20.0)
+    root = np.random.default_rng(n * r).uniform(-1.0, 1.0, size=(n, n, 2, 2))
+    fields = (realize_field(law, sample_configuration(law, n, seed=9, index=0)),
+              CoefficientField(n=n, cells=root @ root.swapaxes(-1, -2) + 0.1 * ID))
+    for f in fields:
+        tensor, ws = homogenize(f, r)
+        oracle = np.stack([element_flux(f.cells, w, r) for w in ws], axis=1)
+        w = solve_corrector(f, np.array([0.3, -1.7]), r)
+        for got, want in ((tensor, oracle), (homogenized_tensor(f, ws), oracle),
+                          (homogenized_tensor(f, (w,))[:, 0], element_flux(f.cells, w, r))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+
 def test_grid_mismatch_rejected():
     f6 = constant_field(6, 5.0)
     f4 = constant_field(4, 5.0)

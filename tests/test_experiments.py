@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import warnings
@@ -210,13 +211,28 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize"), "estimate.strategies"),
     (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize")
      .replace("mc, antithetic", "sqs1"), "estimate.strategies"),
+    (VR_CONFIG.replace("seed = 11", "seed = nan"), "experiment.seed"),
+    (VR_CONFIG.replace("r = 2", "r = -inf"), "estimate.r"),
+    (MSFEM_CONFIG.replace("fine_n = 8", "fine_n = 0"), "msfem.fine_n"),
+    (MSFEM_CONFIG.replace("fine_n = 8", "fine_n = -4"), "msfem.fine_n"),
+    (MSFEM_CONFIG.replace("fine_n = 8", "fine_n = 1"), "msfem.fine_n"),
+    (UNDERRESOLVED_CONFIG.replace("fine_n = 8", "fine_n = 1"), "msfem.fine_n"),
+    (MSFEM_CONFIG.replace("reference_n = 64", "reference_n = -32"), "msfem.reference_n"),
+    (VR_CONFIG.replace("n = 3, 4", "n ="), "estimate.n"),
+    (MSFEM_CONFIG.replace("h = 1/4", "h ="), "msfem.h"),
 ], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
-        "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1"])
+        "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1",
+        "seed-nan", "r-minus-inf", "fine_n-0", "fine_n-minus-4", "fine_n-1-none",
+        "fine_n-1-discs", "reference_n-minus-32", "n-empty", "h-empty"])
 def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
-    # each of these once passed `validate` and then failed in `run` as a
-    # solver error, leaving a partial archive, or (the last four) ran
-    # something else than the config states: a key of the other law kind
-    # was dropped and a homogenize run's strategies replaced by mc
+    # each of these once went wrong after parsing:
+    # - up to sqs2-pool-below-m, and cv-n-1, fine_n-1-*, reference_n-minus-32
+    #   and h-empty passed `validate`, then failed in `run` as a solver error;
+    # - checkerboard-eta to homogenize-sqs1 ran something else than the
+    #   config states: a key of the other law kind was dropped and a
+    #   homogenize run's strategies replaced by mc;
+    # - seed-nan, r-minus-inf and fine_n-0 or -4 left `validate` with a
+    #   traceback, and n-empty passed it and left `run` with one
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError, match=key):
         parse_config(path)
@@ -446,3 +462,47 @@ def test_validate_estimate_matches_msfem_solves_made(tmp_path, monkeypatch, kind
     assert {r["method"] for r in rows} == {"cr", "linear", "q1"}
     made = sum(int(r["solves"]) for r in rows) + len(references)
     assert archive.manifest["estimated_pde_solves"] == made
+
+
+RECTANGLES_CONFIG = ESTIMATE_CONFIGS["msfem"]
+
+
+@pytest.mark.parametrize("ranges", ["0.05, 0.02", "0.05"], ids=["reversed", "one-number"])
+def test_bad_rectangle_ranges_refused(tmp_path, ranges):
+    # both once left `validate` and `run` with a traceback (exit 1)
+    path = write_config(tmp_path, RECTANGLES_CONFIG.replace("width_range = 0.1, 0.3",
+                                                            f"width_range = {ranges}"))
+    assert any("width_range" in p for p in validate(parse_config(path))["problems"])
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "archive").exists()
+
+
+FUZZ_CONFIGS = {"vr-compare": CV_CONFIG, "checkerboard": VR_CONFIG,
+                "msfem": RECTANGLES_CONFIG, "msfem-robustness": ROBUST_CONFIG}
+FUZZ_VALUES = ("0", "-1", "1", "0.5", "1, 2", "2, 1", "", "nan", "-inf")
+CHOICE_KEYS = {"experiment.kind", "law.kind", "estimate.strategies", "geometry.kind",
+               "msfem.methods", "msfem.f"}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_CONFIGS))
+def test_validate_refuses_fuzzed_values_without_raising(tmp_path, name):
+    # every value key of the config's sections set to small edge values:
+    # `validate` accepts (0) or refuses (2), and never raises
+    base = configparser.ConfigParser()
+    base.read_string(FUZZ_CONFIGS[name].format(out=tmp_path / "archive"))
+    keys = [(section, key) for section in base.sections()
+            for key in (experiments._SCHEMA["law"][base["law"]["kind"]] if section == "law"
+                        else experiments._SCHEMA[section])
+            if f"{section}.{key}" not in CHOICE_KEYS]
+    assert len(keys) >= 10
+    path = tmp_path / "fuzz.ini"
+    for section, key in keys:
+        for value in FUZZ_VALUES:
+            parser = configparser.ConfigParser()
+            parser.read_dict(base)
+            parser[section][key] = value
+            with open(path, "w") as fh:
+                parser.write(fh)
+            code = cli_main(["validate", "--config", str(path)])
+            assert code in (0, 2), (section, key, value)

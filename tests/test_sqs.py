@@ -33,7 +33,7 @@ def test_source_shift_translates_integrals():
     cells = np.broadcast_to(11.5 * ID, (n, n, 2, 2)).copy()
     K = grid.assemble_stiffness(cells)
     shifted = np.zeros_like(i0)
-    in_cell = (grid.elem_cell[0] == 2) & (grid.elem_cell[1] == 1)
+    in_cell = grid.cell_of_element == 2 * n + 1
     for col, p in enumerate((E1, E2)):
         c1p = (17.0 * ID) @ p
         fe = -(c1p[0] * GX + c1p[1] * GY) * 0.5 * grid.h
@@ -42,8 +42,9 @@ def test_source_shift_translates_integrals():
                         minlength=grid.ndof)
         phi, _, _ = solve_singular_system(K, b, tol=1e-11)
         flux = grid.element_gradient_integrals(phi) @ (17.0 * ID).T
-        np.add.at(shifted[:, :, 0, col], grid.elem_cell, flux[:, 0])
-        np.add.at(shifted[:, :, 1, col], grid.elem_cell, flux[:, 1])
+        for row in range(2):
+            np.add.at(shifted.reshape(n * n, 2, 2)[:, row, col], grid.cell_of_element,
+                      flux[:, row])
     rolled = np.roll(shifted, shift=(-2, -1), axis=(0, 1))
     assert np.max(np.abs(rolled - i0)) <= 1e-8 * np.abs(i0).max()
 
