@@ -6,6 +6,10 @@ pairs, control variates built from defect coefficients, and selection
 sampling of moment-matched configurations. Reports carry empirical means,
 per-sample variances, confidence half-widths and PDE-solve counts so that
 strategies can be compared at equal cost.
+
+Plain Monte Carlo, the control variates and the first member of every
+antithetic pair draw the same i.i.d. configurations. Given one `tensors`
+table, those estimators solve each configuration once between them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ DEGENERATE_VARIANCE = 1e-14
 class EstimatorReport:
     """Summary of one estimation run; var is the per-sample variance of the
     per-sample estimator (pair averages for antithetic, corrected samples for
-    control variates), so ci95 = 1.96 sqrt(var / m)."""
+    control variates), so ci95 = 1.96 sqrt(var / m). `solves` is the
+    strategy's nominal cost, what it costs run alone, even when a shared
+    `tensors` table spared some of its solves."""
 
     strategy: str
     law: str
@@ -64,42 +70,62 @@ class EstimatorReport:
                    rho=rho, degenerate_control=degenerate_control)
 
 
-def _tensor_samples(law: FieldLaw, cfgs, r: int) -> np.ndarray:
-    """Homogenized tensors of the configurations' fields, shape (m, 2, 2),
-    solved in chunks by `homogenize_fields`; each is checked against its
-    field's Voigt-Reuss bounds as it arrives."""
-    fields = [realize_field(law, cfg) for cfg in cfgs]
-    out = np.empty((len(fields), 2, 2))
-    for i, (cfg, fld, (tensor, _)) in enumerate(zip(cfgs, fields, homogenize_fields(fields, r))):
+def _tensor_samples(law: FieldLaw, cfgs, r: int, tensors: dict | None = None) -> np.ndarray:
+    """Homogenized tensors of the configurations' fields, shape (m, 2, 2).
+
+    The `tensors` table files a tensor under its configuration's identity,
+    the law's phase matrices and r, never under the field's bytes: distinct
+    draws that happen to coincide are solved apart, so `validate` counts the
+    solves without drawing. The configurations the table does not hold are
+    solved in one `homogenize_fields` call, each checked against its field's
+    Voigt-Reuss bounds as it arrives and then filed. A tensor's bits do not
+    depend on the chunk it is solved in, so a table changes which solves are
+    made, never their results."""
+    tensors = {} if tensors is None else tensors
+    a0, a1 = law.phase_matrices()
+    keys = [(a0.tobytes(), a1.tobytes(), r, c.n, c.p, c.seed, c.index, c.antithetic, c.balanced)
+            for c in cfgs]
+    new = {key: cfg for key, cfg in zip(keys, cfgs) if key not in tensors}
+    fields = [realize_field(law, cfg) for cfg in new.values()]
+    for (key, cfg), fld, (tensor, _) in zip(new.items(), fields, homogenize_fields(fields, r)):
         if not check_voigt_reuss(fld, tensor):
             raise InvariantError(
                 f"tensor violates Voigt-Reuss bounds for configuration "
-                f"(seed={cfg.seed}, index={cfg.index})")
-        out[i] = tensor
-    return out
+                f"(seed={cfg.seed}, index={cfg.index}, antithetic={cfg.antithetic}, "
+                f"balanced={cfg.balanced})")
+        tensors[key] = tensor
+    return np.array([tensors[key] for key in keys])
 
 
-def mc_estimate(law: FieldLaw, n: int, r: int, m: int, seed: int) -> EstimatorReport:
-    """Plain Monte Carlo: empirical mean over m i.i.d. configurations."""
+def mc_estimate(law: FieldLaw, n: int, r: int, m: int, seed: int, *,
+                tensors: dict | None = None) -> EstimatorReport:
+    """Plain Monte Carlo: empirical mean over m i.i.d. configurations.
+
+    `tensors` is a table shared with `antithetic_estimate` and
+    `control_variate_estimate`: a configuration it holds is not solved again,
+    and the ones solved here are added to it."""
     if m < 2:
         raise ParameterError("mc_estimate needs m >= 2")
-    samples = _tensor_samples(law, [sample_configuration(law, n, seed, i) for i in range(m)], r)
+    samples = _tensor_samples(law, [sample_configuration(law, n, seed, i) for i in range(m)], r,
+                              tensors)
     return EstimatorReport.from_samples("mc", law.describe(), n, r, samples,
                                         solves=2 * m, seed=seed)
 
 
 def antithetic_estimate(law: FieldLaw, n: int, r: int, m_pairs: int,
-                        seed: int) -> EstimatorReport:
+                        seed: int, *, tensors: dict | None = None) -> EstimatorReport:
     """Antithetic pairs: each sample is the average over a configuration and
-    its law-preserving flip, at twice the solve cost per sample."""
+    its law-preserving flip, at twice the solve cost per sample. The first
+    members are mc's configurations, which a shared `tensors` table (see
+    `mc_estimate`) does not solve again; the flips are this strategy's own."""
     if m_pairs < 2:
         raise ParameterError("antithetic_estimate needs m_pairs >= 2")
     cfgs = []
     for i in range(m_pairs):
         cfg = sample_configuration(law, n, seed, i)
         cfgs += [cfg, antithetic_transform(cfg)]
-    tensors = _tensor_samples(law, cfgs, r)
-    samples = 0.5 * (tensors[0::2] + tensors[1::2])
+    x = _tensor_samples(law, cfgs, r, tensors)
+    samples = 0.5 * (x[0::2] + x[1::2])
     return EstimatorReport.from_samples("antithetic", law.describe(), n, r, samples,
                                         solves=4 * m_pairs, seed=seed)
 
@@ -124,7 +150,8 @@ def _expected_pair_sum(defects: DefectCoefficients, eta: float) -> np.ndarray:
 
 def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
                              order: int, seed: int,
-                             defects: DefectCoefficients) -> EstimatorReport:
+                             defects: DefectCoefficients, *,
+                             tensors: dict | None = None) -> EstimatorReport:
     """Control variate built from defect coefficients.
 
     Order 1 subtracts rho * (centered one-defect surrogate); order 2 adds the
@@ -132,6 +159,8 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
     the 2x2 variance-minimizing normal equations per tensor entry. Both
     surrogate expectations are analytic in the Bernoulli parameter. A control
     with (numerically) zero variance falls back to rho = 0 with a warning flag.
+    The samples corrected are mc's, which a shared `tensors` table (see
+    `mc_estimate`) does not solve again.
     """
     if not isinstance(law, PerturbedPeriodic):
         raise ParameterError("control variates require the perturbed-periodic law")
@@ -144,7 +173,7 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
 
     eta = law.eta
     cfgs = [sample_configuration(law, n, seed, i) for i in range(m)]
-    x = _tensor_samples(law, cfgs, r)
+    x = _tensor_samples(law, cfgs, r, tensors)
     y1 = np.empty((m, 2, 2))
     y2 = np.empty((m, 2, 2)) if order == 2 else None
     for i, cfg in enumerate(cfgs):
@@ -210,6 +239,9 @@ def sqs_estimate(law: FieldLaw, n: int, r: int, m_keep: int, seed: int,
     mode="exact1" estimates over m_keep balanced configurations. mode="ranked2"
     draws `pool` balanced configurations, ranks them by the second-moment
     residual (ties broken by index) and keeps the m_keep best before solving.
+    It takes no `tensors` table: which configurations ranked2 solves is known
+    only after ranking, so a shared table would make the solve count depend
+    on the draws.
     """
     if m_keep < 2:
         raise ParameterError("sqs_estimate needs m_keep >= 2")

@@ -108,6 +108,19 @@ def _list_of(conv):
     return parse
 
 
+def _choices(options):
+    """Parser of a comma-separated list of distinct entries of `options`."""
+    parse_list = _list_of(_one_of(options))
+
+    def parse(raw: str, key: str) -> list:
+        values = parse_list(raw, key)
+        repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
+        if repeated:
+            raise ConfigError(f"key {key!r}: {', '.join(repeated)} given more than once")
+        return values
+    return parse
+
+
 # section -> key -> (parser, default); the law's keys depend on law.kind
 _SCHEMA = {
     "experiment": {"kind": (_one_of(KINDS), ""), "seed": (_parse_int, "0"),
@@ -117,7 +130,7 @@ _SCHEMA = {
             "perturbed_periodic": {"a_per": (_parse_matrix, "3"), "c_per": (_parse_matrix, "17"),
                                    "eta": (_parse_number, "0.5")}},
     "estimate": {"n": (_list_of(_parse_int), "10"), "r": (_parse_int, "8"),
-                 "m": (_parse_int, "100"), "strategies": (_list_of(_one_of(STRATEGIES)), "mc"),
+                 "m": (_parse_int, "100"), "strategies": (_choices(STRATEGIES), "mc"),
                  "pool": (_parse_int, "2000")},
     "geometry": {"kind": (_one_of(GEOMETRIES), ""), "epsilon": (_parse_number, "0.1"),
                  "radius_factor": (_parse_number, "0.2"), "count": (_parse_int, "100"),
@@ -125,7 +138,7 @@ _SCHEMA = {
                  "height_range": (_list_of(_parse_number), "0.02,0.05"),
                  "gseed": (_parse_int, "0")},
     "msfem": {"h": (_list_of(_parse_number), "0.2"), "fine_n": (_list_of(_parse_int), "32"),
-              "methods": (_list_of(_one_of(MSFEM_METHODS)), "cr"),
+              "methods": (_choices(MSFEM_METHODS), "cr"),
               "with_bubbles": (_parse_bool, "true"), "reference_n": (_parse_int, "0"),
               "f": (_one_of(RHS_FUNCTIONS), "one")},
 }
@@ -291,9 +304,11 @@ def _msfem_grids(cfg: ExperimentConfig):
 def validate(cfg: ExperimentConfig) -> dict:
     """Static validation and cost estimate; never solves anything.
 
-    ``estimated_pde_solves`` is exact. For the estimator kinds it counts the
-    online solves of every strategy plus, once per box size, the defect solves
-    shared by cv1 and cv2 and the 4 selection solves of sqs2. For the MsFEM
+    ``estimated_pde_solves`` is exact. For the estimator kinds it counts,
+    per box size, two solves per distinct configuration: the m i.i.d. draws
+    that mc, antithetic, cv1 and cv2 share, the m antithetic flips and the m
+    configurations of each SQS strategy; plus the defect solves shared by cv1
+    and cv2 and the 4 selection solves of sqs2. For the MsFEM
     kinds it counts one reference solve per geometry plus the local solves of
     every (geometry, level, method), taken from the same local problems the
     space builder solves, on the geometry classified the same way. An SQS
@@ -309,10 +324,14 @@ def validate(cfg: ExperimentConfig) -> dict:
         if cfg.kind in ("homogenize", "vr-compare"):
             law = _build_law(cfg)
             est = cfg.estimate
-            strategies = est["strategies"]
+            strategies = set(est["strategies"])
+            # distinct configurations per box size: the i.i.d. draws that mc,
+            # antithetic, cv1 and cv2 share, the flips, and each SQS strategy's
+            configurations = est["m"] * (bool(strategies & {"mc", "antithetic", "cv1", "cv2"})
+                                         + ("antithetic" in strategies)
+                                         + len(strategies & {"sqs1", "sqs2"}))
             for n in est["n"]:
-                # two correctors per sample; an antithetic sample is a pair
-                solves += sum(4 if s == "antithetic" else 2 for s in strategies) * est["m"]
+                solves += 2 * configurations  # two correctors per configuration
                 if "cv1" in strategies or "cv2" in strategies:
                     solves += defect_solve_count(law, n, 2 if "cv2" in strategies else 1)
                 if "sqs2" in strategies:
@@ -367,7 +386,9 @@ def _read_csv(path: Path) -> list[dict]:
 
 def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Estimates of every (box size, strategy) into reports.csv, their
-    comparison and mean_ci.svg; returns the run's warnings."""
+    comparison and mean_ci.svg; returns the run's warnings. Per box size,
+    mc, antithetic, cv1 and cv2 share one `tensors` table, so each of their
+    configurations is solved once."""
     law = _build_law(cfg)
     est = cfg.estimate
     warnings_log: list[str] = []
@@ -385,15 +406,15 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
             extras["aux"] = sqs_auxiliary(c0, a1 - a0, n=n, r=est["r"])
         return extras
 
-    def run_one(n, strategy, extras):
+    def run_one(n, strategy, extras, tensors):
         if strategy == "mc":
-            return mc_estimate(law, n, est["r"], est["m"], cfg.seed)
+            return mc_estimate(law, n, est["r"], est["m"], cfg.seed, tensors=tensors)
         if strategy == "antithetic":
-            return antithetic_estimate(law, n, est["r"], est["m"], cfg.seed)
+            return antithetic_estimate(law, n, est["r"], est["m"], cfg.seed, tensors=tensors)
         if strategy in ("cv1", "cv2"):
             order = 1 if strategy == "cv1" else 2
             rep = control_variate_estimate(law, n, est["r"], est["m"], order,
-                                           cfg.seed, extras["defects"])
+                                           cfg.seed, extras["defects"], tensors=tensors)
             if rep.degenerate_control:
                 warnings_log.append(f"degenerate control variate at n={n} ({strategy})")
             return rep
@@ -404,10 +425,11 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
 
     for n in est["n"]:
         extras = offline(n)
+        tensors: dict = {}
         for s in est["strategies"]:
             # rewritten after every strategy, so a later failure leaves the
             # finished strategies' rows in the archive
-            reports.append(run_one(n, s, extras))
+            reports.append(run_one(n, s, extras, tensors))
             write_reports_csv(reports, out / "reports.csv")
     if len(est["strategies"]) > 1:
         rows = [{"n": n, **rec} for n in est["n"]

@@ -124,8 +124,9 @@ def test_criterion_3_antithetic_gain():
     law = Checkerboard(3.0, 20.0)
     gains = {}
     for n in (5, 10, 20):
-        mc = mc_estimate(law, n, 8, 200, SEED)
-        av = antithetic_estimate(law, n, 8, 100, SEED)
+        tensors = {}  # the pairs' first members are mc's first 100 draws
+        mc = mc_estimate(law, n, 8, 200, SEED, tensors=tensors)
+        av = antithetic_estimate(law, n, 8, 100, SEED, tensors=tensors)
         table = compare_strategies([mc, av])
         gain = table.row("antithetic", "11")["factor_equal_cost"]
         gains[n] = gain
@@ -148,16 +149,18 @@ LAW_CV = PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=0.5)
 def cv_sqs_runs():
     defects = defect_coefficients(LAW_CV, n=10, r=8, order=2)
     aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=10, r=8)
-    mc = mc_estimate(LAW_CV, 10, 8, 100, CV_SEED)
-    return {"defects": defects, "aux": aux, "mc": mc}
+    tensors = {}  # mc's, which the control variates correct
+    mc = mc_estimate(LAW_CV, 10, 8, 100, CV_SEED, tensors=tensors)
+    return {"defects": defects, "aux": aux, "mc": mc, "tensors": tensors}
 
 
 def test_criterion_4_control_variate(cv_sqs_runs):
     checks = Checks()
     mc = cv_sqs_runs["mc"]
     defects = cv_sqs_runs["defects"]
-    cv1 = control_variate_estimate(LAW_CV, 10, 8, 100, 1, CV_SEED, defects)
-    cv2 = control_variate_estimate(LAW_CV, 10, 8, 100, 2, CV_SEED, defects)
+    tensors = cv_sqs_runs["tensors"]
+    cv1 = control_variate_estimate(LAW_CV, 10, 8, 100, 1, CV_SEED, defects, tensors=tensors)
+    cv2 = control_variate_estimate(LAW_CV, 10, 8, 100, 2, CV_SEED, defects, tensors=tensors)
     g1 = mc.var[0, 0] / cv1.var[0, 0]
     g2 = mc.var[0, 0] / cv2.var[0, 0]
     checks.add(g1 >= 3.0, f"order-1 variance reduction {g1:.2f} >= 3")

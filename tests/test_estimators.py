@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from randpde import estimators
 from randpde.defects import defect_coefficients
-from randpde.errors import ComparabilityError, DegenerateControlWarning, ParameterError
+from randpde.errors import (ComparabilityError, DegenerateControlWarning, InvariantError,
+                            ParameterError)
 from randpde.estimators import (antithetic_estimate, compare_strategies,
                                 control_variate_estimate, mc_estimate,
                                 sqs_estimate, write_reports_csv)
-from randpde.fields import Checkerboard, PerturbedPeriodic
+from randpde.fields import (Checkerboard, PerturbedPeriodic, antithetic_transform,
+                            realize_field, sample_configuration)
 from randpde.sqs import sqs_auxiliary
 
 ID = np.eye(2)
@@ -180,3 +183,19 @@ def test_parameter_validation():
         sqs_estimate(law, n=4, r=2, m_keep=4, seed=0, mode="ranked2", pool=2)
     with pytest.raises(ParameterError):
         control_variate_estimate(law, n=4, r=2, m=4, order=1, seed=0, defects=None)
+
+
+def test_voigt_reuss_failure_names_the_flipped_field(monkeypatch):
+    # both members of an antithetic pair share (seed, index); the message
+    # tells them apart
+    law = Checkerboard(3.0, 20.0)
+    flipped = {realize_field(law, antithetic_transform(sample_configuration(law, 4, 8, i)))
+               .cells.tobytes() for i in range(3)}
+    check = estimators.check_voigt_reuss
+    monkeypatch.setattr(estimators, "check_voigt_reuss",
+                        lambda fld, tensor: fld.cells.tobytes() not in flipped
+                        and check(fld, tensor))
+    mc_estimate(law, n=4, r=2, m=3, seed=8)  # the unflipped fields pass
+    with pytest.raises(InvariantError, match=r"\(seed=8, index=0, antithetic=True, "
+                                             r"balanced=False\)"):
+        antithetic_estimate(law, n=4, r=2, m_pairs=3, seed=8)

@@ -6,10 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from randpde import experiments
+from randpde import correctors, estimators, experiments
 from randpde.cli import main as cli_main
+from randpde.defects import defect_coefficients
 from randpde.errors import ConfigError, ResolutionWarning, SolverError
+from randpde.estimators import write_reports_csv
 from randpde.experiments import parse_config, replot, run, validate
+from randpde.fields import PerturbedPeriodic
 
 VR_CONFIG = """
 [experiment]
@@ -87,8 +90,9 @@ def test_validate_reports_costs(tmp_path):
     cfg = parse_config(write_config(tmp_path, VR_CONFIG))
     diag = validate(cfg)
     assert diag["problems"] == []
-    # mc: 2*2*6 solves per n, antithetic twice that, two box sizes
-    assert diag["estimated_pde_solves"] == 2 * (12 + 24)
+    # per n, 2*6 solves for mc's draws and 2*6 for the antithetic flips:
+    # the pairs' first members are mc's draws, which the run solves once
+    assert diag["estimated_pde_solves"] == 2 * (12 + 12)
 
 
 CV_CONFIG = """
@@ -107,32 +111,72 @@ eta = 0.5
 n = 4, 6
 r = 2
 m = 3
-strategies = mc, cv1, cv2, sqs2
+strategies = mc, antithetic, cv1, cv2, sqs2
 pool = 10
 """
 
 
 def test_validate_estimate_matches_solves_made(tmp_path, monkeypatch):
-    offline = []
+    # counts the corrector rows the run solves, not reports.csv's nominal
+    # `solves`: per box size mc, antithetic, cv1 and cv2 share their tensors
+    rows, aux = [], []
+    solve_stack, sqs_auxiliary = correctors._solve_stack, experiments.sqs_auxiliary
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            offline.append(result.solves)
-            return result
-        return wrapper
+    def counted_stack(cells, directions, *args):
+        rows.append(len(cells) * len(directions))
+        return solve_stack(cells, directions, *args)
 
-    monkeypatch.setattr(experiments, "defect_coefficients",
-                        counted(experiments.defect_coefficients))
-    monkeypatch.setattr(experiments, "sqs_auxiliary", counted(experiments.sqs_auxiliary))
+    def counted_aux(*args, **kwargs):
+        result = sqs_auxiliary(*args, **kwargs)
+        aux.append(result.solves)  # FFT solves, not corrector PCGs
+        return result
+
+    monkeypatch.setattr(correctors, "_solve_stack", counted_stack)
+    monkeypatch.setattr(experiments, "sqs_auxiliary", counted_aux)
     cfg = parse_config(write_config(tmp_path, CV_CONFIG))
     archive = run(cfg, out_override=tmp_path / "cv")
     assert archive.status == "ok"
-    rows = csv.DictReader((tmp_path / "cv" / "reports.csv").read_text().splitlines())
-    online = {(r["strategy"], r["n"]): int(r["solves"]) for r in rows}
-    assert len(online) == 8 and len(offline) == 4  # once per n: defects and sqs2
-    made = sum(online.values()) + sum(offline)
-    assert archive.manifest["estimated_pde_solves"] == made
+    reports = csv.DictReader((tmp_path / "cv" / "reports.csv").read_text().splitlines())
+    assert len({(r["strategy"], r["n"]) for r in reports}) == 10 and len(aux) == 2
+    assert archive.manifest["estimated_pde_solves"] == sum(rows) + sum(aux)
+
+
+def test_shared_tensors_keep_the_reports_bytes(tmp_path, monkeypatch):
+    # the run's mc, antithetic, cv1 and cv2 share one table per box size;
+    # their reports are those of the estimators run alone, with no table
+    tables = []
+    mc_estimate = experiments.mc_estimate
+
+    def recorded(*args, tensors):
+        tables.append(tensors)
+        return mc_estimate(*args, tensors=tensors)
+
+    monkeypatch.setattr(experiments, "mc_estimate", recorded)
+    text = CV_CONFIG.replace("n = 4, 6", "n = 4").replace("cv2, sqs2", "cv2")
+    archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "run")
+    assert archive.status == "ok"
+
+    law = PerturbedPeriodic(a_per=3 * np.eye(2), c_per=17 * np.eye(2), eta=0.5)
+    defects = defect_coefficients(law, n=4, r=2, order=2)
+    alone = [estimators.mc_estimate(law, 4, 2, 3, 5),
+             estimators.antithetic_estimate(law, 4, 2, 3, 5),
+             estimators.control_variate_estimate(law, 4, 2, 3, 1, 5, defects),
+             estimators.control_variate_estimate(law, 4, 2, 3, 2, 5, defects)]
+    write_reports_csv(alone, tmp_path / "alone.csv")
+    assert (tmp_path / "run" / "reports.csv").read_bytes() == \
+        (tmp_path / "alone.csv").read_bytes()
+    [table] = tables
+    assert len(table) == 2 * 3  # mc's draws and the antithetic flips
+
+    # a table filled for another r or another law is never read: with
+    # every entry poisoned, the estimate is still the one made alone
+    poisoned = dict.fromkeys(table, np.full((2, 2), np.nan))
+    for other, r in ((law, 4), (PerturbedPeriodic(3 * np.eye(2), 16 * np.eye(2), 0.5), 2),
+                     (PerturbedPeriodic(3 * np.eye(2), 17 * np.eye(2), 0.4), 2)):
+        shared = dict(poisoned)
+        rep = estimators.mc_estimate(other, 4, r, 3, 5, tensors=shared)
+        assert len(shared) == len(poisoned) + 3
+        assert np.array_equal(rep.mean, estimators.mc_estimate(other, 4, r, 3, 5).mean)
 
 
 @pytest.mark.parametrize("strategy", ["sqs1", "sqs2"])
@@ -220,10 +264,13 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (MSFEM_CONFIG.replace("reference_n = 64", "reference_n = -32"), "msfem.reference_n"),
     (VR_CONFIG.replace("n = 3, 4", "n ="), "estimate.n"),
     (MSFEM_CONFIG.replace("h = 1/4", "h ="), "msfem.h"),
+    (VR_CONFIG.replace("mc, antithetic", "mc, antithetic, mc"), "estimate.strategies"),
+    (MSFEM_CONFIG.replace("methods = cr", "methods = cr, cr"), "msfem.methods"),
 ], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
         "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1",
         "seed-nan", "r-minus-inf", "fine_n-0", "fine_n-minus-4", "fine_n-1-none",
-        "fine_n-1-discs", "reference_n-minus-32", "n-empty", "h-empty"])
+        "fine_n-1-discs", "reference_n-minus-32", "n-empty", "h-empty",
+        "strategies-repeated", "methods-repeated"])
 def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
     # each of these once went wrong after parsing:
     # - up to sqs2-pool-below-m, and cv-n-1, fine_n-1-*, reference_n-minus-32
@@ -232,7 +279,9 @@ def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
     #   config states: a key of the other law kind was dropped and a
     #   homogenize run's strategies replaced by mc;
     # - seed-nan, r-minus-inf and fine_n-0 or -4 left `validate` with a
-    #   traceback, and n-empty passed it and left `run` with one
+    #   traceback, and n-empty passed it and left `run` with one;
+    # - strategies-repeated and methods-repeated ran and wrote the repeated
+    #   entry's rows twice
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError, match=key):
         parse_config(path)
