@@ -108,15 +108,16 @@ def _list_of(conv):
     return parse
 
 
-def _choices(options):
-    """Parser of a comma-separated list of distinct entries of `options`."""
-    parse_list = _list_of(_one_of(options))
+def _distinct(conv):
+    """Parser of a comma-separated list of distinct entries that `conv` parses."""
+    parse_list = _list_of(conv)
 
     def parse(raw: str, key: str) -> list:
         values = parse_list(raw, key)
         repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
         if repeated:
-            raise ConfigError(f"key {key!r}: {', '.join(repeated)} given more than once")
+            raise ConfigError(f"key {key!r}: {', '.join(map(str, repeated))} "
+                              f"given more than once")
         return values
     return parse
 
@@ -129,8 +130,8 @@ _SCHEMA = {
     "law": {"checkerboard": {"alpha": (_parse_number, "3"), "beta": (_parse_number, "20")},
             "perturbed_periodic": {"a_per": (_parse_matrix, "3"), "c_per": (_parse_matrix, "17"),
                                    "eta": (_parse_number, "0.5")}},
-    "estimate": {"n": (_list_of(_parse_int), "10"), "r": (_parse_int, "8"),
-                 "m": (_parse_int, "100"), "strategies": (_choices(STRATEGIES), "mc"),
+    "estimate": {"n": (_distinct(_parse_int), "10"), "r": (_parse_int, "8"),
+                 "m": (_parse_int, "100"), "strategies": (_distinct(_one_of(STRATEGIES)), "mc"),
                  "pool": (_parse_int, "2000")},
     "geometry": {"kind": (_one_of(GEOMETRIES), ""), "epsilon": (_parse_number, "0.1"),
                  "radius_factor": (_parse_number, "0.2"), "count": (_parse_int, "100"),
@@ -138,7 +139,7 @@ _SCHEMA = {
                  "height_range": (_list_of(_parse_number), "0.02,0.05"),
                  "gseed": (_parse_int, "0")},
     "msfem": {"h": (_list_of(_parse_number), "0.2"), "fine_n": (_list_of(_parse_int), "32"),
-              "methods": (_choices(MSFEM_METHODS), "cr"),
+              "methods": (_distinct(_one_of(MSFEM_METHODS)), "cr"),
               "with_bubbles": (_parse_bool, "true"), "reference_n": (_parse_int, "0"),
               "f": (_one_of(RHS_FUNCTIONS), "one")},
 }
@@ -254,6 +255,12 @@ def parse_config(path) -> ExperimentConfig:
             m = 1.0 / hval if hval > 0 else 0.0
             if abs(m - round(m)) > 1e-9 or round(m) < 2:
                 raise ConfigError(f"msfem.h entry {hval} must equal 1/m for integer m >= 2")
+        levels = [(round(1.0 / hval), fn) for hval, fn in zip(ms["h"], ms["fine_n"])]
+        repeated = [lv for lv in levels if levels.count(lv) > 1]
+        if repeated:
+            m, fn = repeated[0]
+            raise ConfigError(f"msfem.h, msfem.fine_n: level H=1/{m}, fine_n={fn} "
+                              f"given more than once")
         if ms["reference_n"] == 0:
             ms["reference_n"] = _msfem_grids(cfg)[1]
     return cfg

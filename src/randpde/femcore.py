@@ -235,23 +235,27 @@ def square_grid(fn: int) -> SquareGrid:
     return SquareGrid(fn)
 
 
-# Galerkin multigrid on the interior nodes of a square grid: coarsen while the
-# cell count is even and above MG_COARSEST; factorize the coarsest level when
-# it has at most MG_DIRECT_MAX cells per side.
+# Galerkin multigrid on the interior nodes of a square grid: coarsen, at any
+# parity, while the cell count is above MG_COARSEST, then factorize the
+# coarsest level.
 MG_COARSEST = 32
-MG_DIRECT_MAX = 64
 MG_OMEGA = 0.8  # damped-Jacobi weight of the one pre- and one post-sweep
 
 
 def _interpolation_1d(fn: int) -> sp.csr_matrix:
-    """Linear interpolation from the fn/2 - 1 interior nodes of a grid with
-    fn/2 cells to the fn - 1 interior nodes of one with fn cells (zero
-    Dirichlet ends); coarse node j + 1 sits on fine node 2(j + 1)."""
-    nc = fn // 2 - 1
+    """Linear interpolation from the (fn - 1) // 2 interior nodes of a grid
+    with (fn + 1) // 2 cells to the fn - 1 interior nodes of one with fn
+    cells (zero Dirichlet ends); coarse node j + 1 sits on fine node
+    2(j + 1). For odd fn the last coarse node sits on the last interior fine
+    node, so the coarse grid's last cell is one fine cell wide and the entry
+    past that node is dropped."""
+    nc = (fn - 1) // 2
     j = np.arange(nc)
     rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+    cols = np.tile(j, 3)
     data = np.concatenate([np.ones(nc), np.full(2 * nc, 0.5)])
-    return sp.csr_matrix((data, (rows, np.tile(j, 3))), shape=(fn - 1, nc))
+    keep = rows < fn - 1
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(fn - 1, nc))
 
 
 def _v_cycle(levels: tuple, coarse_lu, b: np.ndarray) -> np.ndarray:
@@ -279,24 +283,19 @@ def multigrid_preconditioner(A: sp.csr_matrix, fn: int):
     multiplies by the transpose view `P.T`, which sums in the order a CSR
     copy of P^T does, while the Galerkin product takes a CSR copy that is
     dropped after it, since the view would sum that product in another
-    order. Returns None when the coarsest reachable
-    grid has more than MG_DIRECT_MAX cells per side (an odd fn above it
-    cannot coarsen at all); the caller then keeps Jacobi preconditioning.
+    order. Odd grids coarsen too (see `_interpolation_1d`), so every fn
+    gets a hierarchy down to at most MG_COARSEST cells per side, whose
+    operator is factorized.
 
     The cycle is a module-level function bound with `partial`: a recursive
     closure would form a reference cycle and keep the hierarchy alive until
     the cyclic garbage collector runs.
     """
-    coarsest = fn
-    while coarsest % 2 == 0 and coarsest > MG_COARSEST:
-        coarsest //= 2
-    if coarsest > MG_DIRECT_MAX:
-        return None
     levels = []
-    while fn > coarsest:
+    while fn > MG_COARSEST:
         p1 = _interpolation_1d(fn)
         P = sp.kron(p1, p1, format="csr")
         levels.append((A, MG_OMEGA / A.diagonal(), P))
         A = (P.T.tocsr() @ A @ P).tocsr()
-        fn //= 2
+        fn = (fn + 1) // 2
     return partial(_v_cycle, tuple(levels), spla.splu(A.tocsc()))

@@ -322,9 +322,11 @@ def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbl
 
 def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
                  with_bubbles: bool) -> MsFEMSpace:
-    """The space "cr", "linear" or "q1" (coarse Q1): local problems solved with one
-    factorization per distinct system, after each element's prescribed rows. Local
-    grids that under-resolve a perforation give a ResolutionWarning."""
+    """The space "cr", "linear" (classical MsFEM: harmonic lifts of affine hat
+    traces on each element boundary, penalized inside perforations) or "q1"
+    (coarse Q1), with Dirichlet bubbles when asked: local problems solved with
+    one factorization per distinct system, after each element's prescribed rows.
+    Local grids that under-resolve a perforation give a ResolutionWarning."""
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
     note = under_resolution(perf, mesh.m * fine_n)
@@ -362,13 +364,6 @@ def build_cr_space(mesh: CoarseMesh, perf, fine_n: int,
     """Crouzeix-Raviart basis: edge functions and bubbles. Fully perforated
     elements and edges keep no basis functions."""
     return _build_space("cr", mesh, perf, fine_n, with_bubbles)
-
-
-def build_linear_space(mesh: CoarseMesh, perf, fine_n: int,
-                       with_bubbles: bool = True) -> MsFEMSpace:
-    """Classical MsFEM basis: harmonic lifts of affine (hat) traces on each
-    element boundary, penalized inside perforations, plus Dirichlet bubbles."""
-    return _build_space("linear", mesh, perf, fine_n, with_bubbles)
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ def reference_solve(perf, f, fine_n: int) -> FineSolution:
     f is a vectorized callable f(x, y); homogeneous Dirichlet data on the
     outer boundary is imposed strongly. The CG on the interior nodes runs to
     tolerance 1e-10, preconditioned by one Galerkin multigrid V-cycle
-    (Jacobi when fine_n cannot coarsen to a small enough grid, see
-    `multigrid_preconditioner`). An under-resolved perforation is a
-    ResolutionWarning, never an error: refusing one is the runner's choice.
+    (`multigrid_preconditioner`), whatever the parity of fine_n. An
+    under-resolved perforation is a ResolutionWarning, never an error:
+    refusing one is the runner's choice.
     """
     if fine_n < 2:
         raise ParameterError("fine_n must be >= 2")

@@ -11,6 +11,7 @@ import numpy as np
 PALETTE = ("#c0392b", "#27ae60", "#2980b9", "#8e44ad", "#d35400", "#16a085")
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 150, 36, 48
+HEATMAP_CELLS = 128
 
 
 def _fmt(x: float) -> str:
@@ -33,12 +34,11 @@ def _tick_label(v: float) -> str:
 
 
 class _Axes:
-    def __init__(self, xlim, ylim, logx=False, logy=False):
-        self.logx, self.logy = logx, logy
+    def __init__(self, xlim, ylim, logx=False):
+        self.logx = logx
         fx = math.log10 if logx else float
-        fy = math.log10 if logy else float
         self.x0, self.x1 = fx(xlim[0]), fx(xlim[1])
-        self.y0, self.y1 = fy(ylim[0]), fy(ylim[1])
+        self.y0, self.y1 = float(ylim[0]), float(ylim[1])
         if self.x1 == self.x0:
             self.x1 += 1.0
         if self.y1 == self.y0:
@@ -49,12 +49,11 @@ class _Axes:
         return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y: float) -> float:
-        y = math.log10(y) if self.logy else y
         return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
 def svg_line_plot(series, path, title="", xlabel="", ylabel="",
-                  logx=False, logy=False) -> None:
+                  logx=False) -> None:
     """series: iterable of dicts with keys label, x, y and optional ci
     (confidence half-widths drawn as a shaded band)."""
     series = list(series)
@@ -66,9 +65,7 @@ def svg_line_plot(series, path, title="", xlabel="", ylabel="",
             ys.extend(float(y) + float(c) for y, c in zip(s["y"], s["ci"]))
     if not xs:
         xs = ys = [0.0, 1.0]
-    if logy:
-        ys = [y for y in ys if y > 0] or [1e-3, 1.0]
-    ax = _Axes((min(xs), max(xs)), (min(ys), max(ys)), logx, logy)
+    ax = _Axes((min(xs), max(xs)), (min(ys), max(ys)), logx)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
              f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -85,8 +82,7 @@ def svg_line_plot(series, path, title="", xlabel="", ylabel="",
                      f'x2="{_fmt(ax.px(x))}" y2="{HEIGHT - MARGIN_B + 5}" stroke="#444"/>')
         parts.append(f'<text x="{_fmt(ax.px(x))}" y="{HEIGHT - MARGIN_B + 18}" font-size="11" '
                      f'text-anchor="middle" font-family="sans-serif">{_tick_label(x)}</text>')
-    for tv in _ticks(ax.y0, ax.y1):
-        y = 10 ** tv if logy else tv
+    for y in _ticks(ax.y0, ax.y1):
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{_fmt(ax.py(y))}" '
                      f'x2="{MARGIN_L}" y2="{_fmt(ax.py(y))}" stroke="#444"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(ax.py(y) + 4)}" font-size="11" '
@@ -137,10 +133,11 @@ def _color_scale(t: np.ndarray) -> np.ndarray:
     return np.array(["#%06x" % code for code in codes.tolist()])[inverse].reshape(t.shape)
 
 
-def svg_heatmap(values, path, title="", max_cells: int = 128) -> None:
-    """values: 2D array-like indexed [ix, iy] on the unit square."""
+def svg_heatmap(values, path, title="") -> None:
+    """values: 2D array-like indexed [ix, iy] on the unit square, drawn with
+    at most HEATMAP_CELLS cells per side (every step-th value)."""
     arr = np.asarray(values, dtype=float)
-    step = max(1, int(np.ceil(max(arr.shape) / max_cells)))
+    step = max(1, int(np.ceil(max(arr.shape) / HEATMAP_CELLS)))
     arr = arr[::step, ::step]
     lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo if hi > lo else 1.0

@@ -266,11 +266,13 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (MSFEM_CONFIG.replace("h = 1/4", "h ="), "msfem.h"),
     (VR_CONFIG.replace("mc, antithetic", "mc, antithetic, mc"), "estimate.strategies"),
     (MSFEM_CONFIG.replace("methods = cr", "methods = cr, cr"), "msfem.methods"),
+    (VR_CONFIG.replace("n = 3, 4", "n = 3, 4, 3"), "estimate.n"),
+    (MSFEM_CONFIG.replace("h = 1/4", "h = 1/4, 0.25"), "msfem.h, msfem.fine_n"),
 ], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
         "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1",
         "seed-nan", "r-minus-inf", "fine_n-0", "fine_n-minus-4", "fine_n-1-none",
         "fine_n-1-discs", "reference_n-minus-32", "n-empty", "h-empty",
-        "strategies-repeated", "methods-repeated"])
+        "strategies-repeated", "methods-repeated", "n-repeated", "level-repeated"])
 def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
     # each of these once went wrong after parsing:
     # - up to sqs2-pool-below-m, and cv-n-1, fine_n-1-*, reference_n-minus-32
@@ -280,8 +282,8 @@ def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
     #   homogenize run's strategies replaced by mc;
     # - seed-nan, r-minus-inf and fine_n-0 or -4 left `validate` with a
     #   traceback, and n-empty passed it and left `run` with one;
-    # - strategies-repeated and methods-repeated ran and wrote the repeated
-    #   entry's rows twice
+    # - strategies-repeated, methods-repeated, n-repeated and level-repeated
+    #   ran and wrote the repeated entry's rows twice
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError, match=key):
         parse_config(path)

@@ -14,8 +14,8 @@ from randpde.femcore import (SIDES, SquareGrid, load_vector, penalized_band, pen
 from randpde.grid import KXX, KYY, MASS
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
                            _local_problems, _solve_group, baseline_solve, build_cr_space,
-                           build_linear_space, compute_errors, count_local_solves,
-                           edge_average_matrix, max_mean_jump, msfem_solve)
+                           compute_errors, count_local_solves, edge_average_matrix,
+                           max_mean_jump, msfem_solve)
 from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
 from randpde.poisson import default_kappa, reference_solve
 
@@ -367,7 +367,7 @@ def _engine_spaces(geometry, m, fine_n=16):
     mesh = CoarseMesh(m)
     cr = build_cr_space(mesh, perf, fine_n)
     return [cr, cr.without_bubbles(), build_cr_space(mesh, perf, fine_n, with_bubbles=False),
-            build_linear_space(mesh, perf, fine_n),
+            _build_space("linear", mesh, perf, fine_n, True),
             _build_space("q1", mesh, perf, fine_n, True)]
 
 
@@ -505,13 +505,13 @@ def test_local_engine_counts_factorizations_apart_from_solves():
     rects = build_perforations("random_rectangles", count=100, width_range=(0.02, 0.05),
                                height_range=(0.02, 0.05), seed=2026)
     cr = build_cr_space(CoarseMesh(5), discs, 32)
-    linear = build_linear_space(CoarseMesh(5), discs, 32)
+    linear = _build_space("linear", CoarseMesh(5), discs, 32, True)
     q1 = _build_space("q1", CoarseMesh(5), discs, 32, True)
     assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
     # every alive element solves one right-hand side per basis function
     assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
     cr = build_cr_space(CoarseMesh(16), rects, 32)
-    linear = build_linear_space(CoarseMesh(16), rects, 32)
+    linear = _build_space("linear", CoarseMesh(16), rects, 32, True)
     assert (cr.factorizations, linear.factorizations) == (168, 162)
     assert (cr.solves, linear.solves) == (1216, 1156)
 

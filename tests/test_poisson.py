@@ -103,30 +103,47 @@ def solve_recorded(monkeypatch, perf, n, jacobi=False):
     (build_perforations("random_rectangles", seed=7, **RECTANGLES), 96),
     (build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2), 160),
     (NoPerforations(), 128),
-], ids=["rectangles-2026", "rectangles-7", "discs", "none"])
+    (build_perforations("random_rectangles", seed=2026, **RECTANGLES), 75),
+], ids=["rectangles-2026", "rectangles-7", "discs", "none", "rectangles-odd"])
 def test_multigrid_reference_matches_jacobi_cg(monkeypatch, perf, n):
     mg, _ = solve_recorded(monkeypatch, perf, n)
     jac, _ = solve_recorded(monkeypatch, perf, n, jacobi=True)
     assert np.abs(mg.values - jac.values).max() <= 1e-10 * np.abs(jac.values).max()
 
 
-@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("n", [63, 64, 75, 125, 128, 250, 256])
 def test_multigrid_iterations_bounded(monkeypatch, n):
-    # Jacobi CG needs 274 iterations at N = 128 and 1126 at N = 512
+    # Jacobi CG needs 274 iterations at N = 128, 543 at N = 250 and 1126 at
+    # N = 512
     perf = build_perforations("random_rectangles", seed=2026, **RECTANGLES)
     _, call = solve_recorded(monkeypatch, perf, n)
     assert call["iterations"] <= 45
 
 
-@pytest.mark.parametrize("n, multigrid", [(75, False), (96, True), (100, True), (160, True)])
-def test_odd_and_partly_coarsened_sizes_converge(monkeypatch, n, multigrid):
-    # 75 cannot coarsen and keeps Jacobi; 96, 100 and 160 coarsen to 24, 25
-    # (odd) and 20 cells per side, not to 32, and factorize there
+@pytest.mark.parametrize("n", [75, 96, 100, 160])
+def test_odd_and_partly_coarsened_sizes_converge(monkeypatch, n):
+    # 75 coarsens through 38 to 19 cells per side; 96, 100 and 160 coarsen
+    # to 24, 25 and 20, not to 32, and factorize there
     perf = build_perforations("random_rectangles", seed=2026, **RECTANGLES)
     _, call = solve_recorded(monkeypatch, perf, n)
-    assert (multigrid_preconditioner(call["K"], n) is not None) == multigrid
     K, b, x = call["K"], call["b"], call["x"]
     assert np.linalg.norm(K @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_v_cycle_is_symmetric_at_every_size():
+    # CG needs a symmetric preconditioner: odd grids, whose coarse grid ends
+    # in a cell one fine cell wide, must keep x.My = y.Mx as even ones do
+    perf = build_perforations("periodic_discs", epsilon=0.1, radius_factor=0.2)
+    rng = np.random.default_rng(3)
+    for fn in range(2, 131):
+        h = 1.0 / fn
+        c = (np.arange(fn) + 0.5) * h
+        mask = perf.indicator(c[:, None], c[None, :])
+        K, _ = femcore.penalized_operator(fn, mask, poisson.default_kappa(h), h, femcore.SIDES)
+        M = multigrid_preconditioner(K, fn)
+        x, y = rng.standard_normal((2, (fn - 1) ** 2))
+        xMy, yMx = x @ M(y), y @ M(x)
+        assert abs(xMy - yMx) <= 1e-12 * max(abs(xMy), 1e-300), fn
 
 
 def test_reference_solve_leaves_no_cyclic_garbage():
