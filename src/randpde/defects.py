@@ -10,7 +10,7 @@ is analytically available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,11 @@ from .correctors import homogenize_fields
 from .errors import ParameterError
 from .fields import CoefficientField, PerturbedPeriodic
 
-# The 8 lattice symmetries of the square (used only for isotropic materials).
+# The 8 lattice symmetries of the square. -I comes right after the identity:
+# it maps an offset to its negative while leaving every tensor unchanged, so
+# a pair {0, -d}, the translate of {0, d}, takes d's tensor bit for bit.
 _D4 = [np.array(m, dtype=int) for m in (
-    [[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]],
+    [[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[-1, 0], [0, 1]], [[1, 0], [0, -1]],
     [[0, 1], [1, 0]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]], [[0, -1], [-1, 0]])]
 
 
@@ -37,34 +39,13 @@ def _minimal_offset(dx: int, dy: int, n: int) -> tuple[int, int]:
     return mx, my
 
 
-def sign_canonical_offsets(n: int):
-    """Distinct unordered pair offsets on the n-torus within distance n/2:
-    one representative per {delta, -delta (mod n)} class, paired
-    with the weight 1/2 for self-inverse offsets (delta == -delta mod n),
-    so that summing B_k * B_{k+delta} over all k and all returned offsets
-    with these weights counts every unordered defect pair exactly once."""
-    cutoff = n / 2
-    seen = set()
-    out = []
-    for dx in range(n):
-        for dy in range(n):
-            if dx == 0 and dy == 0:
-                continue
-            neg = ((n - dx) % n, (n - dy) % n)
-            key = min((dx, dy), neg)
-            if key in seen:
-                continue
-            seen.add(key)
-            mx, my = _minimal_offset(*key, n)
-            if mx * mx + my * my > cutoff * cutoff + 1e-12:
-                continue
-            out.append(((mx, my), 0.5 if (dx, dy) == neg else 1.0))
-    return out
-
-
 @dataclass(frozen=True)
 class DefectCoefficients:
-    """Offline expansion coefficients of the perturbed-periodic law at size n."""
+    """Offline expansion coefficients of the perturbed-periodic law at size n.
+
+    `a_2def[d mod n]` is the pair correction at offset d: the same tensor at
+    d and -d for every nonzero d within distance n/2, zero elsewhere (offset
+    0 included), and `None` at order 1."""
 
     law: PerturbedPeriodic
     n: int
@@ -72,8 +53,7 @@ class DefectCoefficients:
     order: int
     a_per_star: np.ndarray          # homogenized tensor of the unperturbed material
     a_1def: np.ndarray              # one-defect contribution (columns = directions)
-    a_2def: dict = field(default_factory=dict)  # offset -> pair correction matrix
-    pair_weights: dict = field(default_factory=dict)
+    a_2def: np.ndarray | None = None  # (n, n, 2, 2) pair corrections, offset-indexed
     solves: int = 0
 
 
@@ -99,23 +79,30 @@ def _box_flux_excess(law: PerturbedPeriodic, n: int, r: int,
 
 
 def pair_catalog(law: PerturbedPeriodic, n: int):
-    """[(offset, weight, solved offset)] of the two-defect catalog within
-    distance n/2. The solved offset is the one whose cell problem is solved
-    for this entry: the offset itself, or one representative per
-    lattice-symmetry class when the material is isotropic."""
+    """[(offset, solved offset)] for every nonzero pair offset on the n-torus
+    within distance n/2, components in (-n/2, n/2]. The solved offset is the
+    one whose cell problem gives this entry: the sign-canonical one of
+    {d, -d}, or one representative (max|.|, min|.|) per lattice-symmetry
+    class when the material is isotropic."""
     isotropic = _is_isotropic(law.a_per) and _is_isotropic(law.c_per)
-
-    def solved(off):
-        if not isotropic:
-            return off
-        return (max(abs(off[0]), abs(off[1])), min(abs(off[0]), abs(off[1])))
-    return [(off, w, solved(off)) for off, w in sign_canonical_offsets(n)]
+    out = []
+    for dx in range(n):
+        for dy in range(n):
+            mx, my = _minimal_offset(dx, dy, n)
+            if (mx, my) == (0, 0) or mx * mx + my * my > n * n / 4 + 1e-12:
+                continue
+            if isotropic:
+                solved = (max(abs(mx), abs(my)), min(abs(mx), abs(my)))
+            else:
+                solved = _minimal_offset(*min((dx, dy), (-dx % n, -dy % n)), n)
+            out.append(((mx, my), solved))
+    return out
 
 
 def defect_solve_count(law: PerturbedPeriodic, n: int, order: int) -> int:
     """PDE solves that `defect_coefficients` makes: 2 for one defect and, at
     order 2, 2 per solved pair offset."""
-    solved = {key for _, _, key in pair_catalog(law, n)} if order == 2 else set()
+    solved = {key for _, key in pair_catalog(law, n)} if order == 2 else set()
     return 2 + 2 * len(solved)
 
 
@@ -127,8 +114,8 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
     The one-defect coefficient is independent of the defect position by
     periodicity, so the defect sits on cell (0, 0). The two-defect catalog
     covers pair offsets up to Euclidean distance n/2 on the periodic
-    lattice, solved once per symmetry class when the material is isotropic
-    and mapped back by conjugation.
+    lattice, solved once per solved offset of `pair_catalog` and mapped to
+    each offset by conjugation with a lattice symmetry.
     """
     if not isinstance(law, PerturbedPeriodic):
         raise ParameterError("defect coefficients are defined for the perturbed-periodic law")
@@ -141,25 +128,24 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
     # homogenized tensor is the material itself.
     a_per_star = law.a_per.copy()
     catalog = pair_catalog(law, n) if order == 2 else []
-    keys = list(dict.fromkeys(key for _, _, key in catalog))
+    keys = list(dict.fromkeys(key for _, key in catalog))
     excess, solves = _box_flux_excess(law, n, r, [[(0, 0)]] + [[(0, 0), key] for key in keys])
     a_1def = excess[0]
     class_values = {key: e2_val - 2.0 * a_1def for key, e2_val in zip(keys, excess[1:])}
-    a_2def: dict = {}
-    weights: dict = {}
-    for (off, w, key) in catalog:
-        weights[off] = w
-        rot = _find_d4(key, off)
-        a_2def[off] = rot @ class_values[key] @ rot.T
+    a_2def = np.zeros((n, n, 2, 2)) if order == 2 else None
+    for off, key in catalog:
+        rot = _find_d4(key, off, n)
+        a_2def[off[0] % n, off[1] % n] = rot @ class_values[key] @ rot.T
     return DefectCoefficients(law=law, n=n, r=r, order=order, a_per_star=a_per_star,
-                              a_1def=a_1def, a_2def=a_2def, pair_weights=weights,
-                              solves=solves)
+                              a_1def=a_1def, a_2def=a_2def, solves=solves)
 
 
-def _find_d4(canonical: tuple[int, int], target: tuple[int, int]) -> np.ndarray:
+def _find_d4(canonical: tuple[int, int], target: tuple[int, int], n: int) -> np.ndarray:
+    """The first lattice symmetry in `_D4` that maps `canonical` to `target`
+    modulo n: on even n, (n/2, -1) is -(n/2, 1) and takes -I."""
     v = np.array(canonical, dtype=int)
     t = np.array(target, dtype=int)
     for rot in _D4:
-        if np.array_equal(rot @ v, t):
+        if not np.any((rot @ v - t) % n):
             return rot.astype(float)
     raise ParameterError(f"offset {target} is not a lattice image of {canonical}")

@@ -26,10 +26,9 @@ from .correctors import check_voigt_reuss, homogenize, homogenize_fields  # noqa
 from .defects import DefectCoefficients
 from .errors import (ComparabilityError, DegenerateControlWarning,
                      InvariantError, ParameterError)
-from .fields import (Configuration, FieldLaw, PerturbedPeriodic,
-                     antithetic_transform, realize_field, sample_configuration,
-                     sqs1_exact_sample)
-from .sqs import SqsAuxiliary, pair_correlation_sums, sqs_condition_values
+from .fields import (FieldLaw, PerturbedPeriodic, antithetic_transform,
+                     realize_field, sample_configuration, sqs1_exact_sample)
+from .sqs import SqsAuxiliary, pair_form_sums, sqs_condition_values
 
 TENSOR_ENTRIES = {"11": (0, 0), "12": (0, 1), "22": (1, 1)}
 DEGENERATE_VARIANCE = 1e-14
@@ -130,22 +129,33 @@ def antithetic_estimate(law: FieldLaw, n: int, r: int, m_pairs: int,
                                         solves=4 * m_pairs, seed=seed)
 
 
-def _pair_sum_control(cfg: Configuration, defects: DefectCoefficients) -> np.ndarray:
-    """Second-order control: weighted sum of pair corrections per unit volume."""
-    b = cfg.draws.astype(float)
-    s = pair_correlation_sums(b)
-    out = np.zeros((2, 2))
-    for off, d in defects.a_2def.items():
-        w = defects.pair_weights[off]
-        out += w * s[off[0] % cfg.n, off[1] % cfg.n] * d
-    return out / cfg.n ** 2
+def _control_coefficients(x: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Variance-minimizing coefficients of centred controls against samples
+    x of shape (m, ...), one set per trailing index; `controls` is (k, m,
+    ...) with k = 1 or 2. Returns rho of shape (k, ...) and whether no
+    control was kept on any entry.
 
-
-def _expected_pair_sum(defects: DefectCoefficients, eta: float) -> np.ndarray:
-    out = np.zeros((2, 2))
-    for off, d in defects.a_2def.items():
-        out += defects.pair_weights[off] * d
-    return eta * eta * out
+    A control whose sample variance is below DEGENERATE_VARIANCE gets
+    rho = 0. The kept controls solve the normal equations on the
+    correlation scale, so that a small control (the pair sum) does not look
+    spuriously singular; a second control nearly collinear with the first
+    (1 - corr^2 < 1e-10) gets rho = 0.
+    """
+    xs = x.reshape(len(x), -1)
+    cs = controls.reshape(len(controls), len(x), -1)
+    rho = np.zeros((len(cs), xs.shape[1]))
+    kept_any = False
+    for e in range(xs.shape[1]):
+        cov = np.cov(np.vstack([xs[:, e], cs[:, :, e]]), ddof=1)
+        keep = np.flatnonzero(np.diag(cov)[1:] >= DEGENERATE_VARIANCE)
+        kept_any = kept_any or keep.size > 0
+        s = np.sqrt(np.diag(cov)[1:][keep])
+        corr = cov[1:, 1:][np.ix_(keep, keep)] / np.outer(s, s)
+        np.fill_diagonal(corr, 1.0)
+        if keep.size == 2 and 1.0 - corr[0, 1] ** 2 < 1e-10:
+            keep, s, corr = keep[:1], s[:1], corr[:1, :1]
+        rho[keep, e] = np.linalg.solve(corr, cov[0, 1:][keep] / s) / s
+    return rho.reshape(controls.shape[:1] + x.shape[1:]), not kept_any
 
 
 def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
@@ -154,19 +164,21 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
                              tensors: dict | None = None) -> EstimatorReport:
     """Control variate built from defect coefficients.
 
-    Order 1 subtracts rho * (centered one-defect surrogate); order 2 adds the
-    pair-sum surrogate with its own coefficient, the pair (rho1, rho2) solving
-    the 2x2 variance-minimizing normal equations per tensor entry. Both
-    surrogate expectations are analytic in the Bernoulli parameter. A control
-    with (numerically) zero variance falls back to rho = 0 with a warning flag.
-    The samples corrected are mc's, which a shared `tensors` table (see
-    `mc_estimate`) does not solve again.
+    Order 1 subtracts rho1 * (occupancy - eta) * a_1def, the centred
+    one-defect surrogate; order 2 also subtracts rho2 times the centred pair
+    sum 1/2 sum_{k, d} B_k B_{k+d} a_2def[d] / n^2 (the offset-indexed form
+    counts each unordered pair at d and at -d, hence the 1/2), whose
+    expectation is eta^2/2 sum_d a_2def[d]. The coefficients come from
+    `_control_coefficients`, per tensor entry; when no control has variance
+    on any entry, the report is flagged and warned about. The samples
+    corrected are mc's, which a shared `tensors` table (see `mc_estimate`)
+    does not solve again.
     """
     if not isinstance(law, PerturbedPeriodic):
         raise ParameterError("control variates require the perturbed-periodic law")
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
-    if order == 2 and not defects.a_2def:
+    if order == 2 and defects.a_2def is None:
         raise ParameterError("order-2 control needs defect coefficients with a pair catalog")
     if m < 2:
         raise ParameterError("control_variate_estimate needs m >= 2")
@@ -174,60 +186,21 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
     eta = law.eta
     cfgs = [sample_configuration(law, n, seed, i) for i in range(m)]
     x = _tensor_samples(law, cfgs, r, tensors)
-    y1 = np.empty((m, 2, 2))
-    y2 = np.empty((m, 2, 2)) if order == 2 else None
-    for i, cfg in enumerate(cfgs):
-        occupancy = float(cfg.draws.sum()) / n ** 2
-        y1[i] = defects.a_per_star + occupancy * defects.a_1def
-        if order == 2:
-            y2[i] = _pair_sum_control(cfg, defects)
-    ey1 = defects.a_per_star + eta * defects.a_1def
-    ey2 = _expected_pair_sum(defects, eta) if order == 2 else None
-
-    corrected = x.copy()
-    rho1 = np.zeros((2, 2))
-    rho2 = np.zeros((2, 2))
-    any_signal = False
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        xs = x[:, i, j]
-        c1 = y1[:, i, j] - ey1[i, j]
-        v1 = float(np.var(c1, ddof=1))
-        use1 = v1 >= DEGENERATE_VARIANCE
-        use2 = False
-        if order == 2:
-            c2 = y2[:, i, j] - ey2[i, j]
-            v2 = float(np.var(c2, ddof=1))
-            use2 = v2 >= DEGENERATE_VARIANCE
-        any_signal = any_signal or use1 or use2
-        if use1 and use2:
-            # solve the normal equations on the correlation scale so that the
-            # (small) pair-sum control does not look spuriously singular
-            s1, s2 = np.sqrt(v1), np.sqrt(v2)
-            corr = float(np.cov(c1, c2, ddof=1)[0, 1]) / (s1 * s2)
-            if 1.0 - corr * corr < 1e-10:
-                use2 = False
-            else:
-                rhs = np.array([float(np.cov(xs, c1, ddof=1)[0, 1]) / s1,
-                                float(np.cov(xs, c2, ddof=1)[0, 1]) / s2])
-                a1, a2 = np.linalg.solve(np.array([[1.0, corr], [corr, 1.0]]), rhs)
-                rho1[i, j] = a1 / s1
-                rho2[i, j] = a2 / s2
-                corrected[:, i, j] = xs - rho1[i, j] * c1 - rho2[i, j] * c2
-        if use1 and not use2:
-            rho1[i, j] = float(np.cov(xs, c1, ddof=1)[0, 1]) / v1
-            corrected[:, i, j] = xs - rho1[i, j] * c1
-        elif use2 and not use1:
-            rho2[i, j] = float(np.cov(xs, c2, ddof=1)[0, 1]) / v2
-            corrected[:, i, j] = xs - rho2[i, j] * c2
-    degenerate = not any_signal
+    draws = np.stack([cfg.draws for cfg in cfgs]).astype(float)
+    occupancy = draws.sum(axis=(1, 2)) / n ** 2
+    controls = [(occupancy - eta)[:, None, None] * defects.a_1def]
+    if order == 2:
+        controls.append(0.5 * pair_form_sums(draws, defects.a_2def)
+                        - 0.5 * eta * eta * defects.a_2def.sum(axis=(0, 1)))
+    controls = np.array(controls)
+    rho, degenerate = _control_coefficients(x, controls)
+    corrected = x - (rho[:, None] * controls).sum(axis=0)
     if degenerate:
         warnings.warn("control variate variance below threshold; using rho = 0",
                       DegenerateControlWarning, stacklevel=2)
 
-    strategy = "cv1" if order == 1 else "cv2"
-    rho = (rho1,) if order == 1 else (rho1, rho2)
-    return EstimatorReport.from_samples(strategy, law.describe(), n, r, corrected,
-                                        solves=2 * m, seed=seed, rho=rho,
+    return EstimatorReport.from_samples(f"cv{order}", law.describe(), n, r, corrected,
+                                        solves=2 * m, seed=seed, rho=tuple(rho),
                                         degenerate_control=degenerate)
 
 

@@ -463,7 +463,7 @@ def _plot_mean_ci(out: Path) -> None:
 
 
 MSFEM_CSV_COLUMNS = ["method", "H", "geometry", "with_bubbles", "l2_rel", "h1_rel",
-                     "dof", "solves"]
+                     "dof", "solves", "fine_n", "reference_n"]
 
 
 def _solve_msfem_case(mesh, perf, f, method, with_bubbles, fine_n):
@@ -503,7 +503,8 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> None:
                 l2, h1 = compute_errors(u, ref)
                 rows.append({"method": method, "H": 1.0 / m, "geometry": geo_id,
                              "with_bubbles": ms["with_bubbles"], "l2_rel": l2,
-                             "h1_rel": h1, "dof": u.dof, "solves": u.solves})
+                             "h1_rel": h1, "dof": u.dof, "solves": u.solves,
+                             "fine_n": fn, "reference_n": ref_n})
                 if len(rows) == 1:
                     _plot_heatmaps(u, method, perf, out)
     _write_csv(out / "msfem.csv", MSFEM_CSV_COLUMNS, rows)

@@ -47,20 +47,20 @@ def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
 
 @dataclass(frozen=True)
 class SqsAuxiliary:
-    """Per-offset flux integrals on the working box and on an enlarged box
-    of side max(3n, 24) used as a whole-space proxy (the gradient of phi
-    decays fast, so periodic truncation there is a documented, testable
-    approximation)."""
+    """Per-offset flux integrals on the working box, and the origin cell's
+    integral on an enlarged box of side max(3n, 24) used as a whole-space
+    proxy (the gradient of phi decays fast, so periodic truncation there is
+    a documented, testable approximation)."""
 
     n: int
     r: int
-    i_n: np.ndarray        # (n, n, 2, 2), offset-indexed
-    i_inf_box: np.ndarray  # (N, N, 2, 2) on the enlarged box of side N
+    i_n: np.ndarray    # (n, n, 2, 2), offset-indexed
+    i_inf: np.ndarray  # (2, 2), the origin cell of the enlarged box
     solves: int = 0
 
     def rhs_second_moment(self, var_x: float) -> np.ndarray:
         """Right-hand side of the second condition for i.i.d. centered draws."""
-        return var_x * self.i_inf_box[0, 0]
+        return var_x * self.i_inf
 
 
 def sqs_auxiliary(c0, c1, n: int, r: int) -> SqsAuxiliary:
@@ -73,13 +73,23 @@ def sqs_auxiliary(c0, c1, n: int, r: int) -> SqsAuxiliary:
         raise ParameterError("c0 must be symmetric positive definite")
     i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
     i_big, s2 = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
-    return SqsAuxiliary(n=n, r=r, i_n=i_n, i_inf_box=i_big, solves=s1 + s2)
+    return SqsAuxiliary(n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=s1 + s2)
 
 
 def pair_correlation_sums(x: np.ndarray) -> np.ndarray:
     """S[d] = sum_k x_k * x_{k+d} over the periodic lattice (via FFT)."""
     f = np.fft.fft2(x)
     return np.real(np.fft.ifft2(f * np.conj(f)))
+
+
+def pair_form_sums(x: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """sum_{k, d} x_k x_{k+d} form[d] / n^2 for each (n, n) lattice of a
+    (k, n, n) stack, with `form` an offset-indexed (n, n, 2, 2) array
+    (form[d mod n]); shape (k, 2, 2). Every ordered pair of cells is
+    counted, so an unordered pair at offset d enters once at d and once
+    at -d."""
+    n = x.shape[-1]
+    return np.einsum("kab,abij->kij", pair_correlation_sums(x), form) / n ** 2
 
 
 def sqs_condition_values(cfgs, aux: SqsAuxiliary):
@@ -104,8 +114,7 @@ def sqs_condition_values(cfgs, aux: SqsAuxiliary):
         p = np.array([cfg.p for cfg in block])[:, None, None]
         x = np.stack([cfg.draws for cfg in block]).astype(float) - p
         s1.append(x.sum(axis=(1, 2)) / aux.n ** 2)
-        s = pair_correlation_sums(x)
-        lhs = np.einsum("kab,abij->kij", s, aux.i_n) / aux.n ** 2
+        lhs = pair_form_sums(x, aux.i_n)
         mismatch = (lhs - aux.rhs_second_moment(p * (1.0 - p))).reshape(-1, 4)
         s2.append(np.sqrt(np.vecdot(mismatch, mismatch)))
     s1, s2 = np.concatenate(s1), np.concatenate(s2)

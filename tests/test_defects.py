@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 
 from randpde.defects import (_box_flux_excess, defect_coefficients,
-                             defect_solve_count, sign_canonical_offsets)
+                             defect_solve_count, pair_catalog)
 from randpde.errors import ParameterError
 from randpde.fields import PerturbedPeriodic
+from randpde.sqs import pair_form_sums
 
 ID = np.eye(2)
 LAW = PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=0.5)
+ANISO = PerturbedPeriodic(a_per=np.array([[3.0, 0.5], [0.5, 2.0]]),
+                          c_per=np.array([[10.0, -1.0], [-1.0, 6.0]]), eta=0.3)
+LAWS = {"isotropic": LAW, "anisotropic": ANISO}
+
+
+@pytest.fixture(scope="module")
+def catalogs():
+    # order-2 coefficients at n = 4..7 on both laws; even n has self-inverse
+    # offsets (components n/2)
+    return {(name, n): defect_coefficients(law, n=n, r=2, order=2)
+            for name, law in LAWS.items() for n in (4, 5, 6, 7)}
 
 
 def test_zero_perturbation_gives_zero_coefficient():
@@ -32,29 +44,37 @@ def test_one_defect_converges_in_box_size():
     assert rel <= 0.025
 
 
-def test_offset_catalog_counts_pairs_once():
-    n = 6
-    offsets = sign_canonical_offsets(n)
-    seen = set()
-    total_weight = 0.0
-    for (off, w) in offsets:
-        assert off not in seen
-        seen.add(off)
-        assert off[0] * off[0] + off[1] * off[1] <= (n / 2) ** 2 + 1e-9
-        assert w in (0.5, 1.0)
-        total_weight += w
-    # sum over k of the weighted representatives counts each unordered pair
-    # once: weights * n^2 must equal the number of pairs within the cutoff
-    pair_count = 0
-    for dx in range(n):
-        for dy in range(n):
-            if (dx, dy) == (0, 0):
-                continue
-            mx = dx - n if dx > n / 2 else dx
-            my = dy - n if dy > n / 2 else dy
-            if mx * mx + my * my <= (n / 2) ** 2 + 1e-9:
-                pair_count += 1
-    assert total_weight * n * n == pytest.approx(pair_count / 2 * n * n)
+@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_half_pair_form_counts_each_unordered_pair_once(catalogs, name, n):
+    # 1/2 pair_form_sums against the explicit sum over unordered cell pairs
+    # {k, l} within distance n/2 of B_k B_l a_2def[l - k] / n^2
+    a_2def = catalogs[name, n].a_2def
+    rng = np.random.default_rng(n)
+    draws = rng.integers(0, 2, size=(3, n, n)).astype(float)
+    cells = [(kx, ky) for kx in range(n) for ky in range(n)]
+    for b, form in zip(draws, 0.5 * pair_form_sums(draws, a_2def)):
+        direct = np.zeros((2, 2))
+        for i, (kx, ky) in enumerate(cells):
+            for lx, ly in cells[i + 1:]:
+                dx, dy = (lx - kx) % n, (ly - ky) % n
+                if min(dx, n - dx) ** 2 + min(dy, n - dy) ** 2 <= n * n / 4:
+                    direct += b[kx, ky] * b[lx, ly] * a_2def[dx, dy]
+        assert np.max(np.abs(form - direct / n ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_pair_corrections_are_even_in_the_offset(catalogs, name):
+    # the pair {0, -d} is a translate of {0, d}: for an anisotropic law the
+    # tensor is d's bit for bit; an isotropic law maps the solved class by a
+    # lattice symmetry, which may differ from d's by round-off
+    for n in (4, 5, 6, 7):
+        a_2def = catalogs[name, n].a_2def
+        mirrored = a_2def[-np.arange(n) % n][:, -np.arange(n) % n]
+        if name == "anisotropic":
+            assert np.array_equal(mirrored, a_2def)
+        else:
+            assert np.max(np.abs(mirrored - a_2def)) <= 1e-14 * np.abs(a_2def).max()
 
 
 def test_two_defect_symmetry_map_matches_direct_solve():
@@ -66,13 +86,18 @@ def test_two_defect_symmetry_map_matches_direct_solve():
 
 
 def test_order_two_catalog_contents():
-    d = defect_coefficients(LAW, n=4, r=2, order=2)
+    n = 4
+    assert defect_coefficients(LAW, n=n, r=2).a_2def is None
+    d = defect_coefficients(LAW, n=n, r=2, order=2)
     assert d.order == 2
-    assert set(d.a_2def) == set(d.pair_weights)
-    assert len(d.a_2def) > 0
+    assert d.a_2def.shape == (n, n, 2, 2)
+    # filled at every catalog offset, at d and -d, and zero elsewhere
+    filled = {(dx % n, dy % n) for (dx, dy), _ in pair_catalog(LAW, n)}
+    assert {(dx, dy) for dx in range(n) for dy in range(n)
+            if d.a_2def[dx, dy].any()} == filled
+    assert (0, 0) not in filled and (1, 0) in filled and (n - 1, 0) in filled
     # pair corrections are small relative to the one-defect coefficient
-    for mat in d.a_2def.values():
-        assert np.abs(mat).max() < np.abs(d.a_1def).max()
+    assert np.abs(d.a_2def).max() < np.abs(d.a_1def).max()
 
 
 def test_rejects_bad_inputs():
@@ -98,7 +123,7 @@ def test_batched_catalog_matches_one_field_solves(a_per, monkeypatch):
     # own one-field solve
     from randpde import correctors
     from randpde.correctors import homogenize
-    from randpde.defects import _defect_field, _find_d4, pair_catalog
+    from randpde.defects import _defect_field, _find_d4
     law = PerturbedPeriodic(a_per=a_per, c_per=17 * ID, eta=0.5)
     n, r = 4, 2
     monkeypatch.setattr(correctors, "CHUNK_DOFS", 3 * (n * r) ** 2)
@@ -108,7 +133,8 @@ def test_batched_catalog_matches_one_field_solves(a_per, monkeypatch):
         return n * n * (homogenize(_defect_field(law, n, cells), r)[0] - law.a_per)
     a_1def = excess([(0, 0)])
     assert np.array_equal(d.a_1def, a_1def)
-    for off, _, key in pair_catalog(law, n):
-        rot = _find_d4(key, off)
-        assert np.array_equal(d.a_2def[off], rot @ (excess([(0, 0), key]) - 2.0 * a_1def) @ rot.T)
+    for off, key in pair_catalog(law, n):
+        rot = _find_d4(key, off, n)
+        assert np.array_equal(d.a_2def[off[0] % n, off[1] % n],
+                              rot @ (excess([(0, 0), key]) - 2.0 * a_1def) @ rot.T)
     assert d.solves == defect_solve_count(law, n, 2)

@@ -92,6 +92,52 @@ def test_control_variate_order2_beats_order1():
     assert len(cv2.rho) == 2
 
 
+def _columns(m=60, seed=4):
+    rng = np.random.default_rng(seed)
+    c1, c2, noise = rng.normal(size=(3, m))
+    return 2.0 * c1 - 0.7 * c2 + 0.1 * noise, c1, 1e-3 * c2 + 0.5 * c1
+
+
+def _one_control_rho(x, c):
+    return np.cov(x, c, ddof=1)[0, 1] / np.var(c, ddof=1)
+
+
+def test_control_coefficients_one_control_is_cov_over_var():
+    x, c1, _ = _columns()
+    rho, degenerate = estimators._control_coefficients(x, np.array([c1]))
+    assert rho.shape == (1,)
+    assert rho[0] == pytest.approx(_one_control_rho(x, c1), rel=1e-12)
+    assert not degenerate
+
+
+def test_control_coefficients_two_controls_match_least_squares():
+    x, c1, c2 = _columns()
+    rho, degenerate = estimators._control_coefficients(x, np.array([c1, c2]))
+    cols = np.stack([c1 - c1.mean(), c2 - c2.mean()], axis=1)
+    expected = np.linalg.lstsq(cols, x - x.mean(), rcond=None)[0]
+    assert np.max(np.abs(rho - expected)) <= 1e-10 * np.abs(expected).max()
+    assert not degenerate
+
+
+def test_control_coefficients_drop_a_collinear_second_control():
+    x, c1, _ = _columns()
+    rho, _ = estimators._control_coefficients(x, np.array([c1, -3.0 * c1]))
+    assert rho[1] == 0.0
+    assert rho[0] == pytest.approx(_one_control_rho(x, c1), rel=1e-12)
+
+
+def test_control_coefficients_zero_variance_control_gets_zero():
+    x, c1, _ = _columns()
+    flat = np.full_like(c1, 0.25)
+    rho, degenerate = estimators._control_coefficients(x, np.array([flat, c1]))
+    assert rho[0] == 0.0
+    assert rho[1] == pytest.approx(_one_control_rho(x, c1), rel=1e-12)
+    assert not degenerate
+    rho, degenerate = estimators._control_coefficients(x, np.array([flat, 0.0 * c1]))
+    assert np.array_equal(rho, [0.0, 0.0])
+    assert degenerate
+
+
 def test_sqs_ranked_equals_exact_without_selection_pressure():
     law = Checkerboard(3.0, 20.0)
     aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)

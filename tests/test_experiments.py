@@ -317,13 +317,27 @@ def test_run_msfem_archive(tmp_path):
     archive = run(cfg, out_override=tmp_path / "ms")
     assert archive.status == "ok"
     rows = (tmp_path / "ms" / "msfem.csv").read_text().splitlines()
-    assert rows[0] == "method,H,geometry,with_bubbles,l2_rel,h1_rel,dof,solves"
+    assert rows[0] == ("method,H,geometry,with_bubbles,l2_rel,h1_rel,dof,solves,"
+                       "fine_n,reference_n")
     assert len(rows) == 2
     l2 = float(rows[1].split(",")[4])
     assert np.isfinite(l2) and l2 < 1.0
     for name in ("errors_l2.svg", "errors_h1.svg", "heatmap_solution.svg",
                  "heatmap_perforations.svg", "manifest.json", "config_snapshot.json"):
         assert (tmp_path / "ms" / name).exists()
+
+
+def test_msfem_rows_of_one_h_differ_in_fine_n(tmp_path):
+    # two levels with one H and different local grids once wrote two rows
+    # with the same (method, H, geometry, with_bubbles) key
+    text = MSFEM_CONFIG.replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/4\nfine_n = 8, 16")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "ms")
+    assert archive.status == "ok"
+    rows = list(csv.DictReader((tmp_path / "ms" / "msfem.csv").read_text().splitlines()))
+    assert [(r["H"], r["fine_n"], r["reference_n"]) for r in rows] \
+        == [("0.25", "8", "64"), ("0.25", "16", "64")]
 
 
 def test_manifest_lists_hashes_and_snapshot(tmp_path):

@@ -12,7 +12,8 @@ ID = np.eye(2)
 def test_zero_perturbation_gives_zero_integrals():
     aux = sqs_auxiliary(11.5 * ID, 0.0 * ID, n=4, r=2)
     assert np.max(np.abs(aux.i_n)) == 0.0
-    assert np.max(np.abs(aux.i_inf_box)) == 0.0
+    assert aux.i_inf.shape == (2, 2)
+    assert np.max(np.abs(aux.i_inf)) == 0.0
 
 
 def test_cell_integrals_sum_to_zero():

@@ -2,7 +2,8 @@
 puts around named functions of `randpde`; a renamed or moved function would
 silently drop its layer from a traced run. These tests resolve the names
 without installing anything. The README's list of config keys is checked
-against the parser's schema in the same spirit."""
+against the parser's schema in the same spirit, and its library tour against
+the package's modules."""
 
 import importlib
 import importlib.util
@@ -82,3 +83,11 @@ def test_readme_lists_the_config_keys():
     listed = {section: {key.strip() for key in keys.split(",")}
               for section, keys in re.findall(r"^\[(\w+)\]\s+(.+)$", runner, re.M)}
     assert listed == {section: experiments._keys(section) for section in experiments._SCHEMA}
+
+
+def test_readme_library_tour_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`randpde\.(\w+)`", tour))
+    modules = {p.stem for p in (ROOT / "src" / "randpde").glob("*.py") if p.stem != "__init__"}
+    assert named == modules
