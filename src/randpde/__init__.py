@@ -13,7 +13,7 @@ fine-grid references.
 
 __version__ = "0.1.0"
 
-from .fields import (Checkerboard, CoefficientField, Configuration, FieldLaw,
+from .fields import (Checkerboard, CoefficientField, Configuration,
                      PerturbedPeriodic, antithetic_transform, realize_field,
                      sample_configuration, sqs1_exact_sample)
 from .correctors import (CorrectorSolution, check_voigt_reuss, energy_tensor,
@@ -31,9 +31,8 @@ from .msfem import (CoarseMesh, CoarseSolution, MsFEMSpace, baseline_solve,
 from .experiments import ExperimentConfig, RunArchive, parse_config, run, validate
 
 __all__ = [
-    "Checkerboard", "CoefficientField", "Configuration", "FieldLaw",
-    "PerturbedPeriodic", "antithetic_transform", "realize_field",
-    "sample_configuration", "sqs1_exact_sample",
+    "Checkerboard", "CoefficientField", "Configuration", "PerturbedPeriodic",
+    "antithetic_transform", "realize_field", "sample_configuration", "sqs1_exact_sample",
     "CorrectorSolution", "check_voigt_reuss", "energy_tensor", "homogenize",
     "homogenized_tensor", "solve_corrector",
     "DefectCoefficients", "defect_coefficients",

@@ -117,8 +117,6 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
     lattice, solved once per solved offset of `pair_catalog` and mapped to
     each offset by conjugation with a lattice symmetry.
     """
-    if not isinstance(law, PerturbedPeriodic):
-        raise ParameterError("defect coefficients are defined for the perturbed-periodic law")
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     if order not in (1, 2):

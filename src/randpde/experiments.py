@@ -228,12 +228,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError("estimate.r must be >= 1")
         if est["m"] < 2:
             raise ConfigError("estimate.m must be >= 2: a variance needs two samples")
-        if {"cv1", "cv2"} & set(est["strategies"]):
-            if lkind != "perturbed_periodic":
-                raise ConfigError("estimate.strategies: cv1 and cv2 need "
-                                  "law.kind = perturbed_periodic")
-            if any(n < 2 for n in est["n"]):
-                raise ConfigError("estimate.n entries must be >= 2 for cv1 and cv2")
+        if {"cv1", "cv2"} & set(est["strategies"]) and any(n < 2 for n in est["n"]):
+            raise ConfigError("estimate.n entries must be >= 2 for cv1 and cv2")
         if "sqs2" in est["strategies"] and est["pool"] < est["m"]:
             raise ConfigError("estimate.pool must be >= estimate.m for sqs2")
     else:
@@ -266,7 +262,7 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _build_law(cfg: ExperimentConfig):
+def _build_law(cfg: ExperimentConfig) -> PerturbedPeriodic:
     if cfg.law["kind"] == "checkerboard":
         return Checkerboard(cfg.law["alpha"], cfg.law["beta"])
     return PerturbedPeriodic(a_per=np.array(cfg.law["a_per"]),
@@ -408,9 +404,7 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
             order = 2 if "cv2" in est["strategies"] else 1
             extras["defects"] = defect_coefficients(law, n=n, r=est["r"], order=order)
         if "sqs2" in est["strategies"]:
-            a0, a1 = law.phase_matrices()
-            c0 = a0 + law.bernoulli_p * (a1 - a0)
-            extras["aux"] = sqs_auxiliary(c0, a1 - a0, n=n, r=est["r"])
+            extras["aux"] = sqs_auxiliary(law, n=n, r=est["r"])
         return extras
 
     def run_one(n, strategy, extras, tensors):

@@ -1,7 +1,8 @@
 """Random coefficient-field laws and reproducible configuration sampling.
 
 A configuration is the lattice of per-cell Bernoulli outcomes on the n x n
-periodic box; a law turns each outcome into a 2x2 conductivity matrix.
+periodic box; the one law, `PerturbedPeriodic`, turns each outcome into a 2x2
+conductivity matrix (the random checkerboard is its eta = 1/2 case).
 Sampling is counter-based (Philox keyed by seed and index) so that the same
 (seed, index, n, law) always yields the same configuration no matter in which
 order configurations are generated.
@@ -9,8 +10,7 @@ order configurations are generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Union
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,31 +36,9 @@ def _min_eigenvalue(a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Checkerboard:
-    """Two-phase isotropic law: each cell is alpha*Id or beta*Id with prob 1/2."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ParameterError("checkerboard conductivities alpha, beta must be positive")
-
-    @property
-    def bernoulli_p(self) -> float:
-        return 0.5
-
-    def phase_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(draw-0 matrix, draw-1 matrix)."""
-        return self.alpha * _IDENTITY, self.beta * _IDENTITY
-
-    def describe(self) -> str:
-        return f"checkerboard(alpha={self.alpha:g},beta={self.beta:g})"
-
-
-@dataclass(frozen=True)
 class PerturbedPeriodic:
-    """Constant background a_per, perturbed to a_per + c_per on Bernoulli(eta) cells."""
+    """Two-phase law: constant background a_per, perturbed to a_per + c_per
+    on Bernoulli(eta) cells."""
 
     a_per: np.ndarray
     c_per: np.ndarray
@@ -89,7 +67,16 @@ class PerturbedPeriodic:
         return f"perturbed(a_per=[{a}],c_per=[{c}],eta={self.eta:g})"
 
 
-FieldLaw = Union[Checkerboard, PerturbedPeriodic]
+def Checkerboard(alpha: float, beta: float) -> PerturbedPeriodic:
+    """The random checkerboard, each cell alpha*Id or beta*Id with probability
+    1/2, as the perturbed-periodic law a_per = alpha*Id, c_per = (beta -
+    alpha)*Id, eta = 1/2. Its phase-1 matrix alpha + (beta - alpha) is beta
+    bit for bit whenever beta - alpha is exact (integers, or beta/2 <= alpha
+    <= 2*beta), and within 1 ulp of it otherwise."""
+    if not (alpha > 0 and beta > 0):
+        raise ParameterError("checkerboard conductivities alpha, beta must be positive")
+    return PerturbedPeriodic(a_per=alpha * _IDENTITY, c_per=(beta - alpha) * _IDENTITY,
+                             eta=0.5)
 
 
 @dataclass(frozen=True)
@@ -150,11 +137,10 @@ def _uniform_lattice(n: int, seed: int, index: int) -> np.ndarray:
     return _philox(seed, index).random((n, n))
 
 
-def sample_configuration(law: FieldLaw, n: int, seed: int, index: int) -> Configuration:
-    """Draw one i.i.d. Bernoulli configuration for the given law.
-
-    The Bernoulli parameter is 1/2 for the checkerboard law and eta for the
-    perturbed-periodic law. Pure function of (law, n, seed, index).
+def sample_configuration(law: PerturbedPeriodic, n: int, seed: int,
+                         index: int) -> Configuration:
+    """Draw one i.i.d. Bernoulli(eta) configuration for the given law
+    (eta = 1/2 for the checkerboard). Pure function of (law, n, seed, index).
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -184,7 +170,7 @@ def antithetic_transform(c: Configuration) -> Configuration:
     return replace(c, draws=flipped, antithetic=not c.antithetic)
 
 
-def realize_field(law: FieldLaw, c: Configuration) -> CoefficientField:
+def realize_field(law: PerturbedPeriodic, c: Configuration) -> CoefficientField:
     """Turn a configuration into the cell-wise constant coefficient field."""
     if abs(law.bernoulli_p - c.p) > 1e-12:
         raise ParameterError(

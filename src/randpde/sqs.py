@@ -18,8 +18,8 @@ from itertools import islice
 import numpy as np
 
 from .correctors import E1, E2
-from .errors import GridMismatchError, ParameterError
-from .fields import Configuration, _as_symmetric_matrix
+from .errors import GridMismatchError
+from .fields import Configuration, PerturbedPeriodic
 from .grid import periodic_grid
 
 # Configurations that `sqs_condition_values` ranks per stacked FFT: a pool of
@@ -63,14 +63,13 @@ class SqsAuxiliary:
         return var_x * self.i_inf
 
 
-def sqs_auxiliary(c0, c1, n: int, r: int) -> SqsAuxiliary:
-    """Build the offset-indexed integrals for the selection conditions."""
-    c0 = _as_symmetric_matrix(c0, "c0")
-    c1 = np.asarray(c1, dtype=float)
-    if c1.ndim == 0:
-        c1 = float(c1) * np.eye(2)
-    if np.linalg.eigvalsh(c0)[0] <= 0:
-        raise ParameterError("c0 must be symmetric positive definite")
+def sqs_auxiliary(law: PerturbedPeriodic, n: int, r: int) -> SqsAuxiliary:
+    """Build the offset-indexed integrals for the selection conditions of
+    `law`: C1 is its phase difference a1 - a0, and C0 = a0 + p C1 its mean
+    medium, a convex combination of two SPD phases."""
+    a0, a1 = law.phase_matrices()
+    c1 = a1 - a0
+    c0 = a0 + law.bernoulli_p * c1
     i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
     i_big, s2 = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
     return SqsAuxiliary(n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=s1 + s2)

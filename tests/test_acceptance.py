@@ -148,7 +148,7 @@ LAW_CV = PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=0.5)
 @pytest.fixture(scope="module")
 def cv_sqs_runs():
     defects = defect_coefficients(LAW_CV, n=10, r=8, order=2)
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=10, r=8)
+    aux = sqs_auxiliary(LAW_CV, n=10, r=8)
     tensors = {}  # mc's, which the control variates correct
     mc = mc_estimate(LAW_CV, 10, 8, 100, CV_SEED, tensors=tensors)
     return {"defects": defects, "aux": aux, "mc": mc, "tensors": tensors}

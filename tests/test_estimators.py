@@ -140,7 +140,7 @@ def test_control_coefficients_zero_variance_control_gets_zero():
 
 def test_sqs_ranked_equals_exact_without_selection_pressure():
     law = Checkerboard(3.0, 20.0)
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(law, n=4, r=2)
     exact = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, mode="exact1")
     ranked = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, mode="ranked2",
                           pool=6, aux=aux)
@@ -159,7 +159,7 @@ def test_sqs_exact_reduces_variance():
 
 def test_sqs_ranked_selection_reports_rejections():
     law = Checkerboard(3.0, 20.0)
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(law, n=4, r=2)
     rep = sqs_estimate(law, n=4, r=2, m_keep=5, seed=2, mode="ranked2",
                        pool=40, aux=aux)
     assert rep.rejected == 35
@@ -228,7 +228,7 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         sqs_estimate(law, n=4, r=2, m_keep=4, seed=0, mode="ranked2", pool=2)
     with pytest.raises(ParameterError):
-        control_variate_estimate(law, n=4, r=2, m=4, order=1, seed=0, defects=None)
+        control_variate_estimate(law, n=4, r=2, m=4, order=3, seed=0, defects=None)
 
 
 def test_voigt_reuss_failure_names_the_flipped_field(monkeypatch):

@@ -244,8 +244,6 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("text, key", [
-    (VR_CONFIG.replace("mc, antithetic", "mc, cv1"), "estimate.strategies"),
-    (VR_CONFIG.replace("mc, antithetic", "mc, cv2"), "estimate.strategies"),
     (VR_CONFIG.replace("m = 6", "m = 1"), "estimate.m"),
     (VR_CONFIG.replace("r = 2", "r = 0"), "estimate.r"),
     (VR_CONFIG.replace("mc, antithetic", "mc, sqs2\npool = 5"), "estimate.pool"),
@@ -268,7 +266,7 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (MSFEM_CONFIG.replace("methods = cr", "methods = cr, cr"), "msfem.methods"),
     (VR_CONFIG.replace("n = 3, 4", "n = 3, 4, 3"), "estimate.n"),
     (MSFEM_CONFIG.replace("h = 1/4", "h = 1/4, 0.25"), "msfem.h, msfem.fine_n"),
-], ids=["cv1-checkerboard", "cv2-checkerboard", "m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
+], ids=["m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
         "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1",
         "seed-nan", "r-minus-inf", "fine_n-0", "fine_n-minus-4", "fine_n-1-none",
         "fine_n-1-discs", "reference_n-minus-32", "n-empty", "h-empty",
@@ -310,6 +308,24 @@ def test_run_vr_archive_and_determinism(tmp_path):
     cfg2 = parse_config(write_config(tmp_path, VR_CONFIG))
     second = run(cfg2, out_override=tmp_path / "a2")
     assert first.manifest["files"] == second.manifest["files"]
+
+
+def test_checkerboard_archive_equals_its_defect_form(tmp_path):
+    # the checkerboard is the perturbed-periodic law at eta = 1/2, so every
+    # strategy, cv1 and cv2 included, runs on it and writes the bytes of
+    # its defect form
+    all_six = VR_CONFIG.replace("n = 3, 4", "n = 4").replace(
+        "mc, antithetic", "mc, antithetic, cv1, cv2, sqs1, sqs2\npool = 10")
+    defect_form = all_six.replace("kind = checkerboard\nalpha = 3.0\nbeta = 20.0",
+                                  "kind = perturbed_periodic\na_per = 3\nc_per = 17\neta = 0.5")
+    assert defect_form != all_six
+    for name, text in (("cb", all_six), ("pp", defect_form)):
+        cfg = parse_config(write_config(tmp_path, text, name=f"{name}.ini"))
+        assert validate(cfg)["problems"] == []
+        assert run(cfg, out_override=tmp_path / name).status == "ok"
+    for name in ("reports.csv", "comparison.csv", "mean_ci.svg"):
+        assert (tmp_path / "cb" / name).read_bytes() == (tmp_path / "pp" / name).read_bytes()
+    assert len((tmp_path / "cb" / "reports.csv").read_text().splitlines()) == 1 + 6 * 3
 
 
 def test_run_msfem_archive(tmp_path):

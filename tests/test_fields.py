@@ -108,6 +108,18 @@ def test_realize_checkerboard_phase_values():
     assert np.allclose(f.cells[1, 1], 3 * ID)
 
 
+@pytest.mark.parametrize("alpha, beta", [(3.0, 20.0), (1.0, 100.0), (5.0, 5.0)])
+def test_checkerboard_is_the_perturbed_law_at_half(alpha, beta):
+    # alpha + (beta - alpha) is beta exactly for these pairs, so the
+    # defect form keeps the checkerboard's phase bits
+    law = Checkerboard(alpha, beta)
+    assert isinstance(law, PerturbedPeriodic)
+    assert law.bernoulli_p == 0.5
+    a0, a1 = law.phase_matrices()
+    assert np.array_equal(a0, alpha * ID)
+    assert np.array_equal(a1, beta * ID)
+
+
 def test_realize_perturbed_eta_zero_is_background():
     law = PerturbedPeriodic(a_per=np.array([[4.0, 1.0], [1.0, 5.0]]),
                             c_per=2 * ID, eta=0.0)

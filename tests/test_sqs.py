@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from randpde.errors import GridMismatchError
-from randpde.fields import Configuration, sqs1_exact_sample
+from randpde.fields import Checkerboard, Configuration, PerturbedPeriodic, sqs1_exact_sample
 from randpde.sqs import (_cell_flux_integrals, pair_correlation_sums,
                          sqs_auxiliary, sqs_condition_values)
 
 ID = np.eye(2)
+LAW = Checkerboard(3.0, 20.0)  # mean medium 11.5, phase difference 17
 
 
 def test_zero_perturbation_gives_zero_integrals():
-    aux = sqs_auxiliary(11.5 * ID, 0.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(PerturbedPeriodic(a_per=11.5 * ID, c_per=0 * ID, eta=0.5), n=4, r=2)
     assert np.max(np.abs(aux.i_n)) == 0.0
     assert aux.i_inf.shape == (2, 2)
     assert np.max(np.abs(aux.i_inf)) == 0.0
@@ -18,9 +19,28 @@ def test_zero_perturbation_gives_zero_integrals():
 
 def test_cell_integrals_sum_to_zero():
     # for constant c1 the box integral of c1 grad(phi) vanishes by periodicity
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=6, r=4)
+    aux = sqs_auxiliary(LAW, n=6, r=4)
     total = aux.i_n.sum(axis=(0, 1))
     assert np.max(np.abs(total)) <= 1e-8 * np.abs(aux.i_n).max()
+
+
+A_ANISO = np.array([[3.0, 0.5], [0.5, 2.0]])
+C_ANISO = np.array([[10.0, -1.0], [-1.0, 6.0]])
+
+
+@pytest.mark.parametrize("law, c0, c1", [
+    (LAW, 11.5 * ID, 17.0 * ID),
+    (PerturbedPeriodic(a_per=A_ANISO, c_per=C_ANISO, eta=0.3), A_ANISO + 0.3 * C_ANISO, C_ANISO),
+], ids=["checkerboard", "anisotropic"])
+def test_auxiliary_reads_its_media_off_the_law(law, c0, c1):
+    # the law's mean medium and phase difference are the (c0, c1) that
+    # callers once passed by hand, bit for bit
+    aux = sqs_auxiliary(law, n=4, r=2)
+    i_n, _ = _cell_flux_integrals(c0, c1, 4, 2)
+    i_big, _ = _cell_flux_integrals(c0, c1, 24, 2)
+    assert np.array_equal(aux.i_n, i_n)
+    assert np.array_equal(aux.i_inf, i_big[0, 0])
+    assert aux.solves == 4
 
 
 def test_source_shift_translates_integrals():
@@ -61,7 +81,7 @@ def test_pair_correlation_sums_match_direct():
 
 
 def test_balanced_configuration_satisfies_first_condition_exactly():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(LAW, n=4, r=2)
     cfg = sqs1_exact_sample(4, seed=5, index=2)
     s1, s2 = sqs_condition_values(cfg, aux)
     assert s1 == 0.0
@@ -69,14 +89,14 @@ def test_balanced_configuration_satisfies_first_condition_exactly():
 
 
 def test_all_ones_first_moment_is_half():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(LAW, n=4, r=2)
     cfg = Configuration(n=4, draws=np.ones((4, 4), dtype=np.uint8), seed=0, index=0)
     s1, _ = sqs_condition_values(cfg, aux)
     assert s1 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_residual_distribution_is_spread_out():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=8, r=4)
+    aux = sqs_auxiliary(LAW, n=8, r=4)
     residuals = []
     for i in range(2000):
         cfg = sqs1_exact_sample(8, seed=17, index=i)
@@ -87,7 +107,7 @@ def test_residual_distribution_is_spread_out():
 
 
 def test_mismatched_sizes_rejected():
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(LAW, n=4, r=2)
     cfg = sqs1_exact_sample(6, seed=0, index=0)
     with pytest.raises(GridMismatchError):
         sqs_condition_values(cfg, aux)
@@ -96,7 +116,7 @@ def test_mismatched_sizes_rejected():
 def test_stacked_ranking_matches_single_calls():
     # a pool spanning three blocks ranks as one call per configuration does
     from randpde.sqs import RANK_BLOCK
-    aux = sqs_auxiliary(11.5 * ID, 17.0 * ID, n=4, r=2)
+    aux = sqs_auxiliary(LAW, n=4, r=2)
     pool = [sqs1_exact_sample(4, seed=9, index=i) for i in range(2 * RANK_BLOCK + 7)]
     s1, s2 = sqs_condition_values(iter(pool), aux)
     single = np.array([sqs_condition_values(cfg, aux) for cfg in pool])
