@@ -37,10 +37,10 @@ tensors = {}
 reports = [
     mc_estimate(law, N, R, M, SEED, tensors=tensors),
     antithetic_estimate(law, N, R, M // 2, SEED, tensors=tensors),
-    control_variate_estimate(law, N, R, M, 1, SEED, defects, tensors=tensors),
-    control_variate_estimate(law, N, R, M, 2, SEED, defects, tensors=tensors),
-    sqs_estimate(law, N, R, M, SEED, mode="exact1"),
-    sqs_estimate(law, N, R, M, SEED, mode="ranked2", pool=POOL, aux=aux),
+    control_variate_estimate(defects, M, 1, SEED, tensors=tensors),
+    control_variate_estimate(defects, M, 2, SEED, tensors=tensors),
+    sqs_estimate(law, N, R, M, SEED),
+    sqs_estimate(law, N, R, M, SEED, pool=POOL, aux=aux),
 ]
 table = compare_strategies(reports)
 

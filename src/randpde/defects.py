@@ -41,7 +41,9 @@ def _minimal_offset(dx: int, dy: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DefectCoefficients:
-    """Offline expansion coefficients of the perturbed-periodic law at size n.
+    """Offline expansion coefficients of the perturbed-periodic law at size n
+    and resolution r. The unperturbed material is constant, so its
+    correctors vanish and its homogenized tensor is `law.a_per` itself.
 
     `a_2def[d mod n]` is the pair correction at offset d: the same tensor at
     d and -d for every nonzero d within distance n/2, zero elsewhere (offset
@@ -51,7 +53,6 @@ class DefectCoefficients:
     n: int
     r: int
     order: int
-    a_per_star: np.ndarray          # homogenized tensor of the unperturbed material
     a_1def: np.ndarray              # one-defect contribution (columns = directions)
     a_2def: np.ndarray | None = None  # (n, n, 2, 2) pair corrections, offset-indexed
     solves: int = 0
@@ -122,9 +123,6 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
 
-    # The unperturbed material is constant, so its correctors vanish and its
-    # homogenized tensor is the material itself.
-    a_per_star = law.a_per.copy()
     catalog = pair_catalog(law, n) if order == 2 else []
     keys = list(dict.fromkeys(key for _, key in catalog))
     excess, solves = _box_flux_excess(law, n, r, [[(0, 0)]] + [[(0, 0), key] for key in keys])
@@ -134,8 +132,8 @@ def defect_coefficients(law: PerturbedPeriodic, n: int, r: int,
     for off, key in catalog:
         rot = _find_d4(key, off, n)
         a_2def[off[0] % n, off[1] % n] = rot @ class_values[key] @ rot.T
-    return DefectCoefficients(law=law, n=n, r=r, order=order, a_per_star=a_per_star,
-                              a_1def=a_1def, a_2def=a_2def, solves=solves)
+    return DefectCoefficients(law=law, n=n, r=r, order=order, a_1def=a_1def,
+                              a_2def=a_2def, solves=solves)
 
 
 def _find_d4(canonical: tuple[int, int], target: tuple[int, int], n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .correctors import check_voigt_reuss, homogenize, homogenize_fields  # noqa: F401
 from .defects import DefectCoefficients
 from .errors import (ComparabilityError, DegenerateControlWarning,
-                     InvariantError, ParameterError)
+                     GridMismatchError, InvariantError, ParameterError)
 from .fields import (PerturbedPeriodic, antithetic_transform, realize_field,
                      sample_configuration, sqs1_exact_sample)
 from .sqs import SqsAuxiliary, pair_form_sums, sqs_condition_values
@@ -159,11 +159,10 @@ def _control_coefficients(x: np.ndarray, controls: np.ndarray) -> tuple[np.ndarr
     return rho.reshape(controls.shape[:1] + x.shape[1:]), not kept_any
 
 
-def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
-                             order: int, seed: int,
-                             defects: DefectCoefficients, *,
+def control_variate_estimate(defects: DefectCoefficients, m: int, order: int, seed: int, *,
                              tensors: dict | None = None) -> EstimatorReport:
-    """Control variate built from defect coefficients.
+    """Control variate built from defect coefficients, at the law, box size
+    and resolution the catalog `defects` was solved for.
 
     Order 1 subtracts rho1 * (occupancy - eta) * a_1def, the centred
     one-defect surrogate; order 2 also subtracts rho2 times the centred pair
@@ -182,6 +181,7 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
     if m < 2:
         raise ParameterError("control_variate_estimate needs m >= 2")
 
+    law, n, r = defects.law, defects.n, defects.r
     eta = law.eta
     cfgs = [sample_configuration(law, n, seed, i) for i in range(m)]
     x = _tensor_samples(law, cfgs, r, tensors)
@@ -204,40 +204,36 @@ def control_variate_estimate(law: PerturbedPeriodic, n: int, r: int, m: int,
 
 
 def sqs_estimate(law: PerturbedPeriodic, n: int, r: int, m_keep: int, seed: int,
-                 mode: str = "exact1", pool: int | None = None,
-                 aux: SqsAuxiliary | None = None) -> EstimatorReport:
+                 pool: int | None = None, aux: SqsAuxiliary | None = None) -> EstimatorReport:
     """Selection sampling over exactly first-moment-balanced configurations.
 
-    mode="exact1" estimates over m_keep balanced configurations. mode="ranked2"
-    draws `pool` balanced configurations, ranks them by the second-moment
-    residual (ties broken by index) and keeps the m_keep best before solving.
-    It takes no `tensors` table: which configurations ranked2 solves is known
-    only after ranking, so a shared table would make the solve count depend
-    on the draws.
+    Without `aux` (sqs1) it estimates over m_keep balanced configurations.
+    Given the auxiliary integrals `aux` of (law, n, r) (sqs2), it draws `pool`
+    balanced configurations, ranks them by the second-moment residual (ties
+    broken by index) and keeps the m_keep best before solving. It takes no
+    `tensors` table: which configurations sqs2 solves is known only after
+    ranking, so a shared table would make the solve count depend on the
+    draws.
     """
     if m_keep < 2:
         raise ParameterError("sqs_estimate needs m_keep >= 2")
-    p = law.bernoulli_p
-    if mode == "exact1":
+    p = law.eta
+    if aux is None:
         cfgs = [sqs1_exact_sample(n, seed, i, p) for i in range(m_keep)]
-        rejected = 0
-    elif mode == "ranked2":
+    else:
+        if (aux.n, aux.r) != (n, r):
+            raise GridMismatchError(
+                f"auxiliary integrals solved at n={aux.n}, r={aux.r}, not n={n}, r={r}")
         if pool is None or pool < m_keep:
-            raise ParameterError("ranked2 needs pool >= m_keep")
-        if aux is None:
-            raise ParameterError("ranked2 needs the auxiliary integrals")
+            raise ParameterError("sqs2 needs pool >= m_keep")
         drawn = (sqs1_exact_sample(n, seed, i, p) for i in range(pool))
         order = np.argsort(sqs_condition_values(drawn, aux)[1], kind="stable")
         cfgs = [sqs1_exact_sample(n, seed, int(i), p) for i in sorted(order[:m_keep])]
-        rejected = pool - m_keep
-    else:
-        raise ParameterError(f"unknown sqs mode {mode!r}")
 
     samples = _tensor_samples(law, cfgs, r)
-    strategy = "sqs1" if mode == "exact1" else "sqs2"
-    return EstimatorReport.from_samples(strategy, law.describe(), n, r, samples,
-                                        solves=2 * m_keep, seed=seed,
-                                        rejected=rejected)
+    return EstimatorReport.from_samples("sqs1" if aux is None else "sqs2", law.describe(),
+                                        n, r, samples, solves=2 * m_keep, seed=seed,
+                                        rejected=0 if aux is None else pool - m_keep)
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,7 @@ def validate(cfg: ExperimentConfig) -> dict:
                 if "sqs2" in strategies:
                     solves += 4  # two directions on the working and the enlarged box
                 if "sqs1" in strategies or "sqs2" in strategies:
-                    balanced_ones(n, law.bernoulli_p)  # raises when SQS cannot sample
+                    balanced_ones(n, law.eta)  # raises when SQS cannot sample
         else:
             geometries = _geometries(cfg)
             pairs, _ = _msfem_grids(cfg)
@@ -414,15 +414,13 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
             return antithetic_estimate(law, n, est["r"], est["m"], cfg.seed, tensors=tensors)
         if strategy in ("cv1", "cv2"):
             order = 1 if strategy == "cv1" else 2
-            rep = control_variate_estimate(law, n, est["r"], est["m"], order,
-                                           cfg.seed, extras["defects"], tensors=tensors)
+            rep = control_variate_estimate(extras["defects"], est["m"], order, cfg.seed,
+                                           tensors=tensors)
             if rep.degenerate_control:
                 warnings_log.append(f"degenerate control variate at n={n} ({strategy})")
             return rep
-        if strategy == "sqs1":
-            return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="exact1")
-        return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, mode="ranked2",
-                            pool=est["pool"], aux=extras["aux"])
+        return sqs_estimate(law, n, est["r"], est["m"], cfg.seed, pool=est["pool"],
+                            aux=extras["aux"] if strategy == "sqs2" else None)
 
     for n in est["n"]:
         extras = offline(n)
@@ -499,9 +497,11 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> None:
                              "with_bubbles": ms["with_bubbles"], "l2_rel": l2,
                              "h1_rel": h1, "dof": u.dof, "solves": u.solves,
                              "fine_n": fn, "reference_n": ref_n})
+                # rewritten after every case, so a later failure leaves the
+                # finished cases' rows in the archive
+                _write_csv(out / "msfem.csv", MSFEM_CSV_COLUMNS, rows)
                 if len(rows) == 1:
                     _plot_heatmaps(u, method, perf, out)
-    _write_csv(out / "msfem.csv", MSFEM_CSV_COLUMNS, rows)
     _plot_msfem(out)
 
 
@@ -526,8 +526,9 @@ def _plot_msfem(out: Path) -> None:
 def run(cfg: ExperimentConfig, out_override=None, seed_override=None) -> RunArchive:
     """Execute the experiment and write the archive; on solver failure the
     partial results are flushed and flagged in the manifest (``reports.csv``
-    holds every strategy finished before the failure). A config that
-    `validate` rejects raises ConfigError before anything is written."""
+    holds every strategy and ``msfem.csv`` every case finished before the
+    failure). A config that `validate` rejects raises ConfigError before
+    anything is written."""
     if seed_override is not None:
         cfg.seed = seed_override
     diag = validate(cfg)

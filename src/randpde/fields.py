@@ -45,18 +45,17 @@ class PerturbedPeriodic:
     eta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a_per", _as_symmetric_matrix(self.a_per, "a_per"))
-        object.__setattr__(self, "c_per", _as_symmetric_matrix(self.c_per, "c_per"))
+        # read-only, so the ellipticity checks below hold for the law's life
+        for name in ("a_per", "c_per"):
+            a = _as_symmetric_matrix(getattr(self, name), name)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if not 0.0 <= self.eta <= 1.0:
             raise ParameterError(f"eta must lie in [0, 1], got {self.eta}")
         if _min_eigenvalue(self.a_per) <= 0.0:
             raise EllipticityError("a_per is not positive definite")
         if _min_eigenvalue(self.a_per + self.c_per) <= 0.0:
             raise EllipticityError("a_per + c_per is not positive definite")
-
-    @property
-    def bernoulli_p(self) -> float:
-        return self.eta
 
     def phase_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         return self.a_per, self.a_per + self.c_per
@@ -144,9 +143,8 @@ def sample_configuration(law: PerturbedPeriodic, n: int, seed: int,
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    p = law.bernoulli_p
-    draws = (_uniform_lattice(n, seed, index) < p).astype(np.uint8)
-    return Configuration(n=n, draws=draws, seed=seed, index=index, p=p)
+    draws = (_uniform_lattice(n, seed, index) < law.eta).astype(np.uint8)
+    return Configuration(n=n, draws=draws, seed=seed, index=index, p=law.eta)
 
 
 def antithetic_transform(c: Configuration) -> Configuration:
@@ -171,13 +169,12 @@ def antithetic_transform(c: Configuration) -> Configuration:
 
 
 def realize_field(law: PerturbedPeriodic, c: Configuration) -> CoefficientField:
-    """Turn a configuration into the cell-wise constant coefficient field."""
-    if abs(law.bernoulli_p - c.p) > 1e-12:
+    """Turn a configuration into the cell-wise constant coefficient field;
+    the law checked its phases' ellipticity when it was made."""
+    if abs(law.eta - c.p) > 1e-12:
         raise ParameterError(
-            f"configuration was drawn with p={c.p} but law has p={law.bernoulli_p}")
+            f"configuration was drawn with p={c.p} but law has p={law.eta}")
     a0, a1 = law.phase_matrices()
-    if _min_eigenvalue(a0) <= 0.0 or _min_eigenvalue(a1) <= 0.0:
-        raise EllipticityError("phase matrix is not positive definite")
     cells = np.where(c.draws[:, :, None, None].astype(bool), a1, a0)
     return CoefficientField(n=c.n, cells=cells)
 

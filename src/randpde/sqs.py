@@ -19,7 +19,7 @@ import numpy as np
 
 from .correctors import E1, E2
 from .errors import GridMismatchError
-from .fields import Configuration, PerturbedPeriodic
+from .fields import PerturbedPeriodic
 from .grid import periodic_grid
 
 # Configurations that `sqs_condition_values` ranks per stacked FFT: a pool of
@@ -58,10 +58,6 @@ class SqsAuxiliary:
     i_inf: np.ndarray  # (2, 2), the origin cell of the enlarged box
     solves: int = 0
 
-    def rhs_second_moment(self, var_x: float) -> np.ndarray:
-        """Right-hand side of the second condition for i.i.d. centered draws."""
-        return var_x * self.i_inf
-
 
 def sqs_auxiliary(law: PerturbedPeriodic, n: int, r: int) -> SqsAuxiliary:
     """Build the offset-indexed integrals for the selection conditions of
@@ -69,7 +65,7 @@ def sqs_auxiliary(law: PerturbedPeriodic, n: int, r: int) -> SqsAuxiliary:
     medium, a convex combination of two SPD phases."""
     a0, a1 = law.phase_matrices()
     c1 = a1 - a0
-    c0 = a0 + law.bernoulli_p * c1
+    c0 = a0 + law.eta * c1
     i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
     i_big, s2 = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
     return SqsAuxiliary(n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=s1 + s2)
@@ -91,19 +87,17 @@ def pair_form_sums(x: np.ndarray, form: np.ndarray) -> np.ndarray:
     return np.einsum("kab,abij->kij", pair_correlation_sums(x), form) / n ** 2
 
 
-def sqs_condition_values(cfgs, aux: SqsAuxiliary):
-    """(first-moment value, second-moment residual) of a configuration, or
-    two arrays of them for an iterable of configurations, which is ranked
-    RANK_BLOCK configurations at a time with one stacked FFT and one
-    contraction per block.
+def sqs_condition_values(cfgs, aux: SqsAuxiliary) -> tuple[np.ndarray, np.ndarray]:
+    """(first-moment values, second-moment residuals) of an iterable of
+    configurations, as two arrays, ranked RANK_BLOCK configurations at a
+    time with one stacked FFT and one contraction per block.
 
     The first value is the box average of the centered draws (exactly zero
     for balanced configurations); the second is the Frobenius norm, over both
     directions, of the mismatch between the empirical pair form and its
-    i.i.d. infinite-volume target.
+    i.i.d. infinite-volume target p(1 - p) i_inf.
     """
-    single = isinstance(cfgs, Configuration)
-    pending = iter([cfgs] if single else cfgs)
+    pending = iter(cfgs)
     s1, s2 = [], []
     while block := list(islice(pending, RANK_BLOCK)):
         for cfg in block:
@@ -114,7 +108,6 @@ def sqs_condition_values(cfgs, aux: SqsAuxiliary):
         x = np.stack([cfg.draws for cfg in block]).astype(float) - p
         s1.append(x.sum(axis=(1, 2)) / aux.n ** 2)
         lhs = pair_form_sums(x, aux.i_n)
-        mismatch = (lhs - aux.rhs_second_moment(p * (1.0 - p))).reshape(-1, 4)
+        mismatch = (lhs - p * (1.0 - p) * aux.i_inf).reshape(-1, 4)
         s2.append(np.sqrt(np.vecdot(mismatch, mismatch)))
-    s1, s2 = np.concatenate(s1), np.concatenate(s2)
-    return (float(s1[0]), float(s2[0])) if single else (s1, s2)
+    return np.concatenate(s1), np.concatenate(s2)

@@ -159,8 +159,8 @@ def test_criterion_4_control_variate(cv_sqs_runs):
     mc = cv_sqs_runs["mc"]
     defects = cv_sqs_runs["defects"]
     tensors = cv_sqs_runs["tensors"]
-    cv1 = control_variate_estimate(LAW_CV, 10, 8, 100, 1, CV_SEED, defects, tensors=tensors)
-    cv2 = control_variate_estimate(LAW_CV, 10, 8, 100, 2, CV_SEED, defects, tensors=tensors)
+    cv1 = control_variate_estimate(defects, 100, 1, CV_SEED, tensors=tensors)
+    cv2 = control_variate_estimate(defects, 100, 2, CV_SEED, tensors=tensors)
     g1 = mc.var[0, 0] / cv1.var[0, 0]
     g2 = mc.var[0, 0] / cv2.var[0, 0]
     checks.add(g1 >= 3.0, f"order-1 variance reduction {g1:.2f} >= 3")
@@ -174,7 +174,7 @@ def test_criterion_4_control_variate(cv_sqs_runs):
     ddef = defect_coefficients(degenerate_law, n=4, r=4)
     mc_deg = mc_estimate(degenerate_law, 4, 4, 10, CV_SEED)
     with pytest.warns(Warning):
-        cv_deg = control_variate_estimate(degenerate_law, 4, 4, 10, 1, CV_SEED, ddef)
+        cv_deg = control_variate_estimate(ddef, 10, 1, CV_SEED)
     checks.add(bool(np.array_equal(cv_deg.mean, mc_deg.mean)
                     and np.array_equal(cv_deg.var, mc_deg.var)
                     and cv_deg.degenerate_control),
@@ -186,18 +186,18 @@ def test_criterion_5_sqs(cv_sqs_runs):
     checks = Checks()
     mc = cv_sqs_runs["mc"]
     aux = cv_sqs_runs["aux"]
-    s1 = sqs_estimate(LAW_CV, 10, 8, 100, CV_SEED, mode="exact1")
-    s2 = sqs_estimate(LAW_CV, 10, 8, 100, CV_SEED, mode="ranked2", pool=2000, aux=aux)
+    s1 = sqs_estimate(LAW_CV, 10, 8, 100, CV_SEED)
+    s2 = sqs_estimate(LAW_CV, 10, 8, 100, CV_SEED, pool=2000, aux=aux)
     g1 = mc.var[0, 0] / s1.var[0, 0]
     g2 = mc.var[0, 0] / s2.var[0, 0]
     checks.add(g1 >= 4.0, f"exact first-moment selection gain {g1:.2f} >= 4")
     checks.add(g2 >= 15.0, f"ranked second-moment selection gain {g2:.2f} >= 15")
-    checks.add(g2 > g1, f"variance ordering MC > exact1 > ranked2 "
+    checks.add(g2 > g1, f"variance ordering MC > sqs1 > sqs2 "
                         f"({mc.var[0, 0]:.3g} > {s1.var[0, 0]:.3g} > {s2.var[0, 0]:.3g})")
     bias = abs(s1.mean[0, 0] - mc.mean[0, 0])
     checks.add(bias <= 3 * mc.ci95[0, 0],
                f"selection bias {bias:.4f} <= 3*ci95(MC) = {3 * mc.ci95[0, 0]:.4f}")
-    checks.add(s2.rejected == 1900, "ranked2 reports 1900 rejected configurations")
+    checks.add(s2.rejected == 1900, "sqs2 reports 1900 rejected configurations")
     checks.finish("5 (selection sampling)")
 
 

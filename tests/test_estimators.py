@@ -3,8 +3,8 @@ import pytest
 
 from randpde import estimators
 from randpde.defects import defect_coefficients
-from randpde.errors import (ComparabilityError, DegenerateControlWarning, InvariantError,
-                            ParameterError)
+from randpde.errors import (ComparabilityError, DegenerateControlWarning,
+                            GridMismatchError, InvariantError, ParameterError)
 from randpde.estimators import (antithetic_estimate, compare_strategies,
                                 control_variate_estimate, mc_estimate,
                                 sqs_estimate, write_reports_csv)
@@ -63,8 +63,7 @@ def test_degenerate_control_falls_back_to_mc():
     defects = defect_coefficients(law, n=4, r=2)
     mc = mc_estimate(law, n=4, r=2, m=8, seed=5)
     with pytest.warns(DegenerateControlWarning):
-        cv = control_variate_estimate(law, n=4, r=2, m=8, order=1, seed=5,
-                                      defects=defects)
+        cv = control_variate_estimate(defects, m=8, order=1, seed=5)
     assert cv.degenerate_control
     assert np.array_equal(cv.mean, mc.mean)
     assert np.array_equal(cv.var, mc.var)
@@ -74,8 +73,7 @@ def test_control_variate_reduces_variance_order1():
     law = PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=0.5)
     defects = defect_coefficients(law, n=6, r=4)
     mc = mc_estimate(law, n=6, r=4, m=80, seed=11)
-    cv = control_variate_estimate(law, n=6, r=4, m=80, order=1, seed=11,
-                                  defects=defects)
+    cv = control_variate_estimate(defects, m=80, order=1, seed=11)
     assert cv.var[0, 0] < mc.var[0, 0]
     assert abs(cv.mean[0, 0] - mc.mean[0, 0]) <= cv.ci95[0, 0] + mc.ci95[0, 0]
     assert len(cv.rho) == 1
@@ -84,12 +82,22 @@ def test_control_variate_reduces_variance_order1():
 def test_control_variate_order2_beats_order1():
     law = PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=0.5)
     defects = defect_coefficients(law, n=6, r=4, order=2)
-    cv1 = control_variate_estimate(law, n=6, r=4, m=80, order=1, seed=11,
-                                   defects=defects)
-    cv2 = control_variate_estimate(law, n=6, r=4, m=80, order=2, seed=11,
-                                   defects=defects)
+    cv1 = control_variate_estimate(defects, m=80, order=1, seed=11)
+    cv2 = control_variate_estimate(defects, m=80, order=2, seed=11)
     assert cv2.var[0, 0] < cv1.var[0, 0]
     assert len(cv2.rho) == 2
+
+
+def test_control_variate_runs_at_its_catalogs_law_n_and_r():
+    # the catalog carries (law, n, r): the cv report is made there, and it
+    # corrects the samples mc draws there
+    law = Checkerboard(3.0, 20.0)
+    defects = defect_coefficients(law, n=4, r=2)
+    tensors = {}
+    mc_estimate(law, n=4, r=2, m=6, seed=3, tensors=tensors)
+    cv = control_variate_estimate(defects, m=6, order=1, seed=3, tensors=tensors)
+    assert (cv.strategy, cv.law, cv.n, cv.r) == ("cv1", law.describe(), 4, 2)
+    assert len(tensors) == 6
 
 
 def _columns(m=60, seed=4):
@@ -141,27 +149,40 @@ def test_control_coefficients_zero_variance_control_gets_zero():
 def test_sqs_ranked_equals_exact_without_selection_pressure():
     law = Checkerboard(3.0, 20.0)
     aux = sqs_auxiliary(law, n=4, r=2)
-    exact = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, mode="exact1")
-    ranked = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, mode="ranked2",
-                          pool=6, aux=aux)
+    exact = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2)
+    ranked = sqs_estimate(law, n=4, r=2, m_keep=6, seed=2, pool=6, aux=aux)
+    # the estimate ranks exactly when it is given the auxiliary integrals
+    assert (exact.strategy, ranked.strategy) == ("sqs1", "sqs2")
     assert np.array_equal(exact.mean, ranked.mean)
     assert np.array_equal(exact.var, ranked.var)
     assert exact.rejected == 0
     assert ranked.rejected == 0
 
 
+@pytest.mark.parametrize("n, r", [(4, 4), (6, 2)], ids=["other-r", "other-n"])
+def test_sqs_refuses_auxiliary_integrals_of_another_grid(monkeypatch, n, r):
+    law = Checkerboard(3.0, 20.0)
+    aux = sqs_auxiliary(law, n=4, r=2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("sqs_estimate drew before checking its auxiliary integrals")
+
+    monkeypatch.setattr(estimators, "sqs1_exact_sample", never)
+    with pytest.raises(GridMismatchError, match="n=4, r=2"):
+        sqs_estimate(law, n=n, r=r, m_keep=3, seed=2, pool=10, aux=aux)
+
+
 def test_sqs_exact_reduces_variance():
     law = Checkerboard(3.0, 20.0)
     mc = mc_estimate(law, n=6, r=4, m=80, seed=23)
-    s1 = sqs_estimate(law, n=6, r=4, m_keep=80, seed=23, mode="exact1")
+    s1 = sqs_estimate(law, n=6, r=4, m_keep=80, seed=23)
     assert s1.var[0, 0] < mc.var[0, 0]
 
 
 def test_sqs_ranked_selection_reports_rejections():
     law = Checkerboard(3.0, 20.0)
     aux = sqs_auxiliary(law, n=4, r=2)
-    rep = sqs_estimate(law, n=4, r=2, m_keep=5, seed=2, mode="ranked2",
-                       pool=40, aux=aux)
+    rep = sqs_estimate(law, n=4, r=2, m_keep=5, seed=2, pool=40, aux=aux)
     assert rep.rejected == 35
     assert rep.m == 5
     assert rep.solves == 10
@@ -226,9 +247,10 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         mc_estimate(law, n=4, r=2, m=1, seed=0)
     with pytest.raises(ParameterError):
-        sqs_estimate(law, n=4, r=2, m_keep=4, seed=0, mode="ranked2", pool=2)
+        sqs_estimate(law, n=4, r=2, m_keep=4, seed=0, pool=2,
+                     aux=sqs_auxiliary(law, n=4, r=2))
     with pytest.raises(ParameterError):
-        control_variate_estimate(law, n=4, r=2, m=4, order=3, seed=0, defects=None)
+        control_variate_estimate(None, m=4, order=3, seed=0)
 
 
 def test_voigt_reuss_failure_names_the_flipped_field(monkeypatch):

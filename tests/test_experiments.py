@@ -9,7 +9,7 @@ import pytest
 from randpde import correctors, estimators, experiments
 from randpde.cli import main as cli_main
 from randpde.defects import defect_coefficients
-from randpde.errors import ConfigError, ResolutionWarning, SolverError
+from randpde.errors import AssemblyError, ConfigError, ResolutionWarning, SolverError
 from randpde.estimators import write_reports_csv
 from randpde.experiments import parse_config, replot, run, validate
 from randpde.fields import PerturbedPeriodic
@@ -160,8 +160,8 @@ def test_shared_tensors_keep_the_reports_bytes(tmp_path, monkeypatch):
     defects = defect_coefficients(law, n=4, r=2, order=2)
     alone = [estimators.mc_estimate(law, 4, 2, 3, 5),
              estimators.antithetic_estimate(law, 4, 2, 3, 5),
-             estimators.control_variate_estimate(law, 4, 2, 3, 1, 5, defects),
-             estimators.control_variate_estimate(law, 4, 2, 3, 2, 5, defects)]
+             estimators.control_variate_estimate(defects, 3, 1, 5),
+             estimators.control_variate_estimate(defects, 3, 2, 5)]
     write_reports_csv(alone, tmp_path / "alone.csv")
     assert (tmp_path / "run" / "reports.csv").read_bytes() == \
         (tmp_path / "alone.csv").read_bytes()
@@ -412,6 +412,25 @@ def test_partial_results_flushed_on_solver_error(tmp_path, monkeypatch):
     rows = list(csv.DictReader((tmp_path / "partial" / "reports.csv").read_text().splitlines()))
     assert [(r["strategy"], r["n"]) for r in rows] == [("mc", "3")] * 3
     assert "reports.csv" in archive.manifest["files"]
+
+
+def test_msfem_partial_results_flushed_on_solver_error(tmp_path, monkeypatch):
+    baseline_solve = experiments.baseline_solve
+
+    def failing_q1(mesh, perf, f, method, **kwargs):
+        if method == "coarse_q1":
+            raise AssemblyError("injected failure")
+        return baseline_solve(mesh, perf, f, method, **kwargs)
+
+    monkeypatch.setattr(experiments, "baseline_solve", failing_q1)
+    text = MSFEM_CONFIG.replace("methods = cr", "methods = cr, linear, q1")
+    text = text.replace("reference_n = 64", "reference_n = 32")
+    archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "partial")
+    assert archive.status == "error"
+    assert "injected failure" in archive.manifest["error"]
+    rows = list(csv.DictReader((tmp_path / "partial" / "msfem.csv").read_text().splitlines()))
+    assert [r["method"] for r in rows] == ["cr", "linear"]
+    assert "msfem.csv" in archive.manifest["files"]
 
 
 def test_replot_from_csv(tmp_path):

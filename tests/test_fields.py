@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randpde.errors import InfeasibilityError, ParameterError
+from randpde.errors import EllipticityError, InfeasibilityError, ParameterError
 from randpde.fields import (Checkerboard, Configuration, PerturbedPeriodic,
                             antithetic_transform, realize_field,
                             sample_configuration, sqs1_exact_sample)
@@ -46,6 +46,27 @@ def test_invalid_parameters_rejected():
         PerturbedPeriodic(a_per=3 * ID, c_per=17 * ID, eta=1.5)
     with pytest.raises(ParameterError):
         sample_configuration(Checkerboard(3.0, 20.0), 0, seed=0, index=0)
+
+
+def test_non_elliptic_phases_rejected():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(EllipticityError, match="a_per is not"):
+        PerturbedPeriodic(a_per=indefinite, c_per=0 * ID, eta=0.5)
+    # a_per alone is SPD; the perturbed phase 3 - 4 is not
+    with pytest.raises(EllipticityError, match=r"a_per \+ c_per"):
+        PerturbedPeriodic(a_per=3 * ID, c_per=-4 * ID, eta=0.5)
+
+
+def test_law_phase_matrices_are_read_only():
+    # the law checks its phases once, so they cannot change afterwards
+    a = 3 * ID
+    law = PerturbedPeriodic(a_per=a, c_per=17 * ID, eta=0.5)
+    with pytest.raises(ValueError):
+        law.a_per[0, 0] = -1.0
+    with pytest.raises(ValueError):
+        law.c_per[0, 0] = -10.0
+    a[0, 0] = -1.0  # the caller's array stays its own
+    assert law.a_per[0, 0] == 3.0
 
 
 def test_antithetic_flips_all_zeros():
@@ -114,7 +135,7 @@ def test_checkerboard_is_the_perturbed_law_at_half(alpha, beta):
     # defect form keeps the checkerboard's phase bits
     law = Checkerboard(alpha, beta)
     assert isinstance(law, PerturbedPeriodic)
-    assert law.bernoulli_p == 0.5
+    assert law.eta == 0.5
     a0, a1 = law.phase_matrices()
     assert np.array_equal(a0, alpha * ID)
     assert np.array_equal(a1, beta * ID)

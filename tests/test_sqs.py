@@ -83,7 +83,7 @@ def test_pair_correlation_sums_match_direct():
 def test_balanced_configuration_satisfies_first_condition_exactly():
     aux = sqs_auxiliary(LAW, n=4, r=2)
     cfg = sqs1_exact_sample(4, seed=5, index=2)
-    s1, s2 = sqs_condition_values(cfg, aux)
+    (s1,), (s2,) = sqs_condition_values([cfg], aux)
     assert s1 == 0.0
     assert s2 >= 0.0
 
@@ -91,17 +91,14 @@ def test_balanced_configuration_satisfies_first_condition_exactly():
 def test_all_ones_first_moment_is_half():
     aux = sqs_auxiliary(LAW, n=4, r=2)
     cfg = Configuration(n=4, draws=np.ones((4, 4), dtype=np.uint8), seed=0, index=0)
-    s1, _ = sqs_condition_values(cfg, aux)
+    (s1,), _ = sqs_condition_values([cfg], aux)
     assert s1 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_residual_distribution_is_spread_out():
     aux = sqs_auxiliary(LAW, n=8, r=4)
-    residuals = []
-    for i in range(2000):
-        cfg = sqs1_exact_sample(8, seed=17, index=i)
-        residuals.append(sqs_condition_values(cfg, aux)[1])
-    residuals = np.array(residuals)
+    _, residuals = sqs_condition_values(
+        (sqs1_exact_sample(8, seed=17, index=i) for i in range(2000)), aux)
     assert residuals.std() > 0
     assert np.quantile(residuals, 0.05) < np.median(residuals)
 
@@ -110,7 +107,7 @@ def test_mismatched_sizes_rejected():
     aux = sqs_auxiliary(LAW, n=4, r=2)
     cfg = sqs1_exact_sample(6, seed=0, index=0)
     with pytest.raises(GridMismatchError):
-        sqs_condition_values(cfg, aux)
+        sqs_condition_values([cfg], aux)
 
 
 def test_stacked_ranking_matches_single_calls():
@@ -119,7 +116,7 @@ def test_stacked_ranking_matches_single_calls():
     aux = sqs_auxiliary(LAW, n=4, r=2)
     pool = [sqs1_exact_sample(4, seed=9, index=i) for i in range(2 * RANK_BLOCK + 7)]
     s1, s2 = sqs_condition_values(iter(pool), aux)
-    single = np.array([sqs_condition_values(cfg, aux) for cfg in pool])
+    single = np.array([np.concatenate(sqs_condition_values([cfg], aux)) for cfg in pool])
     assert s1.shape == s2.shape == (len(pool),)
     assert np.array_equal(s1, single[:, 0])
     assert np.allclose(s2, single[:, 1], rtol=1e-12, atol=0)
