@@ -208,7 +208,8 @@ def sqs_estimate(law: PerturbedPeriodic, n: int, r: int, m_keep: int, seed: int,
     """Selection sampling over exactly first-moment-balanced configurations.
 
     Without `aux` (sqs1) it estimates over m_keep balanced configurations.
-    Given the auxiliary integrals `aux` of (law, n, r) (sqs2), it draws `pool`
+    Given the auxiliary integrals `aux` of (law, n, r) (sqs2; integrals
+    solved for another law, n or r are refused before any draw), it draws `pool`
     balanced configurations, ranks them by the second-moment residual (ties
     broken by index) and keeps the m_keep best before solving. It takes no
     `tensors` table: which configurations sqs2 solves is known only after
@@ -224,6 +225,9 @@ def sqs_estimate(law: PerturbedPeriodic, n: int, r: int, m_keep: int, seed: int,
         if (aux.n, aux.r) != (n, r):
             raise GridMismatchError(
                 f"auxiliary integrals solved at n={aux.n}, r={aux.r}, not n={n}, r={r}")
+        if aux.law != law:
+            raise ParameterError(f"auxiliary integrals solved for {aux.law.describe()}, "
+                                 f"not {law.describe()}")
         if pool is None or pool < m_keep:
             raise ParameterError("sqs2 needs pool >= m_keep")
         drawn = (sqs1_exact_sample(n, seed, i, p) for i in range(pool))

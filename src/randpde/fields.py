@@ -57,6 +57,13 @@ class PerturbedPeriodic:
         if _min_eigenvalue(self.a_per + self.c_per) <= 0.0:
             raise EllipticityError("a_per + c_per is not positive definite")
 
+    def __eq__(self, other) -> bool:
+        """Equal laws: the same eta and the same matrices, bit for bit."""
+        if not isinstance(other, PerturbedPeriodic):
+            return NotImplemented
+        return (self.eta == other.eta and np.array_equal(self.a_per, other.a_per)
+                and np.array_equal(self.c_per, other.c_per))
+
     def phase_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         return self.a_per, self.a_per + self.c_per
 

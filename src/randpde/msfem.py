@@ -91,7 +91,8 @@ class MsFEMSpace:
     elem_alive: np.ndarray       # (m, m) bool
     edge_alive: np.ndarray       # (2 m (m - 1),) bool, in edge-id order
     masks: np.ndarray            # (m, m, fn, fn) bool
-    elem_basis: dict             # (i, j) -> (dof ids array, values (nb, nn))
+    elem_basis: dict             # (i, j) -> (dof ids array, read-only values (nb, nn));
+                                 # elements with equal local problems share values
     n_dofs: int
     n_edge_dofs: int
     edge_dof: dict               # edge id -> dof
@@ -113,9 +114,11 @@ class MsFEMSpace:
         """View of the same space with bubble functions dropped."""
         if not self.with_bubbles:
             return self
-        # a bubble is always the last basis row of its element
-        basis = {elem: (dofs[:-1], values[:-1]) if elem in self.bubble_dof
-                 else (dofs, values)
+        # a bubble is always the last basis row of its element; one view per
+        # shared values array keeps the sharing
+        views = {}
+        basis = {elem: (dofs[:-1], views.setdefault(id(values), values[:-1]))
+                 if elem in self.bubble_dof else (dofs, values)
                  for elem, (dofs, values) in self.elem_basis.items()}
         return replace(self, with_bubbles=False, elem_basis=basis,
                        n_dofs=self.n_edge_dofs, bubble_dof={})
@@ -158,25 +161,53 @@ class _LocalProblem(NamedTuple):
     bubble: bool = False
 
 
+def _solve_classes(grid, masks: np.ndarray, problems: dict) -> dict:
+    """Elements grouped by system, then by right-hand sides: system key ->
+    data key -> elements. A system key (mask, Dirichlet and constrained
+    sides) fixes the matrix; within it, a data key (averages, traces on the
+    Dirichlet nodes, bubble) fixes the right-hand sides, so the elements of
+    one data class pose the very same local problems."""
+    classes, fixed = {}, {}
+    for elem, prob in problems.items():
+        system = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
+        if prob.dirichlet not in fixed:
+            fixed[prob.dirichlet] = ~grid.free_nodes(prob.dirichlet)
+        data = (prob.bubble, None if prob.averages is None else prob.averages.tobytes(),
+                None if prob.traces is None else
+                prob.traces[:, fixed[prob.dirichlet]].tobytes())
+        classes.setdefault(system, {}).setdefault(data, []).append(elem)
+    return classes
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def _local_basis(grid, masks: np.ndarray, kappa: float, h_loc: float,
-                 problems: dict) -> tuple[dict, int]:
-    """Solve every element's local problems with one banded Cholesky
+                 problems: dict) -> tuple[dict, int, int]:
+    """Solve every distinct local problem once, with one banded Cholesky
     factorization per distinct system.
 
     Elements whose problems share the mask and the Dirichlet and constrained
     sides share the matrix, so they are grouped and each group is factorized
     once; its factor is freed before the next group is factorized, which
-    keeps one factorization alive at a time. Returns element -> (dof ids,
-    nodal values (k, nn)) and the number of factorizations."""
-    groups = {}
-    for elem, prob in problems.items():
-        key = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
-        groups.setdefault(key, []).append(elem)
+    keeps one factorization alive at a time. Within a group, one element of
+    each data class is solved and the others share its read-only values.
+    Returns element -> (dof ids, nodal values (k, nn)), the number of
+    factorizations and the number of right-hand sides solved."""
     basis = {}
-    for members in groups.values():
-        basis.update(_solve_group(grid, masks[members[0]], kappa, h_loc,
-                                  {elem: problems[elem] for elem in members}))
-    return basis, len(groups)
+    solves = 0
+    classes = _solve_classes(grid, masks, problems)
+    for group in classes.values():
+        firsts = [members[0] for members in group.values()]
+        solved = _solve_group(grid, masks[firsts[0]], kappa, h_loc,
+                              {elem: problems[elem] for elem in firsts})
+        for first, members in zip(firsts, group.values()):
+            solves += len(problems[first].dofs)
+            for elem in members:
+                basis[elem] = (np.array(problems[elem].dofs, dtype=int), solved[first])
+    return basis, len(classes), solves
 
 
 def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
@@ -185,7 +216,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     their right-hand sides as one block: the saddle system
     [[A_ff, C^T], [C, 0]] (u, lambda) = (-A_fd g, c) for a lift of trace g
     and averages c, and (b_f, 0) for the bubble load b, which depends only
-    on the mask.
+    on the mask. Returns element -> read-only nodal values (k, nn).
 
     A_ff is banded (lower bandwidth ny + 1 in the x-slow node order) and
     gets LAPACK's banded Cholesky (`dpbtrf`) straight from the stencil. On
@@ -249,7 +280,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
             raise LocalSolveError(f"local solve diverged on element ({i}, {j})",
                                   kind="element", index=(i, j))
         values[:, free] = sol.T
-        out[(i, j)] = (np.array(prob.dofs, dtype=int), values)
+        out[(i, j)] = _read_only(values)
     return out
 
 
@@ -334,29 +365,38 @@ def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
         warnings.warn(note, ResolutionWarning, stacklevel=3)
     (masks, elem_alive, edge_alive), numbering, problems, bubble_dof, prescribed = \
         _local_problems(method, mesh, perf, fine_n, with_bubbles)
-    basis, factorizations = _local_basis(grid, masks, default_kappa(h_loc), h_loc, problems)
-    empty = (np.array([], dtype=int), np.zeros((0, grid.nn)))
+    basis, factorizations, solves = _local_basis(grid, masks, default_kappa(h_loc), h_loc,
+                                                 problems)
+    empty = (np.array([], dtype=int), _read_only(np.zeros((0, grid.nn))))
     elem_basis = {(i, j): basis.get((i, j), empty) for i in range(mesh.m) for j in range(mesh.m)}
+    stacked = {}   # equal prescribed rows over one shared solution stack once
     for elem, (dofs, values) in prescribed.items():
         solved_dofs, solved = elem_basis[elem]
+        key = (values.tobytes(), id(solved))
+        if key not in stacked:
+            stacked[key] = _read_only(np.vstack([values, solved]))
         elem_basis[elem] = (np.concatenate([np.array(dofs, dtype=int), solved_dofs]),
-                            np.vstack([values, solved]))
+                            stacked[key])
     return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n,
                       with_bubbles=with_bubbles, method=method, elem_alive=elem_alive,
                       edge_alive=edge_alive, masks=masks, elem_basis=elem_basis,
                       n_dofs=len(numbering) + len(bubble_dof), n_edge_dofs=len(numbering),
                       edge_dof=numbering if method == "cr" else {}, bubble_dof=bubble_dof,
                       node_dof={} if method == "cr" else numbering,
-                      solves=sum(len(dofs) for dofs, _ in basis.values()),
+                      solves=solves,
                       factorizations=factorizations)
 
 
 def count_local_solves(mesh: CoarseMesh, perf, fine_n: int, method: str,
                        with_bubbles: bool) -> int:
     """Local right-hand sides that `_build_space` solves, counted without
-    solving; the geometry is classified here as in the build."""
-    problems = _local_problems(method, mesh, perf, fine_n, with_bubbles)[2]
-    return sum(len(prob.dofs) for prob in problems.values())
+    solving: one set per data class, on the geometry classified as in the
+    build."""
+    (masks, _, _), _, problems, _, _ = _local_problems(method, mesh, perf, fine_n,
+                                                       with_bubbles)
+    classes = _solve_classes(square_grid(fine_n), masks, problems)
+    return sum(len(problems[members[0]].dofs)
+               for group in classes.values() for members in group.values())
 
 
 def build_cr_space(mesh: CoarseMesh, perf, fine_n: int,
@@ -384,20 +424,31 @@ class CoarseSolution:
 
 def _stacks(space: MsFEMSpace) -> list:
     """Alive elements stacked by basis count: (element indices (n, 2), dof
-    ids (n, k), basis values (n, k, nn)) per count."""
+    ids (n, k), distinct basis values (d, k, nn), and for each distinct basis
+    the positions of the elements that share it) per count. Elements that
+    share mask and values array share a basis, which is stacked once."""
     by_count = {}
     for elem, (dofs, _) in space.elem_basis.items():
         if len(dofs):
             by_count.setdefault(len(dofs), []).append(elem)
-    return [(np.array(elems), np.array([space.elem_basis[e][0] for e in elems]),
-             np.array([space.elem_basis[e][1] for e in elems]))
-            for elems in by_count.values()]
+    out = []
+    for elems in by_count.values():
+        shared = {}
+        for pos, elem in enumerate(elems):
+            key = (space.masks[elem].tobytes(), id(space.elem_basis[elem][1]))
+            shared.setdefault(key, []).append(pos)
+        groups = [np.array(positions) for positions in shared.values()]
+        out.append((np.array(elems), np.array([space.elem_basis[e][0] for e in elems]),
+                    np.array([space.elem_basis[elems[g[0]]][1] for g in groups]), groups))
+    return out
 
 
 def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
     """Coarse Galerkin solve. The CR space's form and load live on the
     unperforated part of each element; the H1-conforming baselines use the
-    penalized form and the load on the whole square."""
+    penalized form and the load on the whole square. Elements that share
+    mask and basis share one Gram block; loads and reconstructions are per
+    element."""
     mesh = space.mesh
     fn = space.fine_n
     grid = square_grid(fn)
@@ -407,20 +458,24 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
     blocks = []
     b = np.zeros(space.n_dofs)
     stacks = _stacks(space)
-    for elems, dofs, values in stacks:
+    for elems, dofs, bases, groups in stacks:
         mask = space.masks[elems[:, 0], elems[:, 1]]
-        keep = ~mask
-        if space.method == "cr":
-            gram = grid.energy_products(values, keep)
-        else:
-            keep = np.ones_like(keep)
-            gram = grid.energy_products(values, keep) \
-                + space.kappa * grid.l2_products(values, mask, h_loc)
+        keep = ~mask if space.method == "cr" else np.ones_like(mask)
+        first = [g[0] for g in groups]
+        gram = grid.energy_products(bases, keep[first])
+        if space.method != "cr":
+            gram = gram + space.kappa * grid.l2_products(bases, mask[first], h_loc)
+        index = np.empty(len(elems), dtype=int)
+        for k, g in enumerate(groups):
+            index[g] = k
+        blocks.append((dofs, gram[index]))
         cx, cy = grid.cell_centers((elems[:, :1] * mesh.H, elems[:, 1:] * mesh.H), h_loc)
         fc = np.broadcast_to(np.asarray(f(cx, cy), dtype=float), cx.shape)
-        load = values @ load_vector(fc, keep, h_loc)[..., None]
+        loads = load_vector(fc, keep, h_loc)[..., None]
+        load = np.empty(dofs.shape + (1,))
+        for basis, g in zip(bases, groups):
+            load[g] = basis @ loads[g]
         np.add.at(b, dofs.ravel(), load.ravel())
-        blocks.append((dofs, gram))
     K = assemble(blocks, space.n_dofs)
     try:
         coeffs = spla.spsolve(K.tocsc(), b)
@@ -430,9 +485,10 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
         raise AssemblyError("coarse system is singular (non-finite solution)")
 
     recon = np.zeros((mesh.m, mesh.m, fn + 1, fn + 1))
-    for elems, dofs, values in stacks:
-        recon[elems[:, 0], elems[:, 1]] = \
-            (coeffs[dofs][:, None, :] @ values).reshape(-1, fn + 1, fn + 1)
+    for elems, dofs, bases, groups in stacks:
+        for basis, g in zip(bases, groups):
+            recon[elems[g, 0], elems[g, 1]] = \
+                (coeffs[dofs[g]][:, None, :] @ basis).reshape(-1, fn + 1, fn + 1)
     return CoarseSolution(m=mesh.m, fine_n=fn, method=space.method,
                           with_bubbles=space.with_bubbles, dof=space.n_dofs,
                           solves=space.solves, coeffs=coeffs, recon=recon,

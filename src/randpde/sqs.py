@@ -50,8 +50,10 @@ class SqsAuxiliary:
     """Per-offset flux integrals on the working box, and the origin cell's
     integral on an enlarged box of side max(3n, 24) used as a whole-space
     proxy (the gradient of phi decays fast, so periodic truncation there is
-    a documented, testable approximation)."""
+    a documented, testable approximation). `law` is the law they were
+    solved for."""
 
+    law: PerturbedPeriodic
     n: int
     r: int
     i_n: np.ndarray    # (n, n, 2, 2), offset-indexed
@@ -68,7 +70,7 @@ def sqs_auxiliary(law: PerturbedPeriodic, n: int, r: int) -> SqsAuxiliary:
     c0 = a0 + law.eta * c1
     i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
     i_big, s2 = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
-    return SqsAuxiliary(n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=s1 + s2)
+    return SqsAuxiliary(law=law, n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=s1 + s2)
 
 
 def pair_correlation_sums(x: np.ndarray) -> np.ndarray:

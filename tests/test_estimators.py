@@ -172,6 +172,23 @@ def test_sqs_refuses_auxiliary_integrals_of_another_grid(monkeypatch, n, r):
         sqs_estimate(law, n=n, r=r, m_keep=3, seed=2, pool=10, aux=aux)
 
 
+def test_sqs_refuses_auxiliary_integrals_of_another_law(monkeypatch):
+    # same n, r and eta, other phases: ranking with the checkerboard's
+    # integrals would select for the wrong second moment
+    other = PerturbedPeriodic(a_per=[[3.0, 0.5], [0.5, 2.0]], c_per=[[10.0, -1.0], [-1.0, 6.0]],
+                              eta=0.5)
+    aux = sqs_auxiliary(Checkerboard(3, 20), n=4, r=2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("sqs_estimate drew before checking its auxiliary integrals")
+
+    monkeypatch.setattr(estimators, "sqs1_exact_sample", never)
+    with pytest.raises(ParameterError, match="solved for perturbed"):
+        sqs_estimate(other, 4, 2, 3, 0, pool=20, aux=aux)
+    # the law it was solved for, rebuilt, compares equal
+    assert aux.law == Checkerboard(3.0, 20.0) and aux.law != other
+
+
 def test_sqs_exact_reduces_variance():
     law = Checkerboard(3.0, 20.0)
     mc = mc_estimate(law, n=6, r=4, m=80, seed=23)

@@ -11,7 +11,7 @@ from randpde import msfem
 from randpde.errors import GridMismatchError, LocalSolveError, ParameterError, ResolutionWarning
 from randpde.femcore import (SIDES, SquareGrid, load_vector, penalized_band, penalized_operator,
                              square_grid)
-from randpde.grid import KXX, KYY, MASS
+from randpde.grid import KXX, KYY, MASS, assemble
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
                            _local_problems, _solve_group, baseline_solve, build_cr_space,
                            compute_errors, count_local_solves, edge_average_matrix,
@@ -356,11 +356,16 @@ def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):
 def _engine_spaces(geometry, m, fine_n=16):
     """The local-engine builds (cr with and without bubbles and its view,
     linear, q1 bubbles) on one test geometry at H = 1/m."""
-    perf = {"shifted_discs": lambda: build_perforations(
+    perf = {"discs": lambda: build_perforations(
+                "periodic_discs", epsilon=0.2, radius_factor=0.2),
+            "shifted_discs": lambda: build_perforations(
                 "shifted_periodic_discs", epsilon=0.2, radius_factor=0.2),
             "rectangles": lambda: build_perforations(
                 "random_rectangles", count=8, width_range=(0.05, 0.15),
                 height_range=(0.05, 0.15), seed=11),
+            # element (2, 2) at H = 1/5 covered, its four neighbours open:
+            # one mask, each with another dead edge
+            "dead": lambda: RandomRectangles(rects=((0.5, 0.5, 0.201, 0.201),)),
             "cloud": lambda: build_perforations(   # criterion 8's rectangles
                 "random_rectangles", count=100, width_range=(0.02, 0.05),
                 height_range=(0.02, 0.05), seed=2026)}[geometry]()
@@ -382,22 +387,71 @@ def _local_rows(space):
             yield elem, dofs, values
 
 
-@pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
+@pytest.mark.parametrize("geometry", ["discs", "rectangles", "shifted_discs", "dead", "cloud"])
 def test_local_engine_groups_bitwise(geometry):
-    # a grouped build gives the bits of one-member groups: sharing a
-    # factorization changes nothing but the count
-    cr, _, cr_plain, linear, q1 = _engine_spaces(geometry, 5)
+    # every element's basis has the bits of a one-member group solve of that
+    # element alone: sharing a factorization, or one solution between the
+    # elements of a data class, changes nothing but the counts
+    cr, _, cr_plain, linear, q1 = _engine_spaces(geometry, 16 if geometry == "cloud" else 5)
     for space in (cr, cr_plain, linear, q1):
-        # some local problems repeat, so the grouping is exercised
-        assert space.factorizations < len(space.bubble_dof or space.elem_basis)
         grid = square_grid(space.fine_n)
         problems = _local_problems(space.method, space.mesh, space.perf, space.fine_n,
                                    space.with_bubbles)[2]
+        # some local problems repeat, so the grouping and the sharing are exercised
+        assert space.factorizations < len(space.bubble_dof or space.elem_basis)
+        assert space.solves < sum(len(prob.dofs) for prob in problems.values())
         for elem, dofs, values in _local_rows(space):
             alone = _solve_group(grid, space.masks[elem], space.kappa, space.h_loc,
                                  {elem: problems[elem]})[elem]
-            assert np.array_equal(alone[0][-len(dofs):], dofs)
-            assert np.array_equal(alone[1][-len(dofs):], values), (space.method, elem)
+            # a shared solution still carries each element's own dof ids
+            assert np.array_equal(np.array(problems[elem].dofs, dtype=int)[-len(dofs):], dofs), \
+                (space.method, elem)
+            assert np.array_equal(alone[-len(dofs):], values), (space.method, elem)
+
+
+@pytest.mark.parametrize("geometry", ["discs", "shifted_discs", "dead", "cloud"])
+def test_coarse_matrix_matches_per_element_grams(geometry):
+    # one Gram per distinct (mask, basis) gives the bits of the per-element
+    # products over every element, assembled in the same order: by basis
+    # count, elements in mesh order within a count
+    spaces = _engine_spaces(geometry, 16 if geometry == "cloud" else 5)
+    # coarse Q1 without bubbles: every element shares one row of hats per
+    # corner set, whatever its mask
+    q1 = spaces[-1]
+    for space in spaces + [_build_space("q1", q1.mesh, q1.perf, q1.fine_n, False)]:
+        grid = square_grid(space.fine_n)
+        by_count = {}
+        for elem, (dofs, values) in space.elem_basis.items():
+            if not len(dofs):
+                continue
+            mask = space.masks[elem]
+            if space.method == "cr":
+                gram = grid.energy_products(values, ~mask)
+            else:
+                gram = grid.energy_products(values, np.ones_like(mask)) \
+                    + space.kappa * grid.l2_products(values, mask, space.h_loc)
+            by_count.setdefault(len(dofs), []).append((dofs, gram))
+        expected = assemble([(np.array([d for d, _ in rows]), np.array([g for _, g in rows]))
+                             for rows in by_count.values()], space.n_dofs)
+        K = msfem_solve(space, f_one).coarse_matrix
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(K, name), getattr(expected, name)), \
+                (space.method, name)
+
+
+def test_shared_bases_are_read_only():
+    # interior elements of the unshifted lattice pose one local problem and
+    # share its values, so no element's basis can be written in place
+    cr, bare, _, linear, q1 = _engine_spaces("discs", 5)
+    for space in (cr, bare, linear, q1):
+        assert space.elem_basis[(1, 1)][1] is space.elem_basis[(2, 3)][1], space.method
+        for dofs, values in space.elem_basis.values():
+            assert not values.flags.writeable
+        values = space.elem_basis[(2, 2)][1]
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            values *= 2.0
 
 
 @pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
@@ -508,12 +562,15 @@ def test_local_engine_counts_factorizations_apart_from_solves():
     linear = _build_space("linear", CoarseMesh(5), discs, 32, True)
     q1 = _build_space("q1", CoarseMesh(5), discs, 32, True)
     assert (cr.factorizations, linear.factorizations, q1.factorizations) == (9, 1, 1)
-    # every alive element solves one right-hand side per basis function
-    assert (cr.solves, linear.solves, q1.solves) == (105, 89, 25)
+    # one right-hand side per basis function of each distinct local problem:
+    # on the lattice most elements repeat one of a few problems (105, 89 and
+    # 25 right-hand sides without the sharing)
+    assert (cr.solves, linear.solves, q1.solves) == (33, 25, 1)
     cr = build_cr_space(CoarseMesh(16), rects, 32)
     linear = _build_space("linear", CoarseMesh(16), rects, 32, True)
     assert (cr.factorizations, linear.factorizations) == (168, 162)
-    assert (cr.solves, linear.solves) == (1216, 1156)
+    # among the rectangles only the unperforated elements repeat (1216 and 1156)
+    assert (cr.solves, linear.solves) == (793, 750)
 
 
 def _loop_geometry(mesh, perf, fine_n):
