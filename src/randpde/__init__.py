@@ -17,7 +17,7 @@ from .fields import (Checkerboard, CoefficientField, Configuration,
                      PerturbedPeriodic, antithetic_transform, realize_field,
                      sample_configuration, sqs1_exact_sample)
 from .correctors import (CorrectorSolution, check_voigt_reuss, energy_tensor,
-                         homogenize, homogenized_tensor, solve_corrector)
+                         homogenize)
 from .defects import DefectCoefficients, defect_coefficients
 from .sqs import SqsAuxiliary, sqs_auxiliary, sqs_condition_values
 from .estimators import (ComparisonTable, EstimatorReport, antithetic_estimate,
@@ -34,7 +34,6 @@ __all__ = [
     "Checkerboard", "CoefficientField", "Configuration", "PerturbedPeriodic",
     "antithetic_transform", "realize_field", "sample_configuration", "sqs1_exact_sample",
     "CorrectorSolution", "check_voigt_reuss", "energy_tensor", "homogenize",
-    "homogenized_tensor", "solve_corrector",
     "DefectCoefficients", "defect_coefficients",
     "SqsAuxiliary", "sqs_auxiliary", "sqs_condition_values",
     "ComparisonTable", "EstimatorReport", "antithetic_estimate",

@@ -1,9 +1,10 @@
 """Periodic corrector problems and the homogenized tensor on the truncated box.
 
-For a coefficient field A on the periodic n x n box and a direction p, the
-corrector w_p solves -div[A (p + grad w_p)] = 0 with periodic boundary
-conditions and zero mean. Averaging the flux A (e_j + grad w_j) over the box
-yields the (random, truncated) homogenized tensor, read off the solve's loads.
+For a coefficient field A on the periodic n x n box and each canonical
+direction e_j, the corrector w_j solves -div[A (e_j + grad w_j)] = 0 with
+periodic boundary conditions and zero mean. Averaging the flux
+A (e_j + grad w_j) over the box yields the (random, truncated) homogenized
+tensor, read off the solve's loads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ E2 = np.array([0.0, 1.0])
 
 @dataclass(frozen=True)
 class CorrectorSolution:
-    """Nodal values of one corrector on the periodic fine grid (mean zero)."""
+    """Nodal values of the corrector in the direction p (E1 or E2) on the
+    periodic fine grid (mean zero)."""
 
     n: int
     r: int
@@ -33,10 +35,8 @@ class CorrectorSolution:
     method: str = "cg"
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
         values = np.asarray(self.values, dtype=float)
         values.flags.writeable = False
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", values)
 
 
@@ -45,9 +45,9 @@ class CorrectorSolution:
 CHUNK_DOFS = 1 << 14
 
 
-def _solve_stack(cells: np.ndarray, directions, r: int, tol: float, method: str):
-    """The loads and correctors, each (k, J, ndof), of a (k, n, n, 2, 2) stack
-    of cells in J directions, and per stack row the tuple of its J
+def _solve_stack(cells: np.ndarray, r: int, tol: float, method: str):
+    """The loads and correctors, each (k, 2, ndof), of a (k, n, n, 2, 2) stack
+    of cells in the directions e_1 and e_2, and per stack row the pair of its
     `CorrectorSolution`s: one block-diagonal assembly, then per direction one
     PCG preconditioned by the FFT inverse of each field's mean constant
     medium (its iterations do not grow with the grid) or, for one field, LU."""
@@ -58,58 +58,29 @@ def _solve_stack(cells: np.ndarray, directions, r: int, tol: float, method: str)
     K = grid.assemble_stiffness(cells)
     precondition = grid.constant_medium_solver(cells.mean(axis=(1, 2)))
     factorization = pinned_factorization(K) if method == "direct" else None
-    loads = [grid.corrector_rhs(cells, p) for p in directions]
+    loads = [grid.corrector_rhs(cells, p) for p in (E1, E2)]
     solved = [solve_singular_system(K, b, tol=tol, method=method, preconditioner=precondition,
                                     factorization=factorization) for b in loads]
     ws, iterations, residuals = (np.stack(out, axis=1) for out in zip(*solved))
     solutions = [tuple(CorrectorSolution(n=n, r=r, p=p, values=ws[row, j],
                                          iterations=int(iterations[row, j]),
                                          residual=float(residuals[row, j]), method=method)
-                       for j, p in enumerate(directions))
+                       for j, p in enumerate((E1, E2)))
                  for row in range(len(cells))]
     return np.stack(loads, axis=1), ws, solutions
 
 
-def _flux_tensors(cells: np.ndarray, loads: np.ndarray, ws: np.ndarray, directions) -> np.ndarray:
-    """(k, 2, J) tensors of a (k, n, n, 2, 2) stack of cells: column j is
-    (1/|Q_N|) int A (p_j + grad w_j) for the correctors ws (k, J, ndof).
+def _flux_tensors(cells: np.ndarray, loads: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """(k, 2, 2) tensors of a (k, n, n, 2, 2) stack of cells: column j is
+    (1/|Q_N|) int A (e_j + grad w_j) for the correctors ws (k, 2, ndof).
 
     With b_i the load of e_i (loads is (k, 2, ndof)), a Q1 corrector w has
-    int e_i.A grad w = -b_i.w for symmetric A, so column j is
-    <A> p_j - (b_i.w_j) / n^2. `np.vecdot` takes each row's dot products
+    int e_i.A grad w = -b_i.w for symmetric A, so entry (i, j) is
+    <A>_ij - (b_i.w_j) / n^2. `np.vecdot` takes each row's dot products
     alone, so a row's bits do not depend on the stack it is solved in.
     """
     flux = np.vecdot(loads[:, :, None], ws[:, None])
-    return cells.mean(axis=(1, 2)) @ np.transpose(directions) - flux / cells.shape[1] ** 2
-
-
-def solve_corrector(field: CoefficientField, p, r: int, tol: float = 1e-9,
-                    method: str = "cg") -> CorrectorSolution:
-    """Galerkin solution of the periodic corrector problem for direction p,
-    by FFT-preconditioned CG or, with "direct", one LU factorization."""
-    _, _, ((w,),) = _solve_stack(field.cells[None], (p,), r, tol, method)
-    return w
-
-
-def homogenized_tensor(field: CoefficientField, correctors) -> np.ndarray:
-    """Volume-averaged flux tensor: column j is (1/|Q_N|) int A (p_j + grad w_j).
-
-    The correctors must have been solved on the same grid as the field; the
-    usual call passes the two canonical directions e_1, e_2 so the result is
-    the full 2x2 homogenized tensor.
-    """
-    correctors = list(correctors)
-    if not correctors:
-        raise ParameterError("need at least one corrector")
-    r = correctors[0].r
-    for w in correctors:
-        if w.n != field.n or w.r != r:
-            raise GridMismatchError(
-                f"corrector grid ({w.n}, {w.r}) does not match field ({field.n}, {r})")
-    grid = periodic_grid(field.n, r)
-    loads = np.stack([grid.corrector_rhs(field.cells, p) for p in (E1, E2)])[None]
-    ws = np.stack([w.values for w in correctors])[None]
-    return _flux_tensors(field.cells[None], loads, ws, [w.p for w in correctors])[0]
+    return cells.mean(axis=(1, 2)) - flux / cells.shape[1] ** 2
 
 
 def energy_tensor(field: CoefficientField, correctors) -> np.ndarray:
@@ -142,8 +113,8 @@ def homogenize_fields(fields, r: int, tol: float = 1e-9, method: str = "cg"):
     chunk = 1 if method == "direct" or not fields else max(1, CHUNK_DOFS // (fields[0].n * r) ** 2)
     for start in range(0, len(fields), chunk):
         cells = np.stack([f.cells for f in fields[start:start + chunk]])
-        loads, ws, solutions = _solve_stack(cells, (E1, E2), r, tol, method)
-        yield from zip(_flux_tensors(cells, loads, ws, (E1, E2)), solutions)
+        loads, ws, solutions = _solve_stack(cells, r, tol, method)
+        yield from zip(_flux_tensors(cells, loads, ws), solutions)
 
 
 def homogenize(field: CoefficientField, r: int, tol: float = 1e-9,

@@ -15,7 +15,7 @@ import json
 import math
 import resource
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,10 @@ from .msfem import (CoarseMesh, baseline_solve, build_cr_space, compute_errors,
                     count_local_solves, msfem_solve)
 from .perforations import build_perforations
 from .poisson import reference_solve, under_resolution
-from .sqs import sqs_auxiliary
+from .sqs import AUX_SOLVES, sqs_auxiliary
 from .svgplot import svg_heatmap, svg_line_plot
 
-KINDS = ("homogenize", "vr-compare", "msfem", "msfem-robustness")
+KINDS = ("vr-compare", "msfem", "msfem-robustness")
 STRATEGIES = ("mc", "antithetic", "cv1", "cv2", "sqs1", "sqs2")
 MSFEM_METHODS = ("cr", "linear", "q1")
 GEOMETRIES = ("none", "periodic_discs", "shifted_periodic_discs", "random_rectangles")
@@ -208,7 +208,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("experiment.threads must be 1: runs are single-threaded")
     cfg = ExperimentConfig(**exp)
 
-    if cfg.kind in ("homogenize", "vr-compare"):
+    if cfg.kind == "vr-compare":
         if "law" not in parser:
             raise ConfigError(f"{cfg.kind} needs a [law] section")
         lkind = _one_of(_SCHEMA["law"])(parser["law"].get("kind", ""), "law.kind")
@@ -217,10 +217,7 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"key law.{key} does not apply to law.kind = {lkind}")
         cfg.law = {"kind": lkind, **_read(parser, "law", _SCHEMA["law"][lkind])}
         est = cfg.estimate = _read(parser, "estimate", _SCHEMA["estimate"])
-        if cfg.kind == "homogenize" and est["strategies"] != ["mc"]:
-            raise ConfigError(f"estimate.strategies must be mc for kind = homogenize, "
-                              f"got {', '.join(est['strategies'])}")
-        if cfg.kind == "vr-compare" and "mc" not in est["strategies"]:
+        if "mc" not in est["strategies"]:
             raise ConfigError("vr-compare needs the mc baseline in estimate.strategies")
         if any(n < 1 for n in est["n"]):
             raise ConfigError("estimate.n entries must be >= 1")
@@ -307,11 +304,11 @@ def _msfem_grids(cfg: ExperimentConfig):
 def validate(cfg: ExperimentConfig) -> dict:
     """Static validation and cost estimate; never solves anything.
 
-    ``estimated_pde_solves`` is exact. For the estimator kinds it counts,
-    per box size, two solves per distinct configuration: the m i.i.d. draws
-    that mc, antithetic, cv1 and cv2 share, the m antithetic flips and the m
+    ``estimated_pde_solves`` is exact. For vr-compare it counts, per box
+    size, two solves per distinct configuration: the m i.i.d. draws that mc,
+    antithetic, cv1 and cv2 share, the m antithetic flips and the m
     configurations of each SQS strategy; plus the defect solves shared by cv1
-    and cv2 and the 4 selection solves of sqs2. For the MsFEM
+    and cv2 and the AUX_SOLVES selection solves of sqs2. For the MsFEM
     kinds it counts one reference solve per geometry plus the local solves of
     every (geometry, level, method), taken from the same local problems the
     space builder solves, on the geometry classified the same way. An SQS
@@ -324,7 +321,7 @@ def validate(cfg: ExperimentConfig) -> dict:
     notes: list[str] = []
     solves = 0
     try:
-        if cfg.kind in ("homogenize", "vr-compare"):
+        if cfg.kind == "vr-compare":
             law = _build_law(cfg)
             est = cfg.estimate
             strategies = set(est["strategies"])
@@ -338,7 +335,7 @@ def validate(cfg: ExperimentConfig) -> dict:
                 if "cv1" in strategies or "cv2" in strategies:
                     solves += defect_solve_count(law, n, 2 if "cv2" in strategies else 1)
                 if "sqs2" in strategies:
-                    solves += 4  # two directions on the working and the enlarged box
+                    solves += AUX_SOLVES
                 if "sqs1" in strategies or "sqs2" in strategies:
                     balanced_ones(n, law.eta)  # raises when SQS cannot sample
         else:
@@ -530,7 +527,7 @@ def run(cfg: ExperimentConfig, out_override=None, seed_override=None) -> RunArch
     failure). A config that `validate` rejects raises ConfigError before
     anything is written."""
     if seed_override is not None:
-        cfg.seed = seed_override
+        cfg = replace(cfg, seed=seed_override)
     diag = validate(cfg)
     if diag["problems"]:
         raise ConfigError("; ".join(diag["problems"]))
@@ -541,7 +538,7 @@ def run(cfg: ExperimentConfig, out_override=None, seed_override=None) -> RunArch
                 "status": "ok", "warnings": list(diag["notes"]), "files": {},
                 "estimated_pde_solves": diag["estimated_pde_solves"]}
     try:
-        if cfg.kind in ("homogenize", "vr-compare"):
+        if cfg.kind == "vr-compare":
             manifest["warnings"].extend(_run_estimators(cfg, out))
         else:
             _run_msfem(cfg, out)

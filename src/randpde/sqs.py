@@ -22,16 +22,19 @@ from .errors import GridMismatchError
 from .fields import PerturbedPeriodic
 from .grid import periodic_grid
 
+# FFT solves of one `sqs_auxiliary`: e_1 and e_2 on the working box and on the
+# enlarged box.
+AUX_SOLVES = 2 * 2
+
 # Configurations that `sqs_condition_values` ranks per stacked FFT: a pool of
 # thousands is ranked in blocks, so its transforms stay a few hundred kB.
 RANK_BLOCK = 256
 
 
-def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
-                         r: int) -> tuple[np.ndarray, int]:
+def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int, r: int) -> np.ndarray:
     """I[j] = int_{Q+j} C1 grad phi_p for p = e1, e2, as an (n, n, 2, 2) array
-    with columns indexed by the direction p; plus the solve count. The
-    constant-medium problems are solved exactly by FFT."""
+    with columns indexed by the direction p. The constant-medium problems are
+    solved exactly by FFT, one per direction."""
     grid = periodic_grid(n, r)
     solve = grid.constant_medium_solver(c0)
     origin_c1 = np.zeros((n, n, 2, 2))
@@ -42,7 +45,7 @@ def _cell_flux_integrals(c0: np.ndarray, c1: np.ndarray, n: int,
         flux = grid.element_gradient_integrals(phi) @ c1.T  # C1 grad phi per element
         for row in range(2):  # every cell has elements, so bincount gives n * n sums
             out[:, row, col] = np.bincount(grid.cell_of_element, weights=flux[:, row])
-    return out.reshape(n, n, 2, 2), 2  # one FFT solve per direction
+    return out.reshape(n, n, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,9 @@ def sqs_auxiliary(law: PerturbedPeriodic, n: int, r: int) -> SqsAuxiliary:
     a0, a1 = law.phase_matrices()
     c1 = a1 - a0
     c0 = a0 + law.eta * c1
-    i_n, s1 = _cell_flux_integrals(c0, c1, n, r)
-    i_big, s2 = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
-    return SqsAuxiliary(law=law, n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=s1 + s2)
+    i_n = _cell_flux_integrals(c0, c1, n, r)
+    i_big = _cell_flux_integrals(c0, c1, max(3 * n, 24), r)
+    return SqsAuxiliary(law=law, n=n, r=r, i_n=i_n, i_inf=i_big[0, 0].copy(), solves=AUX_SOLVES)
 
 
 def pair_correlation_sums(x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from randpde import (Checkerboard, CoarseMesh, PerturbedPeriodic,
                      build_perforations, check_voigt_reuss, compare_strategies,
                      compute_errors, control_variate_estimate, defect_coefficients,
                      homogenize, mc_estimate, msfem_solve, realize_field,
-                     reference_solve, sample_configuration, solve_corrector,
-                     sqs_auxiliary, sqs_estimate)
+                     reference_solve, sample_configuration, sqs_auxiliary,
+                     sqs_estimate)
 from randpde.correctors import E1
 from randpde.estimators import write_reports_csv
 from randpde.fields import CoefficientField
@@ -345,7 +345,7 @@ def test_criterion_9_invariants(table_runs, tmp_path):
     # Galerkin residual of a corrector solve, against every basis function
     law = Checkerboard(3.0, 20.0)
     fld = realize_field(law, sample_configuration(law, 10, SEED, 0))
-    w = solve_corrector(fld, E1, r=8, tol=1e-9)
+    w = homogenize(fld, r=8, tol=1e-9)[1][0]
     from randpde.grid import periodic_grid
     grid = periodic_grid(10, 8)
     K = grid.assemble_stiffness(fld.cells)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randpde.correctors import (E1, E2, check_voigt_reuss, energy_tensor,
-                                homogenize, homogenized_tensor, solve_corrector)
+                                homogenize, homogenize_fields)
 from randpde.errors import GridMismatchError, ResolutionWarning, SolverError
 from randpde.fields import Checkerboard, CoefficientField, realize_field, sample_configuration
 
@@ -32,7 +32,7 @@ def harmonic_mean(values):
 
 def test_constant_field_corrector_vanishes():
     f = constant_field(3, 5.0)
-    w = solve_corrector(f, E1, r=4)
+    w = homogenize(f, r=4)[1][0]
     assert np.max(np.abs(w.values)) <= 1e-10
 
 
@@ -44,7 +44,7 @@ def test_constant_field_tensor_identity():
 
 def test_laminate_orthogonal_direction_trivial():
     f = laminate_field([3.0, 20.0, 3.0, 20.0])
-    w = solve_corrector(f, E2, r=4)
+    w = homogenize(f, r=4)[1][1]
     assert np.max(np.abs(w.values)) <= 1e-10
 
 
@@ -128,12 +128,10 @@ def test_fft_pcg_matches_direct_on_anisotropic_field():
     lower = rng.uniform(-1.5, 1.5, size=(n, n, 2, 2)) * np.tril(np.ones((2, 2)))
     cells = lower @ np.swapaxes(lower, -1, -2) + 0.5 * ID
     f = CoefficientField(n=n, cells=cells)
-    for p in (E1, E2, np.array([0.6, -0.8])):
-        w_cg = solve_corrector(f, p, r=4, tol=1e-12)
-        w_dir = solve_corrector(f, p, r=4, method="direct")
+    a_cg, ws_cg = homogenize(f, r=4, tol=1e-12)
+    a_dir, ws_dir = homogenize(f, r=4, method="direct")
+    for w_cg, w_dir in zip(ws_cg, ws_dir):
         assert np.max(np.abs(w_cg.values - w_dir.values)) <= 1e-8
-    a_cg = homogenize(f, r=4, tol=1e-12)[0]
-    a_dir = homogenize(f, r=4, method="direct")[0]
     assert np.max(np.abs(a_cg - a_dir)) <= 1e-8
 
 
@@ -169,7 +167,7 @@ def test_solver_error_carries_diagnostics(monkeypatch):
     f = realize_field(law, sample_configuration(law, 8, seed=2, index=0))
     for module in (grid, poisson):
         monkeypatch.setattr(module, "cg_spd", partial(cg_spd, maxiter=3))
-    legs = (lambda: solve_corrector(f, E1, r=8),
+    legs = (lambda: homogenize(f, r=8),
             lambda: poisson.reference_solve(NoPerforations(), lambda x, y: np.ones_like(x), 64))
     for leg in legs:
         with pytest.raises(SolverError) as err:
@@ -182,7 +180,7 @@ def test_galerkin_residual_below_tolerance():
     from randpde.grid import periodic_grid
     law = Checkerboard(3.0, 20.0)
     f = realize_field(law, sample_configuration(law, 6, seed=6, index=0))
-    w = solve_corrector(f, E1, r=4, tol=1e-9)
+    w = homogenize(f, r=4, tol=1e-9)[1][0]
     grid = periodic_grid(6, 4)
     K = grid.assemble_stiffness(f.cells)
     b = grid.corrector_rhs(f.cells, E1)
@@ -211,18 +209,18 @@ def test_tensor_from_loads_matches_element_flux(n, r):
     for f in fields:
         tensor, ws = homogenize(f, r)
         oracle = np.stack([element_flux(f.cells, w, r) for w in ws], axis=1)
-        w = solve_corrector(f, np.array([0.3, -1.7]), r)
-        for got, want in ((tensor, oracle), (homogenized_tensor(f, ws), oracle),
-                          (homogenized_tensor(f, (w,))[:, 0], element_flux(f.cells, w, r))):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+        assert np.max(np.abs(tensor - oracle)) <= 1e-13 * np.abs(oracle).max()
 
 
-def test_grid_mismatch_rejected():
-    f6 = constant_field(6, 5.0)
-    f4 = constant_field(4, 5.0)
-    w = solve_corrector(f6, E1, r=2)
+def test_homogenize_fields_rejects_mixed_box_sizes(monkeypatch):
+    # one batch shares one grid: fields of two box sizes are refused before
+    # anything is solved
+    from randpde import correctors
+    calls = []
+    monkeypatch.setattr(correctors, "_solve_stack", lambda *args: calls.append(args))
     with pytest.raises(GridMismatchError):
-        homogenized_tensor(f4, (w,))
+        next(homogenize_fields([constant_field(4, 5.0), constant_field(6, 5.0)], r=2))
+    assert not calls
 
 
 @pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (6, 8), (10, 8), (20, 4)])

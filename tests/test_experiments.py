@@ -122,9 +122,9 @@ def test_validate_estimate_matches_solves_made(tmp_path, monkeypatch):
     rows, aux = [], []
     solve_stack, sqs_auxiliary = correctors._solve_stack, experiments.sqs_auxiliary
 
-    def counted_stack(cells, directions, *args):
-        rows.append(len(cells) * len(directions))
-        return solve_stack(cells, directions, *args)
+    def counted_stack(cells, *args):
+        rows.append(2 * len(cells))  # the correctors in e_1 and e_2
+        return solve_stack(cells, *args)
 
     def counted_aux(*args, **kwargs):
         result = sqs_auxiliary(*args, **kwargs)
@@ -250,9 +250,7 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (CV_CONFIG.replace("n = 4, 6", "n = 1, 4"), "estimate.n"),
     (VR_CONFIG.replace("beta = 20.0", "beta = 20.0\neta = 0.9"), "law.eta"),
     (CV_CONFIG.replace("eta = 0.5", "eta = 0.5\nalpha = 2"), "law.alpha"),
-    (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize"), "estimate.strategies"),
-    (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize")
-     .replace("mc, antithetic", "sqs1"), "estimate.strategies"),
+    (VR_CONFIG.replace("kind = vr-compare", "kind = homogenize"), "experiment.kind"),
     (VR_CONFIG.replace("seed = 11", "seed = nan"), "experiment.seed"),
     (VR_CONFIG.replace("r = 2", "r = -inf"), "estimate.r"),
     (MSFEM_CONFIG.replace("fine_n = 8", "fine_n = 0"), "msfem.fine_n"),
@@ -267,7 +265,7 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (VR_CONFIG.replace("n = 3, 4", "n = 3, 4, 3"), "estimate.n"),
     (MSFEM_CONFIG.replace("h = 1/4", "h = 1/4, 0.25"), "msfem.h, msfem.fine_n"),
 ], ids=["m-1", "r-0", "sqs2-pool-below-m", "cv-n-1",
-        "checkerboard-eta", "perturbed-alpha", "homogenize-antithetic", "homogenize-sqs1",
+        "checkerboard-eta", "perturbed-alpha", "kind-homogenize",
         "seed-nan", "r-minus-inf", "fine_n-0", "fine_n-minus-4", "fine_n-1-none",
         "fine_n-1-discs", "reference_n-minus-32", "n-empty", "h-empty",
         "strategies-repeated", "methods-repeated", "n-repeated", "level-repeated"])
@@ -275,9 +273,10 @@ def test_configs_that_run_cannot_solve_fail_validation(tmp_path, text, key):
     # each of these once went wrong after parsing:
     # - up to sqs2-pool-below-m, and cv-n-1, fine_n-1-*, reference_n-minus-32
     #   and h-empty passed `validate`, then failed in `run` as a solver error;
-    # - checkerboard-eta to homogenize-sqs1 ran something else than the
-    #   config states: a key of the other law kind was dropped and a
-    #   homogenize run's strategies replaced by mc;
+    # - checkerboard-eta and perturbed-alpha ran something else than the
+    #   config states: a key of the other law kind was dropped;
+    # - kind-homogenize names a kind that is gone: vr-compare with
+    #   strategies = mc runs that experiment;
     # - seed-nan, r-minus-inf and fine_n-0 or -4 left `validate` with a
     #   traceback, and n-empty passed it and left `run` with one;
     # - strategies-repeated, methods-repeated, n-repeated and level-repeated
@@ -483,14 +482,26 @@ def test_threads_key_accepts_only_one(tmp_path, capsys):
 
 
 def test_run_homogenize_kind(tmp_path):
-    text = VR_CONFIG.replace("kind = vr-compare", "kind = homogenize")
-    text = text.replace("strategies = mc, antithetic", "strategies = mc")
+    # plain Monte Carlo alone is vr-compare with strategies = mc
+    text = VR_CONFIG.replace("strategies = mc, antithetic", "strategies = mc")
     cfg = parse_config(write_config(tmp_path, text))
     archive = run(cfg, out_override=tmp_path / "h")
     assert archive.status == "ok"
     rows = (tmp_path / "h" / "reports.csv").read_text().splitlines()
     assert all(line.startswith("mc,") for line in rows[1:])
     assert not (tmp_path / "h" / "comparison.csv").exists()
+
+
+def test_seed_override_leaves_the_config_unchanged(tmp_path):
+    # the override holds for one run: a later run of the same config is
+    # back on the config's own seed
+    text = VR_CONFIG.replace("strategies = mc, antithetic", "strategies = mc")
+    cfg = parse_config(write_config(tmp_path, text))
+    overridden = run(cfg, out_override=tmp_path / "s5", seed_override=5)
+    assert cfg.seed == 11
+    snapshot = json.loads((tmp_path / "s5" / "config_snapshot.json").read_text())
+    assert snapshot["experiment"]["seed"] == overridden.manifest["seed"] == 5
+    assert run(cfg, out_override=tmp_path / "s11").manifest["seed"] == 11
 
 
 ROBUST_CONFIG = """

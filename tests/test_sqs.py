@@ -36,15 +36,15 @@ def test_auxiliary_reads_its_media_off_the_law(law, c0, c1):
     # the law's mean medium and phase difference are the (c0, c1) that
     # callers once passed by hand, bit for bit
     aux = sqs_auxiliary(law, n=4, r=2)
-    i_n, _ = _cell_flux_integrals(c0, c1, 4, 2)
-    i_big, _ = _cell_flux_integrals(c0, c1, 24, 2)
+    i_n = _cell_flux_integrals(c0, c1, 4, 2)
+    i_big = _cell_flux_integrals(c0, c1, 24, 2)
     assert np.array_equal(aux.i_n, i_n)
     assert np.array_equal(aux.i_inf, i_big[0, 0])
     assert aux.solves == 4
 
 
 def test_source_shift_translates_integrals():
-    i0, _ = _cell_flux_integrals(11.5 * ID, 17.0 * ID, 5, 4)
+    i0 = _cell_flux_integrals(11.5 * ID, 17.0 * ID, 5, 4)
     # solving with the source moved to cell (2, 1) must shift the integrals;
     # the shifted problems use Jacobi CG, independent of the FFT solve above
     from randpde.grid import periodic_grid, solve_singular_system, GX, GY
