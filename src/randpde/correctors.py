@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .fields import CoefficientField
-from .grid import periodic_grid, pinned_factorization, solve_singular_system
+from .grid import periodic_grid, pinned_factorization, rowdot, solve_singular_system
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -76,10 +76,11 @@ def _flux_tensors(cells: np.ndarray, loads: np.ndarray, ws: np.ndarray) -> np.nd
 
     With b_i the load of e_i (loads is (k, 2, ndof)), a Q1 corrector w has
     int e_i.A grad w = -b_i.w for symmetric A, so entry (i, j) is
-    <A>_ij - (b_i.w_j) / n^2. `np.vecdot` takes each row's dot products
-    alone, so a row's bits do not depend on the stack it is solved in.
+    <A>_ij - (b_i.w_j) / n^2. `rowdot` takes each row's dot products
+    alone, so a row's bits do not depend on the stack it is solved in, nor
+    on the BLAS thread count.
     """
-    flux = np.vecdot(loads[:, :, None], ws[:, None])
+    flux = rowdot(loads[:, :, None], ws[:, None])
     return cells.mean(axis=(1, 2)) - flux / cells.shape[1] ** 2
 
 

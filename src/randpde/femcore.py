@@ -2,10 +2,13 @@
 multiscale basis constructions: connectivity, trace rows, free-node masks
 and masked energy products on an fn x fn cell grid; the one builder of the
 penalized operator's free-node blocks, written as a 9-point stencil with
-per-cell penalty weights, in CSR (`penalized_operator`) or, for the banded
-Cholesky of the local problems, in LAPACK band storage (`penalized_band`);
-the one Q1 load builder (`load_vector`); and the Galerkin multigrid V-cycle
-that preconditions the reference solve's CG (`grid.cg_spd`)."""
+per-cell penalty weights, as nine diagonals for the reference solve
+(`penalized_diagonals`) or, for the banded Cholesky of the local problems,
+in LAPACK band storage with the CSR coupling to the Dirichlet nodes
+(`penalized_band`); the one Q1 load builder (`load_vector`); and the
+Galerkin multigrid V-cycle that preconditions the reference solve's CG
+(`grid.cg_spd`), whose levels are nine diagonals too and whose transfers
+run along each grid axis."""
 
 from __future__ import annotations
 
@@ -29,75 +32,33 @@ STENCIL_PAIRS = tuple(tuple((a, b) for a, (ax, ay) in enumerate(CORNERS.tolist()
                       for dx, dy in STENCIL.tolist())
 
 
-def penalized_operator(fn: int, mask: np.ndarray, kappa: float, h: float,
-                       dirichlet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Free-node blocks of the penalized Q1 operator on an fn x fn cell grid:
+def penalized_diagonals(fn: int, mask: np.ndarray, kappa: float, h: float,
+                        dirichlet) -> sp.dia_matrix:
+    """Free block A_ff of the penalized Q1 operator on an fn x fn cell grid:
     the Laplace stiffness plus kappa int_{masked cells} u v (the exact Q1
-    mass), on the nodes off the `dirichlet` sides. Returns (A_ff, A_fd), the
-    free block and its coupling to the Dirichlet nodes, as CSR with int32
-    indices; rows and columns keep `SquareGrid`'s node order.
-
-    The (rows, 9) stencil layout of `_penalized_stencil` is compressed once
-    to the free neighbours and once to the Dirichlet ones; no full matrix is
-    built."""
-    data, is_free, A_fd = _penalized_stencil(fn, mask, kappa, h, dirichlet)
-    nx, ny = is_free.shape[:2]
-    # a free neighbour's column is its row's plus the slot's offset
-    rows = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny, 1)
-    free_cols = (rows + (STENCIL[:, 0] * ny + STENCIL[:, 1]).astype(np.int32))[is_free]
-    return _stencil_csr(data, is_free, free_cols, nx * ny), A_fd
+    mass), on the nodes off the `dirichlet` sides, rows and columns in
+    `SquareGrid`'s node order. It is returned as a 9-diagonal `dia_matrix`
+    (see `_nine_diagonals`) written slot by slot from the stencil, so a
+    product sums each row in column order, as CSR does, and no column index
+    is stored. The coupling to the Dirichlet nodes is not built; the local
+    problems take it from `penalized_band`."""
+    lo, hi = _free_range(fn, dirichlet)
+    return _nine_diagonals(_stencil_slots(fn, mask, kappa, h, lo, hi),
+                           hi[0] - lo[0], hi[1] - lo[1])
 
 
 def penalized_band(fn: int, mask: np.ndarray, kappa: float, h: float,
                    dirichlet) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The blocks of `penalized_operator`, with A_ff in LAPACK's lower band
+    """The free block of `penalized_diagonals` in LAPACK's lower band
     storage (`band[i - j, j] = A_ff[i, j]` for 0 <= i - j <= ny + 1, ny the
-    free nodes per grid column), ready for `dpbtrf`. In the x-slow node order
-    the stencil's lower slots (dx, dy) = (0, 0), (0, 1), (1, -1), (1, 0),
+    free nodes per grid column), ready for `dpbtrf`, and its coupling A_fd
+    to the Dirichlet nodes as CSR with int32 indices, columns in the
+    Dirichlet nodes' `SquareGrid` order. In the x-slow node order the
+    stencil's lower slots (dx, dy) = (0, 0), (0, 1), (1, -1), (1, 0),
     (1, 1) sit at the band offsets dx ny + dy, so each fills one band row."""
-    data, is_free, A_fd = _penalized_stencil(fn, mask, kappa, h, dirichlet)
-    nx, ny = is_free.shape[:2]
-    band = np.zeros((ny + 2, nx * ny), order="F")   # LAPACK's layout: no copy
-    for k in range(len(STENCIL) // 2, len(STENCIL)):
-        # += since a short column (ny = 1) maps two slots, one always empty,
-        # to one offset
-        band[STENCIL[k, 0] * ny + STENCIL[k, 1]] += \
-            np.where(is_free[..., k], data[..., k], 0.0).ravel()
-    return band, A_fd
-
-
-def _penalized_stencil(fn: int, mask: np.ndarray, kappa: float, h: float,
-                       dirichlet) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-    """The penalized operator's rows at the free nodes as a (nx, ny, 9)
-    stencil layout, the (nx, ny, 9) mask of its slots that reach free nodes,
-    and the CSR coupling A_fd to the Dirichlet nodes.
-
-    Each free node's row is written straight from the stencil: slot (dx, dy)
-    sums KLAP[a, b] over the cells that hold the node as corner a and its
-    neighbour as corner b, then kappa h^2 MASS[a, b] over the masked ones
-    among them, and adds the two sums. All terms of one sum are equal, so
-    the entries are bitwise those of an element-by-element assembly of the
-    Laplacian plus one of the penalty."""
-    lo = (int("W" in dirichlet), int("S" in dirichlet))
-    hi = (fn + 1 - ("E" in dirichlet), fn + 1 - ("N" in dirichlet))
+    lo, hi = _free_range(fn, dirichlet)
     nx, ny = hi[0] - lo[0], hi[1] - lo[1]
-    # cell (cx, cy) sits at [cx + 1, cy + 1]; the padding holds no cell
-    inside = np.zeros((fn + 2, fn + 2))
-    inside[1:-1, 1:-1] = 1.0
-    masked = np.zeros((fn + 2, fn + 2))
-    masked[1:-1, 1:-1] = mask
-    corner_cells = []  # per corner a, the cells holding the free nodes as corner a
-    for cx, cy in CORNERS:
-        cells = (slice(lo[0] + 1 - cx, hi[0] + 1 - cx), slice(lo[1] + 1 - cy, hi[1] + 1 - cy))
-        corner_cells.append((inside[cells], masked[cells]))
-    lap_w, pen_w = KLAP.tolist(), (kappa * h * h * MASS).tolist()
-    data = np.empty((nx, ny, len(STENCIL)))
-    for k, pairs in enumerate(STENCIL_PAIRS):
-        lap = pen = 0.0
-        for a, b in pairs:
-            lap = lap + lap_w[a][b] * corner_cells[a][0]
-            pen = pen + pen_w[a][b] * corner_cells[a][1]
-        data[:, :, k] = lap + pen
+    data = np.stack(list(_stencil_slots(fn, mask, kappa, h, lo, hi)), axis=-1)
 
     # neighbour coordinates per (x, slot) and (y, slot); a slot is kept where
     # both lie on the grid, in the free block where both lie in the free range
@@ -108,22 +69,78 @@ def _penalized_stencil(fn: int, mask: np.ndarray, kappa: float, h: float,
     is_free = free_x[:, None, :] & free_y[None, :, :]
     is_fixed = grid_x[:, None, :] & grid_y[None, :, :] & ~is_free
 
-    # a Dirichlet neighbour's column is its rank among the Dirichlet nodes
+    band = np.zeros((ny + 2, nx * ny), order="F")   # LAPACK's layout: no copy
+    for k in range(len(STENCIL) // 2, len(STENCIL)):
+        # += since a short column (ny = 1) maps two slots, one always empty,
+        # to one offset
+        band[STENCIL[k, 0] * ny + STENCIL[k, 1]] += \
+            np.where(is_free[..., k], data[..., k], 0.0).ravel()
+
+    # a Dirichlet neighbour's column is its rank among the Dirichlet nodes;
+    # a row's kept slots, in slot order, are in column order
     fixed = np.ones((fn + 1, fn + 1), dtype=bool)
     fixed[lo[0]:hi[0], lo[1]:hi[1]] = False
     rank = (np.cumsum(fixed) - 1).astype(np.int32).reshape(fixed.shape)
     x, y, k = np.nonzero(is_fixed)
-    fixed_cols = rank[qx[x, k], qy[y, k]]
-    return data, is_free, _stencil_csr(data, is_fixed, fixed_cols, int(fixed.sum()))
+    indptr = np.zeros(nx * ny + 1, dtype=np.int32)
+    np.cumsum(is_fixed.sum(axis=-1), out=indptr[1:])
+    A_fd = sp.csr_matrix((data[is_fixed], rank[qx[x, k], qy[y, k]], indptr),
+                         shape=(nx * ny, int(fixed.sum())))
+    return band, A_fd
 
 
-def _stencil_csr(data: np.ndarray, keep: np.ndarray, indices: np.ndarray,
-                 ncols: int) -> sp.csr_matrix:
-    """CSR of the kept slots of an (nx, ny, 9) stencil layout, one row per
-    (x, y) in C order; `indices` are the kept slots' columns in that order."""
-    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=-1), out=indptr[1:])
-    return sp.csr_matrix((data[keep], indices, indptr), shape=(len(indptr) - 1, ncols))
+def _free_range(fn: int, dirichlet) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The free nodes' index ranges lo <= (x, y) < hi on the fn x fn grid."""
+    lo = (int("W" in dirichlet), int("S" in dirichlet))
+    hi = (fn + 1 - ("E" in dirichlet), fn + 1 - ("N" in dirichlet))
+    return lo, hi
+
+
+def _stencil_slots(fn: int, mask: np.ndarray, kappa: float, h: float, lo, hi):
+    """The penalized operator's nine stencil slots at the nodes lo <= (x, y)
+    < hi, one (nx, ny) array per slot in STENCIL order, made as they are
+    consumed. A slot whose neighbour is off the grid holds junk.
+
+    Slot (dx, dy) sums KLAP[a, b] over the cells that hold the node as
+    corner a and its neighbour as corner b, then kappa h^2 MASS[a, b] over
+    the masked ones among them, and adds the two sums. All terms of one sum
+    are equal, so the entries are bitwise those of an element-by-element
+    assembly of the Laplacian plus one of the penalty."""
+    # cell (cx, cy) sits at [cx + 1, cy + 1]; the padding holds no cell
+    inside = np.zeros((fn + 2, fn + 2))
+    inside[1:-1, 1:-1] = 1.0
+    masked = np.zeros((fn + 2, fn + 2))
+    masked[1:-1, 1:-1] = mask
+    corner_cells = []  # per corner a, the cells holding the nodes as corner a
+    for cx, cy in CORNERS:
+        cells = (slice(lo[0] + 1 - cx, hi[0] + 1 - cx), slice(lo[1] + 1 - cy, hi[1] + 1 - cy))
+        corner_cells.append((inside[cells], masked[cells]))
+    lap_w, pen_w = KLAP.tolist(), (kappa * h * h * MASS).tolist()
+    for pairs in STENCIL_PAIRS:
+        lap = pen = 0.0
+        for a, b in pairs:
+            lap = lap + lap_w[a][b] * corner_cells[a][0]
+            pen = pen + pen_w[a][b] * corner_cells[a][1]
+        yield lap + pen
+
+
+def _nine_diagonals(slots, nx: int, ny: int) -> sp.dia_matrix:
+    """The matrix on an nx x ny node grid (x index slow) whose row (x, y)
+    holds slots[k][x, y] in the column of its neighbour (x + dx, y + dy),
+    for the nine STENCIL slots (dx, dy); slots whose neighbour is off the
+    grid are dropped. Slot (dx, dy) lies on the diagonal dx ny + dy, so the
+    offsets ascend in slot order (for ny >= 3; a shorter column puts two
+    slots, never both on the grid, on one diagonal).
+
+    `dia_matrix` stores a diagonal by column, and a column is the
+    neighbour, so each slot is written as one shifted 2-D slice."""
+    offsets, diagonal = np.unique(STENCIL[:, 0] * ny + STENCIL[:, 1], return_inverse=True)
+    data = np.zeros((len(offsets), nx * ny))
+    for (dx, dy), d, values in zip(STENCIL.tolist(), diagonal, slots):
+        neighbours = data[d].reshape(nx, ny)
+        neighbours[max(dx, 0):nx + min(dx, 0), max(dy, 0):ny + min(dy, 0)] = \
+            values[max(-dx, 0):nx - max(dx, 0), max(-dy, 0):ny - max(dy, 0)]
+    return sp.dia_matrix((data, offsets), shape=(nx * ny, nx * ny))
 
 
 def load_vector(cell_values: np.ndarray, keep: np.ndarray, h: float) -> np.ndarray:
@@ -258,34 +275,85 @@ def _interpolation_1d(fn: int) -> sp.csr_matrix:
     return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(fn - 1, nc))
 
 
+def _prolong(p1: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """P v for P = kron(p1, p1) on a square grid's interior nodes (x index
+    slow): p1 along y, then along x."""
+    nc = p1.shape[1]
+    return (p1 @ (p1 @ v.reshape(nc, nc).T).T).ravel()
+
+
+def _restrict(p1: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    """P^T y for P = kron(p1, p1), as `_prolong` with p1^T."""
+    nf = p1.shape[0]
+    return (p1.T @ (p1.T @ y.reshape(nf, nf).T).T).ravel()
+
+
+def _residual(A: sp.dia_matrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - A x, in the buffer of A x."""
+    r = A @ x
+    return np.subtract(b, r, out=r)
+
+
+def _galerkin(A: sp.dia_matrix, p1: sp.csr_matrix) -> sp.dia_matrix:
+    """The coarse operator P^T A P, P = kron(p1, p1), of a 9-point operator
+    A, by nine probes.
+
+    P^T A P is 9-point too, so with coarse node (I, J) coloured (I mod 3,
+    J mod 3), each node's 3 x 3 neighbourhood holds one node of each colour,
+    and P^T A P applied to the indicator of a colour gives, at each node, its
+    one stencil slot that points to that colour. The lower slots are kept
+    and mirrored to the upper ones, so the coarse operator is symmetric bit
+    for bit."""
+    nc = p1.shape[1]
+    slots = np.empty((len(STENCIL), nc, nc))
+    for cx, cy in np.ndindex(3, 3):
+        probe = np.zeros((nc, nc))
+        probe[cx::3, cy::3] = 1.0
+        w = _restrict(p1, A @ _prolong(p1, probe)).reshape(nc, nc)
+        for k, (dx, dy) in enumerate(STENCIL.tolist()):
+            # the nodes whose neighbour (dx, dy) has colour (cx, cy)
+            sx, sy = (cx - dx) % 3, (cy - dy) % 3
+            slots[k, sx::3, sy::3] = w[sx::3, sy::3]
+    coarse = _nine_diagonals(slots, nc, nc)
+    data = coarse.data
+    for k, offset in enumerate(coarse.offsets[:len(STENCIL) // 2]):
+        # diagonal -o at column j holds A[j + o, j]; diagonal o at column
+        # j + o holds its transpose
+        data[-1 - k, -offset:] = data[k, :offset]
+    return coarse
+
+
 def _v_cycle(levels: tuple, coarse_lu, b: np.ndarray) -> np.ndarray:
     """One V-cycle from a zero initial guess: damped-Jacobi pre-sweep,
     Galerkin coarse correction, damped-Jacobi post-sweep; symmetric, so it
     can precondition CG."""
     if not levels:
         return coarse_lu.solve(b)
-    A, w_inv_diag, P = levels[0]
+    A, w_inv_diag, p1 = levels[0]
     x = w_inv_diag * b
-    x += P @ _v_cycle(levels[1:], coarse_lu, P.T @ (b - A @ x))
-    x += w_inv_diag * (b - A @ x)
+    x += _prolong(p1, _v_cycle(levels[1:], coarse_lu, _restrict(p1, _residual(A, x, b))))
+    r = _residual(A, x, b)
+    r *= w_inv_diag
+    x += r
     return x
 
 
-def multigrid_preconditioner(A: sp.csr_matrix, fn: int):
-    """V-cycle preconditioner for an SPD operator A on the (fn - 1)^2 interior
-    nodes of a square grid with fn cells per side, ordered as
-    `SquareGrid` numbers them (x index slow).
+def multigrid_preconditioner(A: sp.dia_matrix, fn: int):
+    """V-cycle preconditioner for the 9-point operator A, a `dia_matrix` from
+    `penalized_diagonals`, on the (fn - 1)^2 interior nodes of a square grid
+    with fn cells per side, ordered as `SquareGrid` numbers them (x index
+    slow).
 
     Prolongation is P = kron(P1, P1) with P1 1D linear interpolation,
     restriction P^T and coarse operators P^T A P, so a penalty jump in A
     carries over to every level (Alcouffe, Brandt, Dendy & Painter, SIAM J.
-    Sci. Stat. Comput. 2, 1981). A level keeps only P: a restriction
-    multiplies by the transpose view `P.T`, which sums in the order a CSR
-    copy of P^T does, while the Galerkin product takes a CSR copy that is
-    dropped after it, since the view would sum that product in another
-    order. Odd grids coarsen too (see `_interpolation_1d`), so every fn
-    gets a hierarchy down to at most MG_COARSEST cells per side, whose
-    operator is factorized.
+    Sci. Stat. Comput. 2, 1981). A level keeps its operator, its weighted
+    inverse diagonal and P1 alone: P and P^T are applied along each grid
+    axis, and each coarse operator is probed into 9-diagonal form
+    (`_galerkin`), so no kron product or sparse triple product is formed.
+    Odd grids coarsen too (see `_interpolation_1d`), so every fn gets a
+    hierarchy down to at most MG_COARSEST cells per side, whose operator is
+    factorized.
 
     The cycle is a module-level function bound with `partial`: a recursive
     closure would form a reference cycle and keep the hierarchy alive until
@@ -294,8 +362,7 @@ def multigrid_preconditioner(A: sp.csr_matrix, fn: int):
     levels = []
     while fn > MG_COARSEST:
         p1 = _interpolation_1d(fn)
-        P = sp.kron(p1, p1, format="csr")
-        levels.append((A, MG_OMEGA / A.diagonal(), P))
-        A = (P.T.tocsr() @ A @ P).tocsr()
+        levels.append((A, MG_OMEGA / A.diagonal(), p1))
+        A = _galerkin(A, p1)
         fn = (fn + 1) // 2
     return partial(_v_cycle, tuple(levels), spla.splu(A.tocsc()))

@@ -255,6 +255,13 @@ def pinned_factorization(K: sp.csr_matrix):
     return spla.splu(K[1:, :][:, 1:].tocsc())
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, row by row. numpy's own einsum loop
+    sums them, so their bits do not depend on the BLAS thread count, as
+    those of `np.vecdot` and `@` (OpenBLAS's threaded ddot) do."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
            maxiter: int | None = None, preconditioner=None, centre: bool = False):
     """Preconditioned conjugate gradients for K x = b, the one CG loop of
@@ -297,7 +304,7 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
             return x[0], int(iterations[0]), float(residual[0])
         return x, iterations, residual
 
-    bnorm = np.sqrt(np.vecdot(stack, stack))
+    bnorm = np.sqrt(rowdot(stack, stack))
     live = np.flatnonzero(bnorm)
     if not live.size:
         return result()
@@ -305,9 +312,8 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
     xs = x if live.size == k else x[live]  # the live rows' iterates; x itself until a row leaves
     bnorm = bnorm[live]
     r = stack[live]
-    z = preconditioner(r, rows)
-    p = z
-    rz = np.vecdot(r, z)
+    p = preconditioner(r, rows)
+    rz = rowdot(r, p)
     rnorm = bnorm  # relative residual 1 until the first iteration
     padded = None
     for it in range(1, maxiter + 1):
@@ -320,12 +326,14 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
                 padded = np.zeros_like(stack)
             padded[live] = p
             q = (K @ padded.ravel()).reshape(k, n)[live]
-        alpha = (rz / np.vecdot(p, q))[:, None]
+        alpha = (rz / rowdot(p, q))[:, None]
         xs += alpha * p
-        r -= alpha * q
+        q *= alpha
+        r -= q
+        del q  # one fine vector fewer in the preconditioner
         if centre:  # project out the kernel of constants: r.mean(axis=-1), without its wrapper
             r -= r.sum(axis=-1, keepdims=True) / n
-        rnorm = np.sqrt(np.vecdot(r, r))
+        rnorm = np.sqrt(rowdot(r, r))
         done = rnorm <= tol * bnorm
         if done.any():
             finished = live[done]
@@ -340,8 +348,10 @@ def cg_spd(K: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
             xs = x[live] if xs is x else xs[left]
             r, p, rz, bnorm, rnorm = r[left], p[left], rz[left], bnorm[left], rnorm[left]
         z = preconditioner(r, rows)
-        rz_new = np.vecdot(r, z)
-        p = z + (rz_new / rz)[:, None] * p
+        rz_new = rowdot(r, z)
+        p *= (rz_new / rz)[:, None]  # p = z + beta p, in place
+        p += z
+        del z
         rz = rz_new
     worst = float((rnorm / bnorm).max())
     raise SolverError(

@@ -1,7 +1,11 @@
 import configparser
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,3 +621,26 @@ def test_validate_refuses_fuzzed_values_without_raising(tmp_path, name):
                 parser.write(fh)
             code = cli_main(["validate", "--config", str(path)])
             assert code in (0, 2), (section, key, value)
+
+
+@pytest.mark.parametrize("kind", ["msfem", "vr-compare"])
+def test_archives_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
+    # OpenBLAS splits a ddot of 25,281 elements (the msfem reference's
+    # unknowns at N = 160) between threads and sums the parts in another
+    # order; every CG sum is numpy's own, so 1 and 2 threads write the same
+    # bytes
+    text = ESTIMATE_CONFIGS["msfem"] if kind == "msfem" else VR_CONFIG
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    files = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"{threads}.ini"
+        path.write_text(text.format(out=tmp_path / f"threads-{threads}"))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "randpde.cli", "run", "--config", str(path)],
+                       env=env, check=True, capture_output=True)
+        manifest = json.loads((tmp_path / f"threads-{threads}" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        files.append(manifest["files"])
+    assert files[0] == files[1]

@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 
 from randpde import msfem
 from randpde.errors import GridMismatchError, LocalSolveError, ParameterError, ResolutionWarning
-from randpde.femcore import (SIDES, SquareGrid, load_vector, penalized_band, penalized_operator,
+from randpde.femcore import (SIDES, SquareGrid, load_vector, penalized_band, penalized_diagonals,
                              square_grid)
 from randpde.grid import KXX, KYY, MASS, assemble
 from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_geometry,
@@ -265,7 +265,7 @@ def test_load_vector_matches_elementwise_bincount(fn):
 
 def _penalized_coo(grid, mask, kappa, h):
     """Laplace stiffness plus kappa times the mass on masked cells, each term
-    one COO build over the full grid, independently of `penalized_operator`."""
+    one COO build over the full grid, independently of the stencil builders."""
     def coo(en, block):
         rows, cols = np.repeat(en, 4, axis=1).ravel(), np.tile(en, (1, 4)).ravel()
         data = np.tile(block.ravel(), len(en))
@@ -276,9 +276,9 @@ def _penalized_coo(grid, mask, kappa, h):
 
 @pytest.mark.parametrize("fn", [8, 16, 160, 512])
 def test_penalized_matches_coo_build(fn):
-    # the stencil builder's free block and Dirichlet coupling are the arrays
-    # of the full COO build sliced to the free nodes, for every set of
-    # Dirichlet sides
+    # the stencil builders' free block (nine diagonals) and Dirichlet
+    # coupling (CSR, from penalized_band) are the arrays of the full COO
+    # build sliced to the free nodes, for every set of Dirichlet sides
     grid = SquareGrid(fn)
     rng = np.random.default_rng(fn)
     subsets = [tuple(s for k, s in enumerate(SIDES) if bits >> k & 1) for bits in range(16)]
@@ -289,25 +289,40 @@ def test_penalized_matches_coo_build(fn):
         for sides in subsets:
             free = grid.free_nodes(sides)
             ref_rows = ref[free]
-            for A, cols in zip(penalized_operator(fn, mask, kappa, h, sides), (free, ~free)):
-                expected = ref_rows[:, cols]
-                assert A.shape == expected.shape and A.indices.dtype == np.int32
+            expected = ref_rows[:, free]
+            A = penalized_diagonals(fn, mask, kappa, h, sides)
+            n = expected.shape[0]
+            assert A.shape == expected.shape and len(A.offsets) == 9
+            assert np.all(np.diff(A.offsets) > 0)
+            # value by value along each diagonal, and nothing off them
+            on_diagonals = 0
+            for offset, diagonal in zip(A.offsets, A.data):
+                values = diagonal[max(offset, 0):n + min(offset, 0)]
+                assert np.array_equal(values, expected.diagonal(offset)) and \
+                    np.array_equal(np.signbit(values), np.signbit(expected.diagonal(offset))), \
+                    (density, sides, offset)
+                on_diagonals += np.count_nonzero(values)
+            assert on_diagonals == expected.count_nonzero(), (density, sides)
+            if fn <= 160:  # the band storage takes 1 GB at fn = 512
+                _, A_fd = penalized_band(fn, mask, kappa, h, sides)
+                coupling = ref_rows[:, ~free]
+                assert A_fd.shape == coupling.shape and A_fd.indices.dtype == np.int32
                 for name in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(A, name), getattr(expected, name)), \
+                    assert np.array_equal(getattr(A_fd, name), getattr(coupling, name)), \
                         (density, sides, name)
 
 
 @pytest.mark.parametrize("fn", [1, 2, 8, 33])
 def test_penalized_band_is_the_lower_band(fn):
     # band[d, j] holds A_ff[j + d, j] for every d <= ny + 1, the whole lower
-    # triangle, bitwise; the coupling block is penalized_operator's
+    # triangle, bitwise, with A_ff the nine diagonals' free block
     rng = np.random.default_rng(fn)
     mask = rng.random((fn, fn)) < 0.3
     kappa, h = 1e8 * fn ** 2, 1.0 / fn
     for bits in range(16):
         sides = tuple(s for k, s in enumerate(SIDES) if bits >> k & 1)
-        A_ff, A_fd = penalized_operator(fn, mask, kappa, h, sides)
-        band, coupling = penalized_band(fn, mask, kappa, h, sides)
+        A_ff = penalized_diagonals(fn, mask, kappa, h, sides)
+        band, _ = penalized_band(fn, mask, kappa, h, sides)
         n = A_ff.shape[0]
         assert band.shape == (fn + 3 - ("S" in sides) - ("N" in sides), n)
         lower = np.zeros((n, n))
@@ -316,7 +331,6 @@ def test_penalized_band_is_the_lower_band(fn):
             lower[np.arange(d, d + k), np.arange(k)] = row[:k]
             assert not row[k:].any()
         assert np.array_equal(lower, np.tril(A_ff.toarray())), sides
-        assert (coupling != A_fd).nnz == 0 and coupling.shape == A_fd.shape
 
 
 def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):

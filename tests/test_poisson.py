@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from randpde import femcore, poisson
 from randpde.errors import ResolutionWarning
@@ -139,11 +140,66 @@ def test_v_cycle_is_symmetric_at_every_size():
         h = 1.0 / fn
         c = (np.arange(fn) + 0.5) * h
         mask = perf.indicator(c[:, None], c[None, :])
-        K, _ = femcore.penalized_operator(fn, mask, poisson.default_kappa(h), h, femcore.SIDES)
+        K = femcore.penalized_diagonals(fn, mask, poisson.default_kappa(h), h, femcore.SIDES)
         M = multigrid_preconditioner(K, fn)
         x, y = rng.standard_normal((2, (fn - 1) ** 2))
         xMy, yMx = x @ M(y), y @ M(x)
         assert abs(xMy - yMx) <= 1e-12 * max(abs(xMy), 1e-300), fn
+
+
+def _rectangles_operator(fn):
+    perf = build_perforations("random_rectangles", seed=2026, **RECTANGLES)
+    h = 1.0 / fn
+    c = (np.arange(fn) + 0.5) * h
+    mask = perf.indicator(c[:, None], c[None, :])
+    return femcore.penalized_diagonals(fn, mask, poisson.default_kappa(h), h, femcore.SIDES)
+
+
+@pytest.mark.parametrize("fn", [63, 64, 75, 128])
+def test_axis_wise_transfers_match_kron(fn):
+    # P1 along each axis is kron(P1, P1) and its transpose, to rounding: the
+    # weights 1, 1/2, 1/4 are exact, only the order of the sums differs
+    p1 = femcore._interpolation_1d(fn)
+    P = sp.kron(p1, p1, format="csr")
+    rng = np.random.default_rng(fn)
+    x, y = rng.standard_normal(P.shape[1]), rng.standard_normal(P.shape[0])
+    for got, want in ((femcore._prolong(p1, x), P @ x), (femcore._restrict(p1, y), P.T @ y)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("fn", [63, 64, 75, 128])
+def test_probed_galerkin_operator_matches_triple_product(fn):
+    # the nine coloured probes give P^T A P on its nine diagonals, exactly
+    # symmetric, across the penalty jumps of the rectangles
+    A = _rectangles_operator(fn)
+    p1 = femcore._interpolation_1d(fn)
+    P = sp.kron(p1, p1, format="csr")
+    want = (P.T.tocsr() @ A.tocsr() @ P).tocsr()
+    got = femcore._galerkin(A, p1)
+    nc = p1.shape[1]
+    assert isinstance(got, sp.dia_matrix) and got.shape == want.shape
+    assert got.offsets.tolist() == [-nc - 1, -nc, -nc + 1, -1, 0, 1, nc - 1, nc, nc + 1]
+    assert abs(got.tocsr() - want).max() <= 1e-14 * abs(want).max()
+    assert (got.tocsr() != got.tocsr().T).nnz == 0
+
+
+def test_reference_memory_in_fine_vectors():
+    # tracemalloc's peak across the solve, in fine vectors of 8 (N - 1)^2
+    # bytes: 34.3 with a CSR operator, kron transfers and a sparse triple
+    # product per level; 22.8 with nine diagonals and probed coarse levels
+    perf = build_perforations("random_rectangles", seed=2026, **RECTANGLES)
+    n = 256
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            reference_solve(perf, f_one, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vectors = peak / (8 * (n - 1) ** 2)
+    assert vectors < 28, vectors
 
 
 def test_reference_solve_leaves_no_cyclic_garbage():
@@ -160,8 +216,9 @@ def test_reference_solve_leaves_no_cyclic_garbage():
 
 
 def test_reference_solve_traced_peak():
-    # the free-node stencil build with no full matrix, COO or slice: 20.2 MB
-    # traced at N = 256, where a full-grid assembly and slicing reached 41.4 MB
+    # the free-node stencil build with no full matrix, COO or slice: 10.8 MB
+    # traced at N = 256 (20.2 MB with a CSR operator and kron transfers),
+    # where a full-grid assembly and slicing reached 41.4 MB
     tracemalloc.start()
     try:
         reference_solve(NoPerforations(), f_one, 256)
