@@ -4,11 +4,11 @@ and masked energy products on an fn x fn cell grid; the one builder of the
 penalized operator's free-node blocks, written as a 9-point stencil with
 per-cell penalty weights, as nine diagonals for the reference solve
 (`penalized_diagonals`) or, for the banded Cholesky of the local problems,
-in LAPACK band storage with the CSR coupling to the Dirichlet nodes
-(`penalized_band`); the one Q1 load builder (`load_vector`); and the
-Galerkin multigrid V-cycle that preconditions the reference solve's CG
-(`grid.cg_spd`), whose levels are nine diagonals too and whose transfers
-run along each grid axis."""
+as their lower half in LAPACK band storage, with the coupling to the
+Dirichlet nodes applied slot by slot, never stored (`penalized_band`); the
+one Q1 load builder (`load_vector`); and the Galerkin multigrid V-cycle that
+preconditions the reference solve's CG (`grid.cg_spd`), whose levels are
+nine diagonals too and whose transfers run along each grid axis."""
 
 from __future__ import annotations
 
@@ -41,52 +41,42 @@ def penalized_diagonals(fn: int, mask: np.ndarray, kappa: float, h: float,
     (see `_nine_diagonals`) written slot by slot from the stencil, so a
     product sums each row in column order, as CSR does, and no column index
     is stored. The coupling to the Dirichlet nodes is not built; the local
-    problems take it from `penalized_band`."""
+    problems apply it through `penalized_band`'s `couple`."""
     lo, hi = _free_range(fn, dirichlet)
     return _nine_diagonals(_stencil_slots(fn, mask, kappa, h, lo, hi),
                            hi[0] - lo[0], hi[1] - lo[1])
 
 
 def penalized_band(fn: int, mask: np.ndarray, kappa: float, h: float,
-                   dirichlet) -> tuple[np.ndarray, sp.csr_matrix]:
+                   dirichlet) -> tuple[np.ndarray, partial]:
     """The free block of `penalized_diagonals` in LAPACK's lower band
     storage (`band[i - j, j] = A_ff[i, j]` for 0 <= i - j <= ny + 1, ny the
-    free nodes per grid column), ready for `dpbtrf`, and its coupling A_fd
-    to the Dirichlet nodes as CSR with int32 indices, columns in the
-    Dirichlet nodes' `SquareGrid` order. In the x-slow node order the
-    stencil's lower slots (dx, dy) = (0, 0), (0, 1), (1, -1), (1, 0),
-    (1, 1) sit at the band offsets dx ny + dy, so each fills one band row."""
+    free nodes per grid column), ready for `dpbtrf`, and `couple`, which
+    maps nodal data g (k, nn), zero off the Dirichlet nodes, to the product
+    A_fd g (n_free, k) of the coupling to the Dirichlet nodes, which is not
+    stored. Band row o is the diagonal -o of `_nine_diagonals` as it stands,
+    so the diagonals alone decide which slots belong to the free block."""
     lo, hi = _free_range(fn, dirichlet)
     nx, ny = hi[0] - lo[0], hi[1] - lo[1]
-    data = np.stack(list(_stencil_slots(fn, mask, kappa, h, lo, hi)), axis=-1)
-
-    # neighbour coordinates per (x, slot) and (y, slot); a slot is kept where
-    # both lie on the grid, in the free block where both lie in the free range
-    qx = np.arange(lo[0], hi[0])[:, None] + STENCIL[:, 0]
-    qy = np.arange(lo[1], hi[1])[:, None] + STENCIL[:, 1]
-    free_x, free_y = (qx >= lo[0]) & (qx < hi[0]), (qy >= lo[1]) & (qy < hi[1])
-    grid_x, grid_y = (qx >= 0) & (qx <= fn), (qy >= 0) & (qy <= fn)
-    is_free = free_x[:, None, :] & free_y[None, :, :]
-    is_fixed = grid_x[:, None, :] & grid_y[None, :, :] & ~is_free
-
+    slots = list(_stencil_slots(fn, mask, kappa, h, lo, hi))
+    diagonals = _nine_diagonals(slots, nx, ny)
     band = np.zeros((ny + 2, nx * ny), order="F")   # LAPACK's layout: no copy
-    for k in range(len(STENCIL) // 2, len(STENCIL)):
-        # += since a short column (ny = 1) maps two slots, one always empty,
-        # to one offset
-        band[STENCIL[k, 0] * ny + STENCIL[k, 1]] += \
-            np.where(is_free[..., k], data[..., k], 0.0).ravel()
+    lower = diagonals.offsets <= 0
+    band[-diagonals.offsets[lower]] = diagonals.data[lower]
+    return band, partial(_couple, slots, fn, lo, hi)
 
-    # a Dirichlet neighbour's column is its rank among the Dirichlet nodes;
-    # a row's kept slots, in slot order, are in column order
-    fixed = np.ones((fn + 1, fn + 1), dtype=bool)
-    fixed[lo[0]:hi[0], lo[1]:hi[1]] = False
-    rank = (np.cumsum(fixed) - 1).astype(np.int32).reshape(fixed.shape)
-    x, y, k = np.nonzero(is_fixed)
-    indptr = np.zeros(nx * ny + 1, dtype=np.int32)
-    np.cumsum(is_fixed.sum(axis=-1), out=indptr[1:])
-    A_fd = sp.csr_matrix((data[is_fixed], rank[qx[x, k], qy[y, k]], indptr),
-                         shape=(nx * ny, int(fixed.sum())))
-    return band, A_fd
+
+def _couple(slots: list, fn: int, lo, hi, g: np.ndarray) -> np.ndarray:
+    """A_fd g for nodal data g (k, nn) that is zero on the free nodes: each
+    free node sums its slots times its neighbours' values in STENCIL order,
+    which is column order, as a CSR product does. g is zero-padded, so a
+    neighbour off the grid, whose slot holds junk, adds junk times zero."""
+    padded = np.zeros((len(g), fn + 3, fn + 3))
+    padded[:, 1:-1, 1:-1] = g.reshape(len(g), fn + 1, fn + 1)
+    out = np.zeros((len(g), hi[0] - lo[0], hi[1] - lo[1]))
+    for (dx, dy), slot in zip(STENCIL.tolist(), slots):
+        out += slot * padded[:, lo[0] + 1 + dx:hi[0] + 1 + dx, lo[1] + 1 + dy:hi[1] + 1 + dy]
+    return out.reshape(len(g), -1).T
 
 
 def _free_range(fn: int, dirichlet) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -107,21 +97,27 @@ def _stencil_slots(fn: int, mask: np.ndarray, kappa: float, h: float, lo, hi):
     are equal, so the entries are bitwise those of an element-by-element
     assembly of the Laplacian plus one of the penalty."""
     # cell (cx, cy) sits at [cx + 1, cy + 1]; the padding holds no cell
-    inside = np.zeros((fn + 2, fn + 2))
-    inside[1:-1, 1:-1] = 1.0
-    masked = np.zeros((fn + 2, fn + 2))
+    inside = np.zeros((fn + 2, fn + 2), dtype=bool)
+    inside[1:-1, 1:-1] = True
+    masked = np.zeros((fn + 2, fn + 2), dtype=bool)
     masked[1:-1, 1:-1] = mask
     corner_cells = []  # per corner a, the cells holding the nodes as corner a
     for cx, cy in CORNERS:
         cells = (slice(lo[0] + 1 - cx, hi[0] + 1 - cx), slice(lo[1] + 1 - cy, hi[1] + 1 - cy))
         corner_cells.append((inside[cells], masked[cells]))
     lap_w, pen_w = KLAP.tolist(), (kappa * h * h * MASS).tolist()
+    # term and pen are reused: only the slot handed out is new
+    shape = (hi[0] - lo[0], hi[1] - lo[1])
+    term, pen = np.empty(shape), np.empty(shape)
     for pairs in STENCIL_PAIRS:
-        lap = pen = 0.0
+        # in place from zeros: a lone -0.0 term gives +0.0, as 0.0 + x does
+        lap = np.zeros(shape)
+        pen[...] = 0.0
         for a, b in pairs:
-            lap = lap + lap_w[a][b] * corner_cells[a][0]
-            pen = pen + pen_w[a][b] * corner_cells[a][1]
-        yield lap + pen
+            lap += np.multiply(lap_w[a][b], corner_cells[a][0], out=term)
+            pen += np.multiply(pen_w[a][b], corner_cells[a][1], out=term)
+        lap += pen
+        yield lap
 
 
 def _nine_diagonals(slots, nx: int, ny: int) -> sp.dia_matrix:
@@ -179,7 +175,6 @@ class SquareGrid:
                                     (ex + 1) * stride + ey,
                                     (ex + 1) * stride + ey + 1,
                                     ex * stride + ey + 1], axis=1)
-        self.cell_xy = (ex, ey)
 
     def side_nodes(self, side: str) -> np.ndarray:
         fn = self.fn
@@ -206,14 +201,10 @@ class SquareGrid:
 
     def free_nodes(self, sides) -> np.ndarray:
         """Boolean mask of the nodes off the given sides."""
-        free = np.ones(self.nn, dtype=bool)
-        for side in sides:
-            free[self.side_nodes(side)] = False
-        return free
-
-    def cell_centers(self, origin: tuple[float, float], h: float):
-        ex, ey = self.cell_xy
-        return origin[0] + (ex + 0.5) * h, origin[1] + (ey + 0.5) * h
+        lo, hi = _free_range(self.fn, sides)
+        free = np.zeros((self.fn + 1, self.fn + 1), dtype=bool)
+        free[lo[0]:hi[0], lo[1]:hi[1]] = True
+        return free.ravel()
 
     def energy_products(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Gram matrices of grad-grad products over kept cells (h-independent):

@@ -124,6 +124,12 @@ class MsFEMSpace:
                        n_dofs=self.n_edge_dofs, bubble_dof={})
 
 
+def _cell_centres(mesh: CoarseMesh, fine_n: int) -> np.ndarray:
+    """The fine-cell centres along one axis, per element: [i, k] is
+    i H + (k + 0.5) H / fine_n, the same along x and y."""
+    return (np.arange(mesh.m) * mesh.H)[:, None] + (np.arange(fine_n) + 0.5) * (mesh.H / fine_n)
+
+
 def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
     """Masks, element liveness and edge liveness for the given geometry.
 
@@ -132,7 +138,7 @@ def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
     m, H = mesh.m, mesh.H
     starts = np.arange(m) * H
     lines = np.arange(1, m) * H
-    centres = starts[:, None] + (np.arange(fine_n) + 0.5) * (H / fine_n)
+    centres = _cell_centres(mesh, fine_n)
     masks = perf.indicator(centres[:, None, :, None], centres[None, :, None, :])
     elem_alive = ~masks.all(axis=(2, 3))
     trace = starts[:, None] + np.linspace(0.0, H, fine_n + 1)
@@ -157,24 +163,23 @@ class _LocalProblem(NamedTuple):
     dirichlet: tuple
     constrained: tuple
     averages: np.ndarray | None = None   # (k, len(constrained))
-    traces: np.ndarray | None = None     # (k, nn), read on the Dirichlet nodes
+    traces: np.ndarray | None = None     # (k, nn), zero off the Dirichlet nodes
     bubble: bool = False
 
 
-def _solve_classes(grid, masks: np.ndarray, problems: dict) -> dict:
+def _solve_classes(masks: np.ndarray, problems: dict) -> dict:
     """Elements grouped by system, then by right-hand sides: system key ->
     data key -> elements. A system key (mask, Dirichlet and constrained
-    sides) fixes the matrix; within it, a data key (averages, traces on the
-    Dirichlet nodes, bubble) fixes the right-hand sides, so the elements of
-    one data class pose the very same local problems."""
-    classes, fixed = {}, {}
+    sides) fixes the matrix; within it, a data key (averages, traces,
+    bubble) fixes the right-hand sides, so the elements of one data class
+    pose the very same local problems. Equal traces share one key object,
+    so the groups hold each distinct trace's bytes once."""
+    classes, traces = {}, {}
     for elem, prob in problems.items():
         system = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
-        if prob.dirichlet not in fixed:
-            fixed[prob.dirichlet] = ~grid.free_nodes(prob.dirichlet)
+        trace = None if prob.traces is None else prob.traces.tobytes()
         data = (prob.bubble, None if prob.averages is None else prob.averages.tobytes(),
-                None if prob.traces is None else
-                prob.traces[:, fixed[prob.dirichlet]].tobytes())
+                traces.setdefault(trace, trace))
         classes.setdefault(system, {}).setdefault(data, []).append(elem)
     return classes
 
@@ -198,7 +203,7 @@ def _local_basis(grid, masks: np.ndarray, kappa: float, h_loc: float,
     factorizations and the number of right-hand sides solved."""
     basis = {}
     solves = 0
-    classes = _solve_classes(grid, masks, problems)
+    classes = _solve_classes(masks, problems)
     for group in classes.values():
         firsts = [members[0] for members in group.values()]
         solved = _solve_group(grid, masks[firsts[0]], kappa, h_loc,
@@ -216,7 +221,8 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     their right-hand sides as one block: the saddle system
     [[A_ff, C^T], [C, 0]] (u, lambda) = (-A_fd g, c) for a lift of trace g
     and averages c, and (b_f, 0) for the bubble load b, which depends only
-    on the mask. Returns element -> read-only nodal values (k, nn).
+    on the mask; A_fd g is `penalized_band`'s `couple` of the traces as they
+    stand. Returns element -> read-only nodal values (k, nn).
 
     A_ff is banded (lower bandwidth ny + 1 in the x-slow node order) and
     gets LAPACK's banded Cholesky (`dpbtrf`) straight from the stencil. On
@@ -231,8 +237,7 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     first = next(iter(members.values()))
     elem = next(iter(members))
     free = grid.free_nodes(first.dirichlet)
-    fixed = ~free
-    band, A_fd = penalized_band(grid.fn, mask, kappa, h_loc, first.dirichlet)
+    band, couple = penalized_band(grid.fn, mask, kappa, h_loc, first.dirichlet)
     C = np.array([grid.trace_row(s, h_loc)[free] for s in first.constrained])
     if first.constrained:
         shifted = first.constrained.index("W" if "W" in first.constrained else "E")
@@ -265,9 +270,8 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
         if prob.averages is not None:
             averages[:, :lifts] = prob.averages.T
         if prob.traces is not None:
-            g = prob.traces[:, fixed]
-            rhs[:, :lifts] = -(A_fd @ g.T)
-            values[:lifts, fixed] = g
+            rhs[:, :lifts] = -couple(prob.traces)
+            values[:lifts] = prob.traces
         if prob.bubble:
             rhs[:, -1] = load
         if first.constrained:
@@ -320,8 +324,9 @@ def _linear_problems(mesh, grid, alive, elem_alive, edge_alive):
     nodes = [(a, b) for a in range(1, mesh.m) for b in range(1, mesh.m)
              if elem_alive[a - 1:a + 1, b - 1:b + 1].any()]
     node_dof = {node: k for k, node in enumerate(nodes)}
-    problems = {elem: _LocalProblem(dofs, SIDES, (), traces=traces)
-                for elem, (dofs, traces) in _corner_hats(grid, node_dof, alive).items()}
+    boundary = ~grid.free_nodes(SIDES)
+    problems = {elem: _LocalProblem(dofs, SIDES, (), traces=np.multiply(hats, boundary, out=hats))
+                for elem, (dofs, hats) in _corner_hats(grid, node_dof, alive).items()}
     return node_dof, problems, {}
 
 
@@ -394,7 +399,7 @@ def count_local_solves(mesh: CoarseMesh, perf, fine_n: int, method: str,
     build."""
     (masks, _, _), _, problems, _, _ = _local_problems(method, mesh, perf, fine_n,
                                                        with_bubbles)
-    classes = _solve_classes(square_grid(fine_n), masks, problems)
+    classes = _solve_classes(masks, problems)
     return sum(len(problems[members[0]].dofs)
                for group in classes.values() for members in group.values())
 
@@ -457,6 +462,9 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
         raise AssemblyError("no basis functions survive the perforations")
     blocks = []
     b = np.zeros(space.n_dofs)
+    c = _cell_centres(mesh, fn)
+    fc = np.broadcast_to(np.asarray(f(c[:, None, :, None], c[None, :, None, :]), dtype=float),
+                         space.masks.shape)
     stacks = _stacks(space)
     for elems, dofs, bases, groups in stacks:
         mask = space.masks[elems[:, 0], elems[:, 1]]
@@ -469,9 +477,8 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
         for k, g in enumerate(groups):
             index[g] = k
         blocks.append((dofs, gram[index]))
-        cx, cy = grid.cell_centers((elems[:, :1] * mesh.H, elems[:, 1:] * mesh.H), h_loc)
-        fc = np.broadcast_to(np.asarray(f(cx, cy), dtype=float), cx.shape)
-        loads = load_vector(fc, keep, h_loc)[..., None]
+        loads = load_vector(fc[elems[:, 0], elems[:, 1]].reshape(len(elems), -1), keep,
+                            h_loc)[..., None]
         load = np.empty(dofs.shape + (1,))
         for basis, g in zip(bases, groups):
             load[g] = basis @ loads[g]

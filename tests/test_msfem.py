@@ -276,9 +276,9 @@ def _penalized_coo(grid, mask, kappa, h):
 
 @pytest.mark.parametrize("fn", [8, 16, 160, 512])
 def test_penalized_matches_coo_build(fn):
-    # the stencil builders' free block (nine diagonals) and Dirichlet
-    # coupling (CSR, from penalized_band) are the arrays of the full COO
-    # build sliced to the free nodes, for every set of Dirichlet sides
+    # the stencil builders' free block (nine diagonals) is the full COO build
+    # sliced to the free nodes, and penalized_band's couple is the product of
+    # its coupling slice, for every set of Dirichlet sides
     grid = SquareGrid(fn)
     rng = np.random.default_rng(fn)
     subsets = [tuple(s for k, s in enumerate(SIDES) if bits >> k & 1) for bits in range(16)]
@@ -304,25 +304,37 @@ def test_penalized_matches_coo_build(fn):
                 on_diagonals += np.count_nonzero(values)
             assert on_diagonals == expected.count_nonzero(), (density, sides)
             if fn <= 160:  # the band storage takes 1 GB at fn = 512
-                _, A_fd = penalized_band(fn, mask, kappa, h, sides)
-                coupling = ref_rows[:, ~free]
-                assert A_fd.shape == coupling.shape and A_fd.indices.dtype == np.int32
-                for name in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(A_fd, name), getattr(coupling, name)), \
-                        (density, sides, name)
+                _, couple = penalized_band(fn, mask, kappa, h, sides)
+                _assert_couples(couple, ref_rows[:, ~free], free, rng, (density, sides))
+
+
+def _assert_couples(couple, coupling, free, rng, where):
+    """couple(g) equals the COO coupling slice times g's Dirichlet values,
+    bitwise, for random g that is zero on the free nodes."""
+    g = rng.standard_normal((3, len(free)))
+    g[:, free] = 0.0
+    got, expected = couple(g), coupling @ g[:, ~free].T
+    assert got.shape == expected.shape and np.array_equal(got, expected), where
 
 
 @pytest.mark.parametrize("fn", [1, 2, 8, 33])
 def test_penalized_band_is_the_lower_band(fn):
     # band[d, j] holds A_ff[j + d, j] for every d <= ny + 1, the whole lower
-    # triangle, bitwise, with A_ff the nine diagonals' free block
+    # triangle, bitwise, with A_ff the nine diagonals' free block; couple is
+    # the COO coupling's product, also where ny = 1 or the free block is empty
+    grid = SquareGrid(fn)
     rng = np.random.default_rng(fn)
     mask = rng.random((fn, fn)) < 0.3
     kappa, h = 1e8 * fn ** 2, 1.0 / fn
+    ref = _penalized_coo(grid, mask, kappa, h)
     for bits in range(16):
         sides = tuple(s for k, s in enumerate(SIDES) if bits >> k & 1)
         A_ff = penalized_diagonals(fn, mask, kappa, h, sides)
-        band, _ = penalized_band(fn, mask, kappa, h, sides)
+        band, couple = penalized_band(fn, mask, kappa, h, sides)
+        free = grid.free_nodes(sides)
+        assert np.array_equal(free, ~np.isin(np.arange(grid.nn), [
+            node for s in sides for node in grid.side_nodes(s)])), sides
+        _assert_couples(couple, ref[free][:, ~free], free, rng, sides)
         n = A_ff.shape[0]
         assert band.shape == (fn + 3 - ("S" in sides) - ("N" in sides), n)
         lower = np.zeros((n, n))
@@ -587,16 +599,36 @@ def test_local_engine_counts_factorizations_apart_from_solves():
     assert (cr.solves, linear.solves) == (793, 750)
 
 
+def _cell_centers(fn, origin, h):
+    """Centres of an fn x fn cell grid with spacing h from origin, one per
+    cell in element order (x index slow)."""
+    ex, ey = np.meshgrid(np.arange(fn), np.arange(fn), indexing="ij")
+    return origin[0] + (ex.ravel() + 0.5) * h, origin[1] + (ey.ravel() + 0.5) * h
+
+
+@pytest.mark.parametrize("m, fine_n", [(5, 32), (10, 16), (16, 32), (7, 13), (10, 128)])
+def test_cell_centres_are_the_per_cell_rule(m, fine_n):
+    # the per-axis centres, broadcast, are bitwise the per-cell centres of
+    # every element, and so are the load's values of f on them
+    mesh, sinq = CoarseMesh(m), lambda x, y: np.sin(np.pi * x / 2) * np.sin(np.pi * y / 2)
+    c = msfem._cell_centres(mesh, fine_n)
+    on_axes = sinq(c[:, None, :, None], c[None, :, None, :])
+    for i, j in [(0, 0), (m - 1, 0), (m // 2, m - 1), (m - 1, m - 1)]:
+        cx, cy = _cell_centers(fine_n, (i * mesh.H, j * mesh.H), mesh.H / fine_n)
+        got = np.broadcast_arrays(c[i][:, None], c[j][None, :])
+        assert np.array_equal(got[0].ravel(), cx) and np.array_equal(got[1].ravel(), cy)
+        assert np.array_equal(on_axes[i, j].ravel(), sinq(cx, cy))
+
+
 def _loop_geometry(mesh, perf, fine_n):
     """Per-element and per-edge classification, one indicator call each: the
     loop `_element_geometry` replaced, kept as its oracle."""
     m, H = mesh.m, mesh.H
-    grid = square_grid(fine_n)
     masks = np.zeros((m, m, fine_n, fine_n), dtype=bool)
     elem_alive = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(m):
-            cx, cy = grid.cell_centers((i * H, j * H), H / fine_n)
+            cx, cy = _cell_centers(fine_n, (i * H, j * H), H / fine_n)
             masks[i, j] = perf.indicator(cx, cy).reshape(fine_n, fine_n)
             elem_alive[i, j] = not masks[i, j].all()
     edge_alive = np.zeros(2 * m * (m - 1), dtype=bool)
@@ -637,7 +669,7 @@ def test_broadcast_classification_matches_per_element_loop(perf, m, fine_n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         ref = reference_solve(perf, f_one, n)
-    cx, cy = SquareGrid(n).cell_centers((0.0, 0.0), 1.0 / n)
+    cx, cy = _cell_centers(n, (0.0, 0.0), 1.0 / n)
     assert np.array_equal(ref.mask, perf.indicator(cx, cy).reshape(n, n))
 
 
