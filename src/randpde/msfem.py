@@ -155,32 +155,28 @@ class _LocalProblem(NamedTuple):
     """One element's local problems, one per basis function (dof):
     -lap(v) + kappa 1_B v = f inside the element, v = trace on the
     `dirichlet` sides and int_side v = average on each `constrained` side
-    (one Lagrange multiplier per side); the other sides are natural. The
-    rows of `averages` or `traces` lift data with f = 0; a bubble (f = 1,
-    zero data) comes last."""
+    (one Lagrange multiplier per side); the other sides are natural. Each of
+    `lifts` names a lift with f = 0: a constrained side with unit average
+    (zero on the others), or a corner (di, dj) whose hat is the trace. A
+    bubble (f = 1, zero data) comes last."""
 
     dofs: list
     dirichlet: tuple
     constrained: tuple
-    averages: np.ndarray | None = None   # (k, len(constrained))
-    traces: np.ndarray | None = None     # (k, nn), zero off the Dirichlet nodes
+    lifts: tuple = ()
     bubble: bool = False
 
 
 def _solve_classes(masks: np.ndarray, problems: dict) -> dict:
     """Elements grouped by system, then by right-hand sides: system key ->
     data key -> elements. A system key (mask, Dirichlet and constrained
-    sides) fixes the matrix; within it, a data key (averages, traces,
-    bubble) fixes the right-hand sides, so the elements of one data class
-    pose the very same local problems. Equal traces share one key object,
-    so the groups hold each distinct trace's bytes once."""
-    classes, traces = {}, {}
+    sides) fixes the matrix; within it, a data key (lifts, bubble) fixes
+    the right-hand sides, so the elements of one data class pose the very
+    same local problems."""
+    classes = {}
     for elem, prob in problems.items():
         system = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
-        trace = None if prob.traces is None else prob.traces.tobytes()
-        data = (prob.bubble, None if prob.averages is None else prob.averages.tobytes(),
-                traces.setdefault(trace, trace))
-        classes.setdefault(system, {}).setdefault(data, []).append(elem)
+        classes.setdefault(system, {}).setdefault((prob.lifts, prob.bubble), []).append(elem)
     return classes
 
 
@@ -221,8 +217,9 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     their right-hand sides as one block: the saddle system
     [[A_ff, C^T], [C, 0]] (u, lambda) = (-A_fd g, c) for a lift of trace g
     and averages c, and (b_f, 0) for the bubble load b, which depends only
-    on the mask; A_fd g is `penalized_band`'s `couple` of the traces as they
-    stand. Returns element -> read-only nodal values (k, nn).
+    on the mask. A lifted side's c is 1 on its row; a lifted corner's g is
+    its hat on the Dirichlet nodes, and A_fd g is `penalized_band`'s
+    `couple` of g. Returns element -> read-only nodal values (k, nn).
 
     A_ff is banded (lower bandwidth ny + 1 in the x-slow node order) and
     gets LAPACK's banded Cholesky (`dpbtrf`) straight from the stencil. On
@@ -266,12 +263,12 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
         rhs = np.zeros((len(load), len(prob.dofs)), order="F")
         averages = np.zeros((len(C), len(prob.dofs)))
         values = np.zeros((len(prob.dofs), grid.nn))
-        lifts = len(prob.dofs) - prob.bubble
-        if prob.averages is not None:
-            averages[:, :lifts] = prob.averages.T
-        if prob.traces is not None:
-            rhs[:, :lifts] = -couple(prob.traces)
-            values[:lifts] = prob.traces
+        if first.constrained:
+            for a, side in enumerate(prob.lifts):
+                averages[first.constrained.index(side), a] = 1.0
+        elif prob.lifts:
+            values[:len(prob.lifts)] = _corner_hats(grid, prob.lifts) * ~free
+            rhs[:, :len(prob.lifts)] = -couple(values[:len(prob.lifts)])
         if prob.bubble:
             rhs[:, -1] = load
         if first.constrained:
@@ -288,21 +285,23 @@ def _solve_group(grid, mask: np.ndarray, kappa: float, h_loc: float,
     return out
 
 
-def _corner_hats(grid, node_dof: dict, elems) -> dict:
-    """Element -> dof ids and bilinear hats, on the local fine grid, of those
-    of its corners that carry a coarse node dof."""
+def _node_corners(node_dof: dict, elem) -> tuple[list, tuple]:
+    """The dof ids of element `elem`'s corners that carry a coarse node dof,
+    and those corners (di, dj)."""
+    i, j = elem
+    corners = tuple((di, dj) for dj in (0, 1) for di in (0, 1) if (i + di, j + dj) in node_dof)
+    return [node_dof[(i + di, j + dj)] for di, dj in corners], corners
+
+
+def _corner_hats(grid, corners: tuple) -> np.ndarray:
+    """The bilinear hats (len(corners), nn) of the given corners on the local
+    fine grid."""
     t = np.arange(grid.fn + 1) / grid.fn
-    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
-    unit = np.array([np.outer(t if di else 1.0 - t, t if dj else 1.0 - t).ravel()
+    return np.array([np.outer(t if di else 1.0 - t, t if dj else 1.0 - t).ravel()
                      for di, dj in corners])
-    out = {}
-    for i, j in elems:
-        keep = [k for k, (di, dj) in enumerate(corners) if (i + di, j + dj) in node_dof]
-        out[(i, j)] = [node_dof[(i + corners[k][0], j + corners[k][1])] for k in keep], unit[keep]
-    return out
 
 
-def _cr_problems(mesh, grid, alive, elem_alive, edge_alive):
+def _cr_problems(mesh, alive, elem_alive, edge_alive):
     """Crouzeix-Raviart: one dof per alive internal edge. An element lifts unit
     averages on its live edges and constrains the averages of all internal sides."""
     edge_dof = {eid: k for k, eid in enumerate(np.flatnonzero(edge_alive))}
@@ -310,43 +309,42 @@ def _cr_problems(mesh, grid, alive, elem_alive, edge_alive):
     for i, j in alive:
         side_edges = {s: mesh.element_side_edge(i, j, s) for s in SIDES}
         internal = tuple(s for s in SIDES if side_edges[s] is not None)
-        live = [s for s in internal if edge_alive[side_edges[s]]]
-        problems[(i, j)] = _LocalProblem(
-            [edge_dof[side_edges[s]] for s in live],
-            tuple(s for s in SIDES if side_edges[s] is None), internal,
-            averages=np.eye(len(internal))[[internal.index(s) for s in live]])
+        live = tuple(s for s in internal if edge_alive[side_edges[s]])
+        problems[(i, j)] = _LocalProblem([edge_dof[side_edges[s]] for s in live],
+                                         tuple(s for s in SIDES if side_edges[s] is None),
+                                         internal, live)
     return edge_dof, problems, {}
 
 
-def _linear_problems(mesh, grid, alive, elem_alive, edge_alive):
+def _linear_problems(mesh, alive, elem_alive, edge_alive):
     """Affine boundary conditions: one dof per interior coarse node next to an
     alive element; each alive element lifts the hats of its corners."""
     nodes = [(a, b) for a in range(1, mesh.m) for b in range(1, mesh.m)
              if elem_alive[a - 1:a + 1, b - 1:b + 1].any()]
     node_dof = {node: k for k, node in enumerate(nodes)}
-    boundary = ~grid.free_nodes(SIDES)
-    problems = {elem: _LocalProblem(dofs, SIDES, (), traces=np.multiply(hats, boundary, out=hats))
-                for elem, (dofs, hats) in _corner_hats(grid, node_dof, alive).items()}
+    corners = {elem: _node_corners(node_dof, elem) for elem in alive}
+    problems = {elem: _LocalProblem(dofs, SIDES, (), lifts)
+                for elem, (dofs, lifts) in corners.items()}
     return node_dof, problems, {}
 
 
-def _q1_problems(mesh, grid, alive, elem_alive, edge_alive):
+def _q1_problems(mesh, alive, elem_alive, edge_alive):
     """Coarse Q1: one dof per interior node. Its hats are prescribed on every
     element, dead ones too, as the penalized form integrates them there."""
     m = mesh.m
     node_dof = {(a, b): (a - 1) * (m - 1) + (b - 1) for a in range(1, m) for b in range(1, m)}
-    prescribed = _corner_hats(grid, node_dof, [(i, j) for i in range(m) for j in range(m)])
+    prescribed = {(i, j): _node_corners(node_dof, (i, j)) for i in range(m) for j in range(m)}
     return node_dof, {elem: _LocalProblem([], SIDES, ()) for elem in alive}, prescribed
 
 
 def _local_problems(method: str, mesh: CoarseMesh, perf, fine_n: int, with_bubbles: bool):
     """Geometry, coarse numbering, local problems (bubbles appended; none for
-    an element with nothing to solve), bubble numbering and prescribed rows."""
+    an element with nothing to solve), bubble numbering and prescribed rows,
+    element -> (dof ids, corners)."""
     geometry = _, elem_alive, edge_alive = _element_geometry(mesh, perf, fine_n)
     alive = [(i, j) for i in range(mesh.m) for j in range(mesh.m) if elem_alive[i, j]]
     problem_list = {"cr": _cr_problems, "linear": _linear_problems, "q1": _q1_problems}
-    numbering, problems, prescribed = problem_list[method](
-        mesh, square_grid(fine_n), alive, elem_alive, edge_alive)
+    numbering, problems, prescribed = problem_list[method](mesh, alive, elem_alive, edge_alive)
     bubble_dof = {}
     if with_bubbles:
         bubble_dof = {elem: len(numbering) + k for k, elem in enumerate(problems)}
@@ -361,8 +359,9 @@ def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
     """The space "cr", "linear" (classical MsFEM: harmonic lifts of affine hat
     traces on each element boundary, penalized inside perforations) or "q1"
     (coarse Q1), with Dirichlet bubbles when asked: local problems solved with
-    one factorization per distinct system, after each element's prescribed rows.
-    Local grids that under-resolve a perforation give a ResolutionWarning."""
+    one factorization per distinct system, after each element's prescribed
+    hats, made once per stacked (corners, solution) pair. Local grids that
+    under-resolve a perforation give a ResolutionWarning."""
     grid = square_grid(fine_n)
     h_loc = mesh.H / fine_n
     note = under_resolution(perf, mesh.m * fine_n)
@@ -374,12 +373,12 @@ def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
                                                  problems)
     empty = (np.array([], dtype=int), _read_only(np.zeros((0, grid.nn))))
     elem_basis = {(i, j): basis.get((i, j), empty) for i in range(mesh.m) for j in range(mesh.m)}
-    stacked = {}   # equal prescribed rows over one shared solution stack once
-    for elem, (dofs, values) in prescribed.items():
+    stacked = {}   # equal prescribed corners over one shared solution stack once
+    for elem, (dofs, corners) in prescribed.items():
         solved_dofs, solved = elem_basis[elem]
-        key = (values.tobytes(), id(solved))
+        key = (corners, id(solved))
         if key not in stacked:
-            stacked[key] = _read_only(np.vstack([values, solved]))
+            stacked[key] = _read_only(np.vstack([_corner_hats(grid, corners), solved]))
         elem_basis[elem] = (np.concatenate([np.array(dofs, dtype=int), solved_dofs]),
                             stacked[key])
     return MsFEMSpace(mesh=mesh, perf=perf, fine_n=fine_n,
@@ -482,6 +481,7 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
         load = np.empty(dofs.shape + (1,))
         for basis, g in zip(bases, groups):
             load[g] = basis @ loads[g]
+        del loads   # before the next stack gathers its own
         np.add.at(b, dofs.ravel(), load.ravel())
     K = assemble(blocks, space.n_dofs)
     try:

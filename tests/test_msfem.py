@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -379,10 +380,9 @@ def _reference_basis(space, elem, dofs, permc_spec="MMD_AT_PLUS_A", block=True):
     return out
 
 
-def _engine_spaces(geometry, m, fine_n=16):
-    """The local-engine builds (cr with and without bubbles and its view,
-    linear, q1 bubbles) on one test geometry at H = 1/m."""
-    perf = {"discs": lambda: build_perforations(
+def _engine_perf(geometry):
+    """One of the local-engine test geometries."""
+    return {"discs": lambda: build_perforations(
                 "periodic_discs", epsilon=0.2, radius_factor=0.2),
             "shifted_discs": lambda: build_perforations(
                 "shifted_periodic_discs", epsilon=0.2, radius_factor=0.2),
@@ -395,7 +395,12 @@ def _engine_spaces(geometry, m, fine_n=16):
             "cloud": lambda: build_perforations(   # criterion 8's rectangles
                 "random_rectangles", count=100, width_range=(0.02, 0.05),
                 height_range=(0.02, 0.05), seed=2026)}[geometry]()
-    mesh = CoarseMesh(m)
+
+
+def _engine_spaces(geometry, m, fine_n=16):
+    """The local-engine builds (cr with and without bubbles and its view,
+    linear, q1 bubbles) on one test geometry at H = 1/m."""
+    perf, mesh = _engine_perf(geometry), CoarseMesh(m)
     cr = build_cr_space(mesh, perf, fine_n)
     return [cr, cr.without_bubbles(), build_cr_space(mesh, perf, fine_n, with_bubbles=False),
             _build_space("linear", mesh, perf, fine_n, True),
@@ -433,6 +438,74 @@ def test_local_engine_groups_bitwise(geometry):
             assert np.array_equal(np.array(problems[elem].dofs, dtype=int)[-len(dofs):], dofs), \
                 (space.method, elem)
             assert np.array_equal(alone[-len(dofs):], values), (space.method, elem)
+
+
+def _array_hats(grid, node_dof, elem):
+    """Element `elem`'s bilinear hats, in corner order, of its corners that
+    carry a node dof: one array, made apart from the problem list."""
+    (i, j), t = elem, np.arange(grid.fn + 1) / grid.fn
+    return np.array([np.outer(t if di else 1.0 - t, t if dj else 1.0 - t).ravel()
+                     for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1))
+                     if (i + di, j + dj) in node_dof])
+
+
+def _array_data_key(method, mesh, grid, edge_alive, numbering, elem, bubble):
+    """An element's right-hand-side data as the bytes of arrays, made apart from
+    its problem: unit averages on its live internal sides (cr), or its corner
+    hats zeroed off the element boundary (linear)."""
+    averages = traces = None
+    if method == "cr":
+        edges = {s: mesh.element_side_edge(*elem, s) for s in SIDES}
+        internal = [s for s in SIDES if edges[s] is not None]
+        live = [internal.index(s) for s in internal if edge_alive[edges[s]]]
+        averages = np.eye(len(internal))[live].tobytes()
+    elif method == "linear":
+        traces = (_array_hats(grid, numbering, elem) * ~grid.free_nodes(SIDES)).tobytes()
+    return bubble, averages, traces
+
+
+@pytest.mark.parametrize("geometry", ["discs", "rectangles", "shifted_discs", "dead", "cloud"])
+def test_named_lifts_group_as_their_arrays(geometry):
+    # keying a data class on the names of its lifted sides or corners splits
+    # the elements exactly as the bytes of their averages and traces do, and
+    # q1's prescribed corners split them as the bytes of their hats
+    m, fine_n = 16 if geometry == "cloud" else 5, 16
+    mesh, perf, grid = CoarseMesh(m), _engine_perf(geometry), square_grid(fine_n)
+    for method in ("cr", "linear", "q1"):
+        for bubbles in (True, False):
+            (masks, _, edge_alive), numbering, problems, _, prescribed = \
+                _local_problems(method, mesh, perf, fine_n, bubbles)
+            expected = {}
+            for elem, prob in problems.items():
+                system = (masks[elem].tobytes(), prob.dirichlet, prob.constrained)
+                data = _array_data_key(method, mesh, grid, edge_alive, numbering, elem,
+                                       prob.bubble)
+                expected.setdefault(system, {}).setdefault(data, []).append(elem)
+            got = msfem._solve_classes(masks, problems)
+            assert list(got) == list(expected), (method, bubbles)
+            assert [list(g.values()) for g in got.values()] == \
+                [list(g.values()) for g in expected.values()], (method, bubbles)
+            by_name, by_bytes = {}, {}
+            for elem, (dofs, corners) in prescribed.items():
+                by_name.setdefault(corners, []).append(elem)
+                by_bytes.setdefault(_array_hats(grid, numbering, elem).tobytes(), []).append(elem)
+            assert list(by_name.values()) == list(by_bytes.values()), (method, bubbles)
+            assert problems or (method == "q1" and not bubbles)
+            assert bool(prescribed) == (method == "q1")
+
+
+def test_count_local_solves_holds_no_hats():
+    # linear problems name their corners, so counting the local solves on
+    # msfem-random's rectangles at H = 1/8, fine_n = 64 makes no per-element
+    # hat array (7.6 MB under tracemalloc when each problem held its traces)
+    perf = build_perforations("random_rectangles", **CLOUD)
+    tracemalloc.start()
+    try:
+        count_local_solves(CoarseMesh(8), perf, 64, "linear", True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("geometry", ["discs", "shifted_discs", "dead", "cloud"])
