@@ -177,18 +177,9 @@ class SquareGrid:
                                     ex * stride + ey + 1], axis=1)
 
     def side_nodes(self, side: str) -> np.ndarray:
-        fn = self.fn
-        stride = fn + 1
-        idx = np.arange(fn + 1)
-        if side == "S":
-            return idx * stride
-        if side == "N":
-            return idx * stride + fn
-        if side == "W":
-            return idx
-        if side == "E":
-            return fn * stride + idx
-        raise ValueError(f"unknown side {side!r}")
+        """The fn + 1 nodes of one side, in ascending order."""
+        nodes = np.arange(self.nn).reshape(self.fn + 1, self.fn + 1)
+        return {"S": nodes[:, 0], "N": nodes[:, -1], "W": nodes[0], "E": nodes[-1]}[side]
 
     def trace_row(self, side: str, h: float) -> np.ndarray:
         """Composite-trapezoid weights of int_side u over the fine trace."""

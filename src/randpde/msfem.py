@@ -1,7 +1,8 @@
 """Crouzeix-Raviart multiscale finite elements with bubbles on perforated
 domains, plus the coarse-Q1 and linear-boundary-condition MsFEM baselines.
 
-Basis functions are local penalized solves on per-element fine grids. The
+Basis functions are local penalized solves on per-element fine grids: the
+element blocks of one N = m fine_n cell grid per level, the reference's. The
 Crouzeix-Raviart edge function is harmonic in each of the two elements
 sharing its edge, has unit integral on that edge, zero integral on the other
 internal edges of its support (edge averages are enforced by one Lagrange
@@ -27,7 +28,8 @@ from .errors import (AssemblyError, GridMismatchError, LocalSolveError,
                      ParameterError, ResolutionWarning)
 from .femcore import SIDES, load_vector, penalized_band, square_grid
 from .grid import assemble
-from .poisson import FineSolution, default_kappa, under_resolution
+from .perforations import cell_mask
+from .poisson import FineSolution, cell_values, default_kappa, under_resolution
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,11 @@ class CoarseMesh:
 
     def edge_adjacency(self):
         """edge id -> ((elem, side), (elem, side)) for both supports."""
-        adj = {}
         m = self.m
-        for i in range(m - 1):
-            for j in range(m):
-                adj[self.edge_id("v", i, j)] = (((i, j), "E"), ((i + 1, j), "W"))
-        for i in range(m):
-            for j in range(m - 1):
-                adj[self.edge_id("h", i, j)] = (((i, j), "N"), ((i, j + 1), "S"))
+        adj = {self.edge_id("v", i, j): (((i, j), "E"), ((i + 1, j), "W"))
+               for i in range(m - 1) for j in range(m)}
+        adj.update({self.edge_id("h", i, j): (((i, j), "N"), ((i, j + 1), "S"))
+                    for i in range(m) for j in range(m - 1)})
         return adj
 
 
@@ -103,7 +102,7 @@ class MsFEMSpace:
 
     @property
     def h_loc(self) -> float:
-        return self.mesh.H / self.fine_n
+        return 1.0 / (self.mesh.m * self.fine_n)
 
     @property
     def kappa(self) -> float:
@@ -124,24 +123,17 @@ class MsFEMSpace:
                        n_dofs=self.n_edge_dofs, bubble_dof={})
 
 
-def _cell_centres(mesh: CoarseMesh, fine_n: int) -> np.ndarray:
-    """The fine-cell centres along one axis, per element: [i, k] is
-    i H + (k + 0.5) H / fine_n, the same along x and y."""
-    return (np.arange(mesh.m) * mesh.H)[:, None] + (np.arange(fine_n) + 0.5) * (mesh.H / fine_n)
-
-
 def _element_geometry(mesh: CoarseMesh, perf, fine_n: int):
     """Masks, element liveness and edge liveness for the given geometry.
 
-    Three broadcast indicator calls: the element cell centres, and the fine_n+1
-    trace nodes of the vertical and of the horizontal internal edges."""
+    Three broadcast indicator calls: the level's cell grid, `cell_mask(perf,
+    m fine_n)` regrouped to (m, m, fine_n, fine_n), and the fine_n+1 trace
+    nodes of the vertical and of the horizontal internal edges."""
     m, H = mesh.m, mesh.H
-    starts = np.arange(m) * H
     lines = np.arange(1, m) * H
-    centres = _cell_centres(mesh, fine_n)
-    masks = perf.indicator(centres[:, None, :, None], centres[None, :, None, :])
+    masks = cell_mask(perf, m * fine_n).reshape(m, fine_n, m, fine_n).swapaxes(1, 2).copy()
     elem_alive = ~masks.all(axis=(2, 3))
-    trace = starts[:, None] + np.linspace(0.0, H, fine_n + 1)
+    trace = (np.arange(m) * H)[:, None] + np.linspace(0.0, H, fine_n + 1)
     covered_v = perf.indicator(lines[:, None, None], trace[None]).all(axis=-1)
     covered_h = perf.indicator(trace[:, None], lines[None, :, None]).all(axis=-1)
     # an edge whose support element is fully perforated lies in the
@@ -363,7 +355,7 @@ def _build_space(method: str, mesh: CoarseMesh, perf, fine_n: int,
     hats, made once per stacked (corners, solution) pair. Local grids that
     under-resolve a perforation give a ResolutionWarning."""
     grid = square_grid(fine_n)
-    h_loc = mesh.H / fine_n
+    h_loc = 1.0 / (mesh.m * fine_n)
     note = under_resolution(perf, mesh.m * fine_n)
     if note:
         warnings.warn(note, ResolutionWarning, stacklevel=3)
@@ -461,9 +453,7 @@ def _coarse_galerkin(space: MsFEMSpace, f) -> CoarseSolution:
         raise AssemblyError("no basis functions survive the perforations")
     blocks = []
     b = np.zeros(space.n_dofs)
-    c = _cell_centres(mesh, fn)
-    fc = np.broadcast_to(np.asarray(f(c[:, None, :, None], c[None, :, None, :]), dtype=float),
-                         space.masks.shape)
+    fc = cell_values(f, mesh.m * fn).reshape(mesh.m, fn, mesh.m, fn).swapaxes(1, 2)
     stacks = _stacks(space)
     for elems, dofs, bases, groups in stacks:
         mask = space.masks[elems[:, 0], elems[:, 1]]
@@ -577,7 +567,9 @@ def edge_average_matrix(space: MsFEMSpace) -> np.ndarray:
     """Integral of every basis function over every alive internal edge,
     averaged over the two element traces; rows are edges (by dof), columns
     are dofs. For the CR space this must be the identity on edge dofs and
-    zero on bubble columns."""
+    zero on bubble columns; other spaces have no edge dofs and are refused."""
+    if space.method != "cr":
+        raise ParameterError(f"edge_average_matrix needs a CR space, not {space.method!r}")
     grid = square_grid(space.fine_n)
     out = np.zeros((space.n_edge_dofs, space.n_dofs))
     for eid, ((ea, sa), (eb, sb)) in space.mesh.edge_adjacency().items():

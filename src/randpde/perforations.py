@@ -4,8 +4,8 @@ is a pure, vectorized indicator function; geometry never touches meshes.
 
 `indicator(x, y)` broadcasts its arguments elementwise, so an x column and a
 y row, `indicator(x[:, None], y[None, :])`, classify a whole tensor grid in
-one call, bitwise equal to classifying its points one by one. The reference
-and MsFEM grids are classified that way."""
+one call, bitwise equal to classifying its points one by one. `cell_mask`
+so classifies the reference's and every MsFEM level's one cell grid."""
 
 from __future__ import annotations
 
@@ -15,6 +15,17 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError
 from .fields import _philox
+
+
+def cell_centres(n: int) -> np.ndarray:
+    """The centres (k + 1/2) / n of the n cells of width 1/n along one axis."""
+    return (np.arange(n) + 0.5) * (1.0 / n)
+
+
+def cell_mask(perf, n: int) -> np.ndarray:
+    """(n, n) bool, True where a cell centre of the n x n grid is perforated."""
+    c = cell_centres(n)
+    return perf.indicator(c[:, None], c[None, :])
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ def build_perforations(kind: str, epsilon: float | None = None,
                        width_range=None, height_range=None,
                        seed: int = 0):
     """Factory for the supported geometries; validates that the result does
-    not swallow the whole domain."""
+    not swallow the whole domain (every centre of the 64 x 64 cell grid)."""
     if kind == "none":
         return NoPerforations()
     if kind in ("periodic_discs", "shifted_periodic_discs"):
@@ -132,8 +143,6 @@ def build_perforations(kind: str, epsilon: float | None = None,
         perf = random_rectangles(count, width_range, height_range, seed)
     else:
         raise ParameterError(f"unknown perforation kind {kind!r}")
-    probe = np.linspace(1 / 128, 1 - 1 / 128, 64)
-    px, py = np.meshgrid(probe, probe, indexing="ij")
-    if perf.indicator(px, py).all():
+    if cell_mask(perf, 64).all():
         raise GeometryError("perforations cover the whole domain")
     return perf

@@ -17,6 +17,7 @@ from .errors import ParameterError, ResolutionWarning
 from .femcore import (SIDES, load_vector, multigrid_preconditioner, penalized_diagonals,
                       square_grid)
 from .grid import cg_spd
+from .perforations import cell_centres, cell_mask
 
 DEFAULT_KAPPA_SCALE = 1e8
 
@@ -35,6 +36,14 @@ def under_resolution(perf, n: int) -> str | None:
     return None
 
 
+def cell_values(f, n: int) -> np.ndarray:
+    """f at the n x n cell centres, (n, n) read-only: the reference's load
+    samples, and every MsFEM coarse load's at n = m fine_n."""
+    c = cell_centres(n)
+    fc = np.asarray(f(*np.broadcast_arrays(c[:, None], c[None, :])), dtype=float)
+    return np.broadcast_to(fc, (n, n))
+
+
 @dataclass(frozen=True)
 class FineSolution:
     """Nodal values of the penalized reference solve on the global fine grid."""
@@ -44,9 +53,7 @@ class FineSolution:
     mask: np.ndarray    # (fine_n, fine_n) bool, True inside perforations
 
     def __post_init__(self):
-        for name in ("values", "mask"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+        self.values.flags.writeable = self.mask.flags.writeable = False
 
     def value_at_center(self) -> float:
         mid = self.fine_n // 2
@@ -70,14 +77,15 @@ def reference_solve(perf, f, fine_n: int) -> FineSolution:
     """Bilinear FEM solve of the penalized problem on the fine_n^2 grid,
     with kappa = 1e8 / h^2.
 
-    f is a vectorized callable f(x, y); homogeneous Dirichlet data on the
-    outer boundary is imposed strongly. The operator on the interior nodes
-    is held as its nine diagonals (`penalized_diagonals`), with no coupling
-    to the boundary, whose data is zero. The CG runs to tolerance 1e-10,
-    preconditioned by one Galerkin multigrid V-cycle
-    (`multigrid_preconditioner`), whatever the parity of fine_n. An
-    under-resolved perforation is a ResolutionWarning, never an error:
-    refusing one is the runner's choice.
+    f is a vectorized callable f(x, y) sampled by `cell_values`, the mask is
+    `cell_mask`: an MsFEM level with m fine_n = fine_n shares both, and h.
+    Homogeneous Dirichlet data on the outer boundary is imposed strongly. The
+    operator on the interior nodes is held as its nine diagonals
+    (`penalized_diagonals`), with no coupling to the boundary, whose data is
+    zero. The CG runs to tolerance 1e-10, preconditioned by one Galerkin
+    multigrid V-cycle (`multigrid_preconditioner`), whatever the parity of
+    fine_n. An under-resolved perforation is a ResolutionWarning, never an
+    error: refusing one is the runner's choice.
     """
     if fine_n < 2:
         raise ParameterError("fine_n must be >= 2")
@@ -86,13 +94,11 @@ def reference_solve(perf, f, fine_n: int) -> FineSolution:
     if note:
         warnings.warn(note, ResolutionWarning, stacklevel=2)
 
-    c = (np.arange(fine_n) + 0.5) * h
-    mask = perf.indicator(c[:, None], c[None, :])
+    mask = cell_mask(perf, fine_n)
     K = penalized_diagonals(fine_n, mask, default_kappa(h), h, SIDES)
-    fc = np.asarray(f(*np.broadcast_arrays(c[:, None], c[None, :])), dtype=float)
-    load = load_vector(np.broadcast_to(fc, mask.shape).ravel(), np.ones_like(mask), h)
+    load = load_vector(cell_values(f, fine_n).ravel(), np.ones_like(mask), h)
     b = load.reshape(fine_n + 1, fine_n + 1)[1:-1, 1:-1].ravel()
-    del fc, load
+    del load
     x_free, _, _ = cg_spd(K, b, tol=1e-10, preconditioner=multigrid_preconditioner(K, fine_n))
     values = np.zeros((fine_n + 1, fine_n + 1))
     values[1:-1, 1:-1] = x_free.reshape(fine_n - 1, fine_n - 1)

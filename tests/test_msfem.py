@@ -17,8 +17,9 @@ from randpde.msfem import (CoarseMesh, CoarseSolution, _build_space, _element_ge
                            _local_problems, _solve_group, baseline_solve, build_cr_space,
                            compute_errors, count_local_solves, edge_average_matrix,
                            max_mean_jump, msfem_solve)
-from randpde.perforations import NoPerforations, RandomRectangles, build_perforations
-from randpde.poisson import default_kappa, reference_solve
+from randpde.perforations import (NoPerforations, RandomRectangles, build_perforations,
+                                  cell_centres)
+from randpde.poisson import cell_values, default_kappa, reference_solve
 
 
 def f_one(x, y):
@@ -681,16 +682,18 @@ def _cell_centers(fn, origin, h):
 
 @pytest.mark.parametrize("m, fine_n", [(5, 32), (10, 16), (16, 32), (7, 13), (10, 128)])
 def test_cell_centres_are_the_per_cell_rule(m, fine_n):
-    # the per-axis centres, broadcast, are bitwise the per-cell centres of
-    # every element, and so are the load's values of f on them
-    mesh, sinq = CoarseMesh(m), lambda x, y: np.sin(np.pi * x / 2) * np.sin(np.pi * y / 2)
-    c = msfem._cell_centres(mesh, fine_n)
-    on_axes = sinq(c[:, None, :, None], c[None, :, None, :])
+    # the level's grid N = m fine_n is the one rule: the per-axis centres,
+    # broadcast, are bitwise the per-cell centres (k + 0.5) / N of the whole
+    # grid, every element's block among them, and so are f's samples there
+    n, sinq = m * fine_n, lambda x, y: np.sin(np.pi * x / 2) * np.sin(np.pi * y / 2)
+    c = cell_centres(n)
+    cx, cy = (a.reshape(n, n) for a in _cell_centers(n, (0.0, 0.0), 1.0 / n))
+    got = np.broadcast_arrays(c[:, None], c[None, :])
+    assert np.array_equal(got[0], cx) and np.array_equal(got[1], cy)
+    samples = cell_values(sinq, n)
     for i, j in [(0, 0), (m - 1, 0), (m // 2, m - 1), (m - 1, m - 1)]:
-        cx, cy = _cell_centers(fine_n, (i * mesh.H, j * mesh.H), mesh.H / fine_n)
-        got = np.broadcast_arrays(c[i][:, None], c[j][None, :])
-        assert np.array_equal(got[0].ravel(), cx) and np.array_equal(got[1].ravel(), cy)
-        assert np.array_equal(on_axes[i, j].ravel(), sinq(cx, cy))
+        block = np.s_[i * fine_n:(i + 1) * fine_n, j * fine_n:(j + 1) * fine_n]
+        assert np.array_equal(samples[block], sinq(cx[block], cy[block]))
 
 
 def _loop_geometry(mesh, perf, fine_n):
@@ -744,6 +747,40 @@ def test_broadcast_classification_matches_per_element_loop(perf, m, fine_n):
         ref = reference_solve(perf, f_one, n)
     cx, cy = _cell_centers(n, (0.0, 0.0), 1.0 / n)
     assert np.array_equal(ref.mask, perf.indicator(cx, cy).reshape(n, n))
+
+
+def _on_grid(cells, n):
+    """An (N, N) cell array, or its (m, m, N/m, N/m) element blocks, as (N, N)."""
+    return cells if cells.ndim == 2 else cells.swapaxes(1, 2).reshape(n, n)
+
+
+@pytest.mark.parametrize("m, fine_n", [(5, 32), (7, 13)])
+@pytest.mark.parametrize("geometry", ["rectangles", "shifted_discs"])
+def test_levels_are_blocks_of_the_matched_reference_grid(geometry, m, fine_n):
+    # a level's local grids are the element blocks of the reference's grid at
+    # N = m fine_n: its mask, cell width, penalty and f samples, bitwise
+    perf, n = _engine_perf(geometry), m * fine_n
+    samples = []
+
+    def sinq(x, y):
+        values = np.sin(np.pi * x / 2) * np.sin(np.pi * y / 2)
+        samples.append(_on_grid(values, n))
+        return values
+
+    ref = reference_solve(perf, sinq, n)
+    for method in ("cr", "linear", "q1"):
+        space = _build_space(method, CoarseMesh(m), perf, fine_n, True)
+        assert np.array_equal(_on_grid(space.masks, n), ref.mask), method
+        assert space.h_loc == 1.0 / n and space.kappa == default_kappa(1.0 / n), method
+        msfem_solve(space, sinq)
+        assert np.array_equal(samples[-1], samples[0]), method
+
+
+@pytest.mark.parametrize("method", ["linear", "q1"])
+def test_edge_average_matrix_refuses_spaces_without_edge_dofs(method):
+    space = _build_space(method, CoarseMesh(5), _engine_perf("discs"), 16, True)
+    with pytest.raises(ParameterError, match="edge_average_matrix needs a CR space"):
+        edge_average_matrix(space)
 
 
 def test_unknown_method_rejected():
