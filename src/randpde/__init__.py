@@ -22,7 +22,7 @@ from .defects import DefectCoefficients, defect_coefficients
 from .sqs import SqsAuxiliary, sqs_auxiliary, sqs_condition_values
 from .estimators import (ComparisonTable, EstimatorReport, antithetic_estimate,
                          compare_strategies, control_variate_estimate,
-                         mc_estimate, sqs_estimate, write_reports_csv)
+                         mc_estimate, sqs_estimate)
 from .perforations import (NoPerforations, PeriodicDiscs, RandomRectangles,
                            build_perforations)
 from .poisson import FineSolution, reference_solve
@@ -38,7 +38,7 @@ __all__ = [
     "SqsAuxiliary", "sqs_auxiliary", "sqs_condition_values",
     "ComparisonTable", "EstimatorReport", "antithetic_estimate",
     "compare_strategies", "control_variate_estimate", "mc_estimate",
-    "sqs_estimate", "write_reports_csv",
+    "sqs_estimate",
     "NoPerforations", "PeriodicDiscs", "RandomRectangles", "build_perforations",
     "FineSolution", "reference_solve",
     "CoarseMesh", "CoarseSolution", "MsFEMSpace", "baseline_solve",

@@ -14,7 +14,6 @@ table, those estimators solve each configuration once between them.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -302,19 +301,3 @@ def compare_strategies(reports) -> ComparisonTable:
             })
     return ComparisonTable(law=key[0], n=key[1], r=key[2], rows=tuple(rows))
 
-
-def write_reports_csv(reports, path) -> None:
-    """One CSV row per report and tensor entry (schema: strategy, n, r, m,
-    entry, mean, var, ci95, solves, rejected, rho)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "n", "r", "m", "entry", "mean", "var",
-                         "ci95", "solves", "rejected", "rho"])
-        for rep in reports:
-            for name, (i, j) in TENSOR_ENTRIES.items():
-                rho = ";".join(f"{mat[i, j]:.17g}" for mat in rep.rho)
-                writer.writerow([
-                    rep.strategy, rep.n, rep.r, rep.m, name,
-                    f"{rep.mean[i, j]:.17g}", f"{rep.var[i, j]:.17g}",
-                    f"{rep.ci95[i, j]:.17g}", rep.solves, rep.rejected, rho,
-                ])

@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .defects import defect_coefficients, defect_solve_count
 from .errors import ConfigError, RandpdeError
-from .estimators import (antithetic_estimate, compare_strategies,
-                         control_variate_estimate, mc_estimate, sqs_estimate,
-                         write_reports_csv)
+from .estimators import (TENSOR_ENTRIES, antithetic_estimate, compare_strategies,
+                         control_variate_estimate, mc_estimate, sqs_estimate)
 from .fields import Checkerboard, PerturbedPeriodic, balanced_ones
 from .msfem import (CoarseMesh, baseline_solve, build_cr_space, compute_errors,
                     count_local_solves, msfem_solve)
@@ -242,20 +241,23 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError("msfem.fine_n must be scalar or match msfem.h in length")
         if any(fn < 2 for fn in ms["fine_n"]):
             raise ConfigError("msfem.fine_n entries must be >= 2")
-        if ms["reference_n"] < 0:
-            raise ConfigError("msfem.reference_n must be >= 0 (0 picks the local grids' own)")
         for hval in ms["h"]:
             m = 1.0 / hval if hval > 0 else 0.0
             if abs(m - round(m)) > 1e-9 or round(m) < 2:
                 raise ConfigError(f"msfem.h entry {hval} must equal 1/m for integer m >= 2")
-        levels = [(round(1.0 / hval), fn) for hval, fn in zip(ms["h"], ms["fine_n"])]
+        levels = _levels(cfg)
         repeated = [lv for lv in levels if levels.count(lv) > 1]
         if repeated:
             m, fn = repeated[0]
             raise ConfigError(f"msfem.h, msfem.fine_n: level H=1/{m}, fine_n={fn} "
                               f"given more than once")
-        if ms["reference_n"] == 0:
-            ms["reference_n"] = _msfem_grids(cfg)[1]
+        # every level is read against the reference on its own grid m*fine_n;
+        # the key stays for configs that write it, and must name that grid
+        grids = sorted({m * fn for m, fn in levels})
+        if ms["reference_n"] != 0 and grids != [ms["reference_n"]]:
+            raise ConfigError(f"msfem.reference_n={ms['reference_n']} must equal every "
+                              f"level's grid m*fine_n ({', '.join(map(str, grids))}), "
+                              f"or be left out")
     return cfg
 
 
@@ -282,23 +284,9 @@ def _geometries(cfg: ExperimentConfig) -> list:
     return [(perf.describe(), perf)]
 
 
-def _msfem_grids(cfg: ExperimentConfig):
-    """(m, fine_n) pairs plus the reference resolution (validated divisible).
-
-    The default reference is the coarsest grid that contains every level's
-    local grids (the least common multiple of the m * fine_n values): a finer
-    one would add the local grids' own resolution gap to the errors.
-    """
-    pairs = [(int(round(1.0 / h)), fn) for h, fn in zip(cfg.msfem["h"], cfg.msfem["fine_n"])]
-    ref_n = cfg.msfem["reference_n"]
-    if ref_n == 0:
-        ref_n = math.lcm(*(m * fn for m, fn in pairs))
-    for m, fn in pairs:
-        if ref_n % (m * fn) != 0:
-            raise ConfigError(
-                f"msfem.reference_n={ref_n} is not divisible by m*fine_n={m * fn} "
-                f"(H=1/{m}); choose a compatible reference resolution")
-    return pairs, ref_n
+def _levels(cfg: ExperimentConfig) -> list:
+    """(m, fine_n) of every MsFEM level, in the config's order."""
+    return [(round(1.0 / h), fn) for h, fn in zip(cfg.msfem["h"], cfg.msfem["fine_n"])]
 
 
 def validate(cfg: ExperimentConfig) -> dict:
@@ -309,13 +297,13 @@ def validate(cfg: ExperimentConfig) -> dict:
     antithetic, cv1 and cv2 share, the m antithetic flips and the m
     configurations of each SQS strategy; plus the defect solves shared by cv1
     and cv2 and the AUX_SOLVES selection solves of sqs2. For the MsFEM
-    kinds it counts one reference solve per geometry plus the local solves of
-    every (geometry, level, method), taken from the same local problems the
-    space builder solves, on the geometry classified the same way. An SQS
-    strategy on a box where p*n^2 is not an integer is a problem. A level
-    whose local grids put fewer than 4 cells across the smallest perforation
-    is a note, or a problem under `strict`; this covers the reference too,
-    whose N is a multiple of every level's m*fine_n.
+    kinds it counts, per geometry, one reference solve per distinct level
+    grid m*fine_n plus the local solves of every (level, method), taken from
+    the same local problems the space builder solves, on the geometry
+    classified the same way. An SQS strategy on a box where p*n^2 is not an
+    integer is a problem. A level whose grid puts fewer than 4 cells across
+    the smallest perforation is a note, or a problem under `strict`; this
+    covers the level's reference too, which is solved on that grid.
     """
     problems: list[str] = []
     notes: list[str] = []
@@ -340,10 +328,10 @@ def validate(cfg: ExperimentConfig) -> dict:
                     balanced_ones(n, law.eta)  # raises when SQS cannot sample
         else:
             geometries = _geometries(cfg)
-            pairs, _ = _msfem_grids(cfg)
+            levels = _levels(cfg)
             for _, perf in geometries:
-                solves += 1  # the reference solve
-                for m, fn in pairs:
+                solves += len({m * fn for m, fn in levels})  # the references
+                for m, fn in levels:
                     note = under_resolution(perf, m * fn)
                     if note:
                         (problems if cfg.strict else notes).append(note)
@@ -382,6 +370,19 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 def _read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+REPORTS_CSV_COLUMNS = ["strategy", "n", "r", "m", "entry", "mean", "var", "ci95",
+                       "solves", "rejected", "rho"]
+
+
+def _report_rows(reports) -> list[dict]:
+    """reports.csv's rows: one per report and tensor entry."""
+    return [{"strategy": rep.strategy, "n": rep.n, "r": rep.r, "m": rep.m, "entry": name,
+             "mean": rep.mean[i, j], "var": rep.var[i, j], "ci95": rep.ci95[i, j],
+             "solves": rep.solves, "rejected": rep.rejected,
+             "rho": ";".join(f"{mat[i, j]:.17g}" for mat in rep.rho)}
+            for rep in reports for name, (i, j) in TENSOR_ENTRIES.items()]
 
 
 def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
@@ -426,7 +427,7 @@ def _run_estimators(cfg: ExperimentConfig, out: Path) -> list[str]:
             # rewritten after every strategy, so a later failure leaves the
             # finished strategies' rows in the archive
             reports.append(run_one(n, s, extras, tensors))
-            write_reports_csv(reports, out / "reports.csv")
+            _write_csv(out / "reports.csv", REPORTS_CSV_COLUMNS, _report_rows(reports))
     if len(est["strategies"]) > 1:
         rows = [{"n": n, **rec} for n in est["n"]
                 for rec in compare_strategies([r for r in reports if r.n == n]).rows]
@@ -477,15 +478,20 @@ def _plot_heatmaps(u, method: str, perf, out: Path) -> None:
 
 
 def _run_msfem(cfg: ExperimentConfig, out: Path) -> None:
-    """Errors of every (geometry, level, method) against the geometry's
-    reference into msfem.csv, their plots, and heatmaps of the first case."""
+    """Errors of every (geometry, level, method) into msfem.csv, their plots,
+    and heatmaps of the first case. A level with H = 1/m and fine_n is read
+    against the geometry's reference on the level's own grid m*fine_n, which
+    shares its mask, kappa and load samples: the errors are the multiscale
+    error alone. Each distinct grid's reference is solved once per geometry."""
     ms = cfg.msfem
     f = RHS_FUNCTIONS[ms["f"]]
-    pairs, ref_n = _msfem_grids(cfg)
+    levels = _levels(cfg)
     rows: list[dict] = []
     for geo_id, perf in _geometries(cfg):
-        ref = reference_solve(perf, f, ref_n)
-        for m, fn in pairs:
+        refs = {n: reference_solve(perf, f, n)
+                for n in dict.fromkeys(m * fn for m, fn in levels)}
+        for m, fn in levels:
+            ref = refs[m * fn]
             for method in ms["methods"]:
                 u = _solve_msfem_case(CoarseMesh(m), perf, f, method,
                                       ms["with_bubbles"], fn)
@@ -493,7 +499,7 @@ def _run_msfem(cfg: ExperimentConfig, out: Path) -> None:
                 rows.append({"method": method, "H": 1.0 / m, "geometry": geo_id,
                              "with_bubbles": ms["with_bubbles"], "l2_rel": l2,
                              "h1_rel": h1, "dof": u.dof, "solves": u.solves,
-                             "fine_n": fn, "reference_n": ref_n})
+                             "fine_n": fn, "reference_n": ref.fine_n})
                 # rewritten after every case, so a later failure leaves the
                 # finished cases' rows in the archive
                 _write_csv(out / "msfem.csv", MSFEM_CSV_COLUMNS, rows)

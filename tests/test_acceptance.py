@@ -20,7 +20,6 @@ from randpde import (Checkerboard, CoarseMesh, PerturbedPeriodic,
                      reference_solve, sample_configuration, sqs_auxiliary,
                      sqs_estimate)
 from randpde.correctors import E1
-from randpde.estimators import write_reports_csv
 from randpde.fields import CoefficientField
 from randpde.femcore import SIDES, load_vector, square_grid
 from randpde.msfem import edge_average_matrix, max_mean_jump
@@ -397,7 +396,8 @@ def test_criterion_9_invariants(table_runs, tmp_path):
     checks.add(worst <= 1e-6, f"basis orthogonal to zero-average probes ({worst:.2e} <= 1e-6)")
 
     # archive determinism / replay
-    from randpde.experiments import parse_config, run
+    from randpde.experiments import (REPORTS_CSV_COLUMNS, _report_rows, _write_csv,
+                                     parse_config, run)
     config = tmp_path / "replay.ini"
     config.write_text("""
 [experiment]
@@ -423,7 +423,7 @@ strategies = mc, antithetic
 
     # estimator CSV schema on a real report
     rep = mc_estimate(law, 4, 2, 4, SEED)
-    write_reports_csv([rep], tmp_path / "rep.csv")
+    _write_csv(tmp_path / "rep.csv", REPORTS_CSV_COLUMNS, _report_rows([rep]))
     header = (tmp_path / "rep.csv").read_text().splitlines()[0]
     checks.add(header == "strategy,n,r,m,entry,mean,var,ci95,solves,rejected,rho",
                "per-run CSV schema matches the declared columns")

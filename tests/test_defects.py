@@ -1,10 +1,14 @@
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 
+from randpde.correctors import homogenize_fields
 from randpde.defects import (_box_flux_excess, defect_coefficients,
                              defect_solve_count, pair_catalog)
 from randpde.errors import ParameterError
-from randpde.fields import PerturbedPeriodic
+from randpde.fields import CoefficientField, PerturbedPeriodic
 from randpde.sqs import pair_form_sums
 
 ID = np.eye(2)
@@ -74,6 +78,47 @@ def test_pair_corrections_are_even_in_the_offset(catalogs, name):
             assert np.array_equal(mirrored, a_2def)
         else:
             assert np.max(np.abs(mirrored - a_2def)) <= 1e-14 * np.abs(a_2def).max()
+
+
+def enumerated_tensors(law, n, r):
+    """A_n(B) for every one of the 2^(n^2) defect configurations B on the
+    n-torus, at index sum_{(kx, ky) in B} 2^(n kx + ky)."""
+    cells = n * n
+    configs = (np.arange(2 ** cells)[:, None] >> np.arange(cells)) & 1
+    fields = [CoefficientField(n=n, cells=law.a_per + b.reshape(n, n, 1, 1) * law.c_per)
+              for b in configs]
+    return np.array([tensor for tensor, _ in homogenize_fields(fields, r)]), configs
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_catalog_is_the_exact_expansion_on_a_small_torus(name):
+    # E[A_n](eta) = sum_B eta^|B| (1 - eta)^(n^2 - |B|) A_n(B) is a
+    # polynomial in eta. At n = 3 every nonzero offset lies within distance
+    # n/2, so the catalog is complete: a_1def is its eta^1 coefficient, half
+    # the pair sum its eta^2 one, and a_2def[d] sums the pair terms
+    # A({k, l}) - A({k}) - A({l}) + A({}) over the pairs l - k = d. The
+    # isotropic law maps its classes by lattice symmetries, the anisotropic
+    # one solves one offset of each pair {d, -d}
+    law, n, r = LAWS[name], 3, 4
+    cells = n * n
+    tensors, configs = enumerated_tensors(law, n, r)
+    sizes = configs.sum(axis=1)
+    c = np.zeros((cells + 1, 2, 2))
+    for j in range(cells + 1):
+        total = tensors[sizes == j].sum(axis=0)
+        for i in range(cells - j + 1):
+            c[j + i] += comb(cells - j, i) * (-1) ** i * total
+
+    d = defect_coefficients(law, n=n, r=r, order=2)
+    assert np.max(np.abs(c[0] - law.a_per)) <= 1e-12 * np.abs(law.a_per).max()
+    for exact, catalog in ((c[1], d.a_1def), (c[2], 0.5 * d.a_2def.sum(axis=(0, 1)))):
+        assert np.max(np.abs(catalog - exact)) <= 1e-12 * np.abs(exact).max()
+    pair = [[tensors[1 << k | 1 << l] - tensors[1 << k] - tensors[1 << l] + tensors[0]
+             for l in range(cells)] for k in range(cells)]
+    for dx, dy in product(range(n), repeat=2):
+        exact = sum(pair[n * kx + ky][n * ((kx + dx) % n) + (ky + dy) % n]
+                    for kx, ky in product(range(n), repeat=2)) if dx or dy else 0.0
+        assert np.max(np.abs(d.a_2def[dx, dy] - exact)) <= 1e-12 * np.abs(d.a_2def).max()
 
 
 def test_two_defect_symmetry_map_matches_direct_solve():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from randpde import estimators
+from randpde import estimators, experiments
 from randpde.defects import defect_coefficients
 from randpde.errors import (ComparabilityError, DegenerateControlWarning,
                             GridMismatchError, InvariantError, ParameterError)
 from randpde.estimators import (antithetic_estimate, compare_strategies,
                                 control_variate_estimate, mc_estimate,
-                                sqs_estimate, write_reports_csv)
+                                sqs_estimate)
 from randpde.fields import (Checkerboard, PerturbedPeriodic, antithetic_transform,
                             realize_field, sample_configuration)
 from randpde.sqs import sqs_auxiliary
@@ -250,7 +250,8 @@ def test_reports_csv_schema(tmp_path):
     mc = mc_estimate(law, n=4, r=2, m=10, seed=1)
     av = antithetic_estimate(law, n=4, r=2, m_pairs=5, seed=1)
     path = tmp_path / "reports.csv"
-    write_reports_csv([mc, av], path)
+    experiments._write_csv(path, experiments.REPORTS_CSV_COLUMNS,
+                           experiments._report_rows([mc, av]))
     lines = path.read_text().splitlines()
     assert lines[0] == "strategy,n,r,m,entry,mean,var,ci95,solves,rejected,rho"
     assert len(lines) == 1 + 2 * 3

@@ -14,7 +14,6 @@ from randpde import correctors, estimators, experiments
 from randpde.cli import main as cli_main
 from randpde.defects import defect_coefficients
 from randpde.errors import AssemblyError, ConfigError, ResolutionWarning, SolverError
-from randpde.estimators import write_reports_csv
 from randpde.experiments import parse_config, replot, run, validate
 from randpde.fields import PerturbedPeriodic
 
@@ -49,7 +48,6 @@ kind = none
 h = 1/4
 fine_n = 8
 methods = cr
-reference_n = 64
 """
 
 
@@ -166,7 +164,8 @@ def test_shared_tensors_keep_the_reports_bytes(tmp_path, monkeypatch):
              estimators.antithetic_estimate(law, 4, 2, 3, 5),
              estimators.control_variate_estimate(defects, 3, 1, 5),
              estimators.control_variate_estimate(defects, 3, 2, 5)]
-    write_reports_csv(alone, tmp_path / "alone.csv")
+    experiments._write_csv(tmp_path / "alone.csv", experiments.REPORTS_CSV_COLUMNS,
+                           experiments._report_rows(alone))
     assert (tmp_path / "run" / "reports.csv").read_bytes() == \
         (tmp_path / "alone.csv").read_bytes()
     [table] = tables
@@ -203,7 +202,6 @@ def test_validate_rejects_unsampleable_sqs_box(tmp_path, monkeypatch, strategy):
 def test_validate_flags_underresolved_msfem(tmp_path):
     text = MSFEM_CONFIG.replace("kind = none",
                                 "kind = periodic_discs\nepsilon = 0.03\nradius_factor = 0.35")
-    text = text.replace("reference_n = 64", "reference_n = 64\n")
     cfg = parse_config(write_config(tmp_path, text))
     diag = validate(cfg)
     assert any("under-resolves" in note for note in diag["notes"])
@@ -213,8 +211,7 @@ def test_validate_flags_underresolved_msfem(tmp_path):
 
 
 UNDERRESOLVED_CONFIG = MSFEM_CONFIG.replace(
-    "kind = none", "kind = periodic_discs\nepsilon = 0.03\nradius_factor = 0.35").replace(
-    "reference_n = 64", "reference_n = 32")
+    "kind = none", "kind = periodic_discs\nepsilon = 0.03\nradius_factor = 0.35")
 
 
 def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
@@ -261,7 +258,7 @@ def test_strict_is_the_runners_decision(tmp_path, monkeypatch):
     (MSFEM_CONFIG.replace("fine_n = 8", "fine_n = -4"), "msfem.fine_n"),
     (MSFEM_CONFIG.replace("fine_n = 8", "fine_n = 1"), "msfem.fine_n"),
     (UNDERRESOLVED_CONFIG.replace("fine_n = 8", "fine_n = 1"), "msfem.fine_n"),
-    (MSFEM_CONFIG.replace("reference_n = 64", "reference_n = -32"), "msfem.reference_n"),
+    (MSFEM_CONFIG + "reference_n = -32\n", "msfem.reference_n"),
     (VR_CONFIG.replace("n = 3, 4", "n ="), "estimate.n"),
     (MSFEM_CONFIG.replace("h = 1/4", "h ="), "msfem.h"),
     (VR_CONFIG.replace("mc, antithetic", "mc, antithetic, mc"), "estimate.strategies"),
@@ -348,15 +345,14 @@ def test_run_msfem_archive(tmp_path):
 
 def test_msfem_rows_of_one_h_differ_in_fine_n(tmp_path):
     # two levels with one H and different local grids once wrote two rows
-    # with the same (method, H, geometry, with_bubbles) key
+    # with the same (method, H, geometry, with_bubbles) key; each row is
+    # read against the reference on its own grid
     text = MSFEM_CONFIG.replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/4\nfine_n = 8, 16")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResolutionWarning)
-        archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "ms")
+    archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "ms")
     assert archive.status == "ok"
     rows = list(csv.DictReader((tmp_path / "ms" / "msfem.csv").read_text().splitlines()))
     assert [(r["H"], r["fine_n"], r["reference_n"]) for r in rows] \
-        == [("0.25", "8", "64"), ("0.25", "16", "64")]
+        == [("0.25", "8", "32"), ("0.25", "16", "64")]
 
 
 def test_manifest_lists_hashes_and_snapshot(tmp_path):
@@ -378,7 +374,6 @@ def test_archive_does_not_depend_on_its_directory(tmp_path):
     archives = []
     for name in ("first", "second/nested"):
         text = MSFEM_CONFIG.replace("out = {out}", f"out = {tmp_path / name}")
-        text = text.replace("reference_n = 64", "reference_n = 32")
         archives.append(run(parse_config(write_config(tmp_path, text))))
     assert [a.out_dir for a in archives] == [tmp_path / "first", tmp_path / "second/nested"]
     assert archives[0].manifest["files"] == archives[1].manifest["files"]
@@ -387,20 +382,33 @@ def test_archive_does_not_depend_on_its_directory(tmp_path):
     assert "out" not in snapshot["experiment"]
 
 
-def test_default_reference_matches_local_grids(tmp_path):
-    # m * fine_n = 32 and 24: the matched reference is their lcm 96, and
-    # 2 * max = 64 would not even contain the H = 1/3 local grids
-    text = MSFEM_CONFIG.replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/3\nfine_n = 8")
-    text = text.replace("reference_n = 64\n", "")
-    cfg = parse_config(write_config(tmp_path, text))
-    assert cfg.msfem["reference_n"] == 96
-    assert validate(cfg)["problems"] == []
+def test_default_reference_matches_local_grids(tmp_path, monkeypatch):
+    # m * fine_n = 32 and 24: each level is read against the reference on
+    # its own grid, so a level's row does not depend on the other levels
+    reference_solve = experiments.reference_solve
+    grids = []
 
-    text = MSFEM_CONFIG.replace("reference_n = 64\n", "")
-    archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "ms")
-    assert archive.status == "ok"
-    snapshot = json.loads((tmp_path / "ms" / "config_snapshot.json").read_text())
-    assert snapshot["msfem"]["reference_n"] == 32
+    def counted(perf, f, n):
+        grids.append(n)
+        return reference_solve(perf, f, n)
+
+    monkeypatch.setattr(experiments, "reference_solve", counted)
+    text = MSFEM_CONFIG.replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/3\nfine_n = 8")
+    cfg = parse_config(write_config(tmp_path, text))
+    both = run(cfg, out_override=tmp_path / "both")
+    assert both.status == "ok" and grids == [32, 24]
+    rows = list(csv.DictReader((tmp_path / "both" / "msfem.csv").read_text().splitlines()))
+    made = sum(int(r["solves"]) for r in rows) + len(grids)
+    assert both.manifest["estimated_pde_solves"] == made
+    assert [r["reference_n"] for r in rows] == ["32", "24"]
+    # the snapshot keeps the key as written: absent is 0
+    snapshot = json.loads((tmp_path / "both" / "config_snapshot.json").read_text())
+    assert snapshot["msfem"]["reference_n"] == 0
+
+    alone = run(parse_config(write_config(tmp_path, MSFEM_CONFIG)), out_override=tmp_path / "one")
+    assert alone.status == "ok" and grids == [32, 24, 32]
+    [row] = csv.DictReader((tmp_path / "one" / "msfem.csv").read_text().splitlines())
+    assert (row["l2_rel"], row["h1_rel"]) == (rows[0]["l2_rel"], rows[0]["h1_rel"])
 
 
 def test_partial_results_flushed_on_solver_error(tmp_path, monkeypatch):
@@ -427,7 +435,6 @@ def test_msfem_partial_results_flushed_on_solver_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "baseline_solve", failing_q1)
     text = MSFEM_CONFIG.replace("methods = cr", "methods = cr, linear, q1")
-    text = text.replace("reference_n = 64", "reference_n = 32")
     archive = run(parse_config(write_config(tmp_path, text)), out_override=tmp_path / "partial")
     assert archive.status == "error"
     assert "injected failure" in archive.manifest["error"]
@@ -523,7 +530,6 @@ radius_factor = 0.2
 h = 1/2
 fine_n = 16
 methods = cr, linear
-reference_n = 64
 """
 
 
@@ -538,10 +544,17 @@ def test_run_msfem_robustness_kind(tmp_path):
 
 
 def test_incompatible_reference_rejected(tmp_path):
-    text = MSFEM_CONFIG.replace("reference_n = 64", "reference_n = 100")
-    cfg = parse_config(write_config(tmp_path, text))
-    diag = validate(cfg)
-    assert any("divisible" in p for p in diag["problems"])
+    # msfem.reference_n may only name the one grid every level has: a finer
+    # multiple, another level's grid or the old lcm default is refused
+    two_levels = MSFEM_CONFIG.replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/3\nfine_n = 8")
+    for text, value, grids in ((MSFEM_CONFIG, 64, "32"), (MSFEM_CONFIG, 16, "32"),
+                               (two_levels, 32, "24, 32"), (two_levels, 96, "24, 32")):
+        path = write_config(tmp_path, text + f"reference_n = {value}\n")
+        with pytest.raises(ConfigError, match=rf"msfem\.reference_n={value} .*\({grids}\)"):
+            parse_config(path)
+    cfg = parse_config(write_config(tmp_path, MSFEM_CONFIG + "reference_n = 32\n"))
+    assert cfg.snapshot()["msfem"]["reference_n"] == 32
+    assert validate(cfg)["problems"] == []
 
 
 ESTIMATE_CONFIGS = {
@@ -549,8 +562,7 @@ ESTIMATE_CONFIGS = {
     # internal edges at H = 1/4 and 1/5
     "msfem": MSFEM_CONFIG.replace("kind = none", "kind = random_rectangles\ncount = 20\n"
                                   "width_range = 0.1, 0.3\nheight_range = 0.1, 0.3\ngseed = 7")
-                         .replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/5\nfine_n = 8")
-                         .replace("reference_n = 64", "reference_n = 160"),
+                         .replace("h = 1/4\nfine_n = 8", "h = 1/4, 1/5\nfine_n = 8"),
     "msfem-robustness": ROBUST_CONFIG,
 }
 
@@ -625,11 +637,12 @@ def test_validate_refuses_fuzzed_values_without_raising(tmp_path, name):
 
 @pytest.mark.parametrize("kind", ["msfem", "vr-compare"])
 def test_archives_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
-    # OpenBLAS splits a ddot of 25,281 elements (the msfem reference's
-    # unknowns at N = 160) between threads and sums the parts in another
-    # order; every CG sum is numpy's own, so 1 and 2 threads write the same
-    # bytes
-    text = ESTIMATE_CONFIGS["msfem"] if kind == "msfem" else VR_CONFIG
+    # OpenBLAS splits a ddot of 25,281 elements (the unknowns of the msfem
+    # reference at N = 5 * 32 = 160) between threads and sums the parts in
+    # another order; every CG sum is numpy's own, so 1 and 2 threads write
+    # the same bytes
+    text = (ESTIMATE_CONFIGS["msfem"].replace("h = 1/4, 1/5\nfine_n = 8", "h = 1/5\nfine_n = 32")
+            if kind == "msfem" else VR_CONFIG)
     src = str(Path(experiments.__file__).resolve().parents[1])
     files = []
     for threads in ("1", "2"):

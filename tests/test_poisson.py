@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from randpde import femcore, poisson
 from randpde.errors import ResolutionWarning
@@ -62,6 +63,50 @@ def test_h1_norm_scales_like_epsilon():
         norms[eps] = ref.h1_seminorm()
     ratio = norms[0.1] / norms[0.05]
     assert 1.4 <= ratio <= 2.6
+
+
+def periodic_cell_solution(p, radius_factor):
+    """Independent oracle for the small-hole limit: nodal values w of the
+    Q1-plus-penalty problem -lap w = 1 on the periodic unit cell split into
+    p x p cells, with kappa = default_kappa(1 / p) on the cells whose centre
+    lies in the centred disc. Built from the 1-D element matrices and
+    solved directly; shape (p, p), indexed [ix, iy] with period p."""
+    h = 1.0 / p
+    k1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    m1 = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+    stiffness = np.kron(k1, m1) + np.kron(m1, k1)  # corners (0,0), (0,1), (1,0), (1,1)
+    mass = np.kron(m1, m1)
+    c = (np.arange(p) + 0.5) * h
+    hole = ((c[:, None] - 0.5) ** 2 + (c[None, :] - 0.5) ** 2 <= radius_factor ** 2).ravel()
+    cx, cy = np.divmod(np.arange(p * p), p)
+    corners = np.stack([((cx + dx) % p) * p + (cy + dy) % p
+                        for dx in (0, 1) for dy in (0, 1)], axis=1)
+    blocks = stiffness + poisson.default_kappa(h) * hole[:, None, None] * mass
+    rows = np.broadcast_to(corners[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(corners[:, None, :], blocks.shape).ravel()
+    K = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(p * p, p * p))
+    load = np.zeros(p * p)
+    np.add.at(load, corners.ravel(), h * h / 4.0)  # f = 1 on every cell
+    return spla.spsolve(K.tocsc(), load).reshape(p, p)
+
+
+@pytest.mark.parametrize("periods, bound", [(10, 1e-5), (20, 1e-11)])
+def test_reference_matches_the_periodic_cell_away_from_the_boundary(periods, bound):
+    # f = 1 with a hole in every period: away from the outer boundary the
+    # reference is eps^2 w(x / eps), w the cell solution, up to terms that
+    # decay exponentially with the distance in periods (Lions 1980). The
+    # scaled cell problem has the reference's own matrix, so this checks
+    # its mask, kappa, load and CG tolerance against a direct solve.
+    p, radius_factor = 32, 0.2
+    eps = 1.0 / periods
+    perf = build_perforations("periodic_discs", epsilon=eps, radius_factor=radius_factor)
+    ref = reference_solve(perf, f_one, p * periods)
+    w = periodic_cell_solution(p, radius_factor)
+    nodes = np.arange(p * periods + 1)
+    far = nodes[np.minimum(nodes, p * periods - nodes) >= 0.4 * p * periods]
+    expected = eps ** 2 * w[np.ix_(far % p, far % p)]
+    error = np.max(np.abs(ref.values[np.ix_(far, far)] - expected)) / np.max(expected)
+    assert error <= bound, error
 
 
 def test_underresolved_reference_warns():
